@@ -24,24 +24,39 @@
 // reconstructed critical path must account for the sweep wall within
 // 5% — the "observability must not perturb what it observes" bar.
 //
+// M7 — simulator cost per agent move: SymmRV, AsymmRV and UniversalRV
+// on an oriented ring, the symmetric double tree and lazily interned
+// Q-hat, best-of-3 wall per cell over a fixed STIC set. Informational:
+// no gate, only the sim_ns_per_move_* trend fields.
+//
 // Emits one BENCH_sweep.json datapoint (into REPRO_CSV_DIR when set,
 // else the working directory) covering all comparisons for trend
 // tracking.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/experiments.hpp"
 #include "cache/artifact_cache.hpp"
 #include "obs/profile.hpp"
 #include "obs/task_events.hpp"
+#include "core/asymm_rv.hpp"
+#include "core/bounds.hpp"
+#include "core/symm_rv.hpp"
 #include "core/universal_rv.hpp"
 #include "graph/families/families.hpp"
+#include "graph/families/qhat.hpp"
+#include "graph/families/qhat_implicit.hpp"
+#include "sim/engine.hpp"
 #include "support/bench_json.hpp"
 #include "support/env.hpp"
+#include "support/saturating.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 #include "sweep/sweep.hpp"
@@ -64,6 +79,15 @@ double best_of_ms(int repeats, const std::function<void()>& fn) {
   }
   return best;
 }
+
+/// One M7 topology: the STICs simulated on it and the size n the
+/// algorithms are told.
+struct SimArena {
+  const char* key;
+  const rdv::graph::ITopology* topo;
+  std::uint32_t n;
+  std::vector<rdv::analysis::Stic> stics;
+};
 
 /// One M3 case: a (graph, STIC) pair. Cases repeat graphs many times —
 /// the workload shape the cache exists for.
@@ -507,6 +531,89 @@ int main() {
       "micro_sweep_profile",
       "M6: task-lifecycle profiler overhead, off vs on", profile_cmp);
 
+  // ---- M7: simulator ns per agent move -------------------------------
+  // Each cell runs one program over its arena's STICs (delays 0..1)
+  // under the round cap the algorithm's tests use, clamped to 2^18 so
+  // AsymmRV's long Q-hat budget stays a sample; ns/move is the
+  // best-of-3 wall of the whole cell over its (deterministic) moves.
+  const auto sim_ring = families::oriented_ring(4);
+  const auto sim_tree = families::symmetric_double_tree(1, 1);
+  const families::QhatImplicitTopology sim_qhat(2);
+  std::vector<SimArena> arenas;
+  arenas.push_back({"ring", &sim_ring, sim_ring.size(),
+                    rdv::analysis::enumerate_stics(sim_ring, 1)});
+  arenas.push_back({"tree", &sim_tree, sim_tree.size(),
+                    rdv::analysis::enumerate_stics(sim_tree, 1)});
+  {
+    SimArena qhat{"qhat", &sim_qhat,
+                  static_cast<std::uint32_t>(families::qhat_size(2)), {}};
+    for (const rdv::graph::Node v :
+         families::qhat_z_set(sim_qhat, sim_qhat.root(), 1)) {
+      for (std::uint64_t delay = 0; delay <= 1; ++delay) {
+        qhat.stics.push_back(Stic{sim_qhat.root(), v, delay});
+      }
+    }
+    arenas.push_back(std::move(qhat));
+  }
+  // (algorithm_topology, ns/move) for the JSON trend fields.
+  std::vector<std::pair<std::string, double>> sim_ns_per_move;
+  rdv::support::Table sim_table({"program", "topology", "runs", "moves",
+                                 "rounds", "best ms", "ns/move"});
+  rdv::core::UniversalOptions sim_universal;
+  sim_universal.max_phases = 40;
+  const auto universal_program = rdv::core::universal_rv_program(sim_universal);
+  for (const std::string algorithm : {"symm_rv", "asymm_rv", "universal_rv"}) {
+    for (const SimArena& arena : arenas) {
+      // Programs and caps are built outside the timed region.
+      const auto y = rdv::cache::cached_uxs(arena.n);
+      std::vector<std::pair<rdv::sim::AgentProgram, rdv::sim::RunConfig>> jobs;
+      for (const Stic& s : arena.stics) {
+        rdv::sim::RunConfig config;
+        if (algorithm == "symm_rv") {
+          config.max_rounds = rdv::support::sat_mul(
+              4, rdv::core::symm_rv_time_bound(arena.n, 1, 2, y->length()));
+          jobs.emplace_back(rdv::core::symm_rv_program(arena.n, 1, 2, *y),
+                            config);
+        } else if (algorithm == "asymm_rv") {
+          const std::uint64_t budget =
+              rdv::core::asymm_rv_time_bound(arena.n, s.delay, y->length());
+          config.max_rounds = rdv::support::sat_add(
+              rdv::support::sat_mul(2, budget), s.delay);
+          jobs.emplace_back(rdv::core::asymm_rv_program(arena.n, *y, budget),
+                            config);
+        } else {
+          jobs.emplace_back(universal_program, config);
+        }
+        jobs.back().second.max_rounds =
+            std::min<std::uint64_t>(config.max_rounds, 1u << 18);
+      }
+      std::uint64_t moves = 0;
+      std::uint64_t rounds = 0;
+      const double ms = best_of_ms(repeats, [&] {
+        moves = 0;
+        rounds = 0;
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+          const Stic& s = arena.stics[i];
+          const rdv::sim::RunResult r =
+              rdv::sim::run_anonymous(*arena.topo, jobs[i].first, s.u, s.v,
+                                      s.delay, jobs[i].second);
+          moves += r.moves[0] + r.moves[1];
+          rounds += r.rounds_simulated;
+        }
+      });
+      const double ns_per_move =
+          moves > 0 ? ms * 1e6 / static_cast<double>(moves) : 0;
+      sim_ns_per_move.emplace_back(algorithm + "_" + arena.key, ns_per_move);
+      sim_table.add_row({algorithm, arena.topo->name(),
+                         std::to_string(arena.stics.size()),
+                         std::to_string(moves), std::to_string(rounds),
+                         rdv::support::format_double(ms, 3),
+                         rdv::support::format_double(ns_per_move, 1)});
+    }
+  }
+  rdv::analysis::emit_table("micro_sweep_sim",
+                            "M7: simulator cost per agent move", sim_table);
+
   // Through support/env like every other binary (the invariant
   // linter's first catch was a naked getenv here).
   const std::string dir = rdv::support::repro_csv_dir();
@@ -537,8 +644,11 @@ int main() {
        << ",\"profile_on_ms\":" << profile_on_ms
        << ",\"profile_overhead_pct\":" << profile_overhead_pct
        << ",\"profile_events\":" << profile.events
-       << ",\"profile_dropped\":" << profile.dropped
-       << ",\"refine\":[";
+       << ",\"profile_dropped\":" << profile.dropped;
+  for (const auto& [key, ns] : sim_ns_per_move) {
+    json << ",\"sim_ns_per_move_" << key << "\":" << ns;
+  }
+  json << ",\"refine\":[";
   for (std::size_t i = 0; i < refine_points.size(); ++i) {
     if (i != 0) json << ",";
     json << "{\"family\":\"" << refine_points[i].family

@@ -21,18 +21,6 @@ Port Graph::max_degree() const noexcept {
   return static_cast<Port>(d);
 }
 
-Port Graph::degree(Node v) const {
-  assert(v < adjacency_.size());
-  return static_cast<Port>(adjacency_[v].size());
-}
-
-Step Graph::step(Node v, Port p) const {
-  assert(v < adjacency_.size());
-  assert(p < adjacency_[v].size());
-  const HalfEdge& e = adjacency_[v][p];
-  return Step{e.to, e.rev_port};
-}
-
 std::span<const HalfEdge> Graph::edges(Node v) const {
   assert(v < adjacency_.size());
   return adjacency_[v];

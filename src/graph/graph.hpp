@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -40,8 +41,18 @@ class Graph final : public ITopology {
   /// Maximum degree over all nodes.
   [[nodiscard]] Port max_degree() const noexcept;
 
-  [[nodiscard]] Port degree(Node v) const override;
-  [[nodiscard]] Step step(Node v, Port p) const override;
+  // Defined inline: the simulator calls these once per agent move, and
+  // on a `const Graph&` (the class is final) they need no virtual call.
+  [[nodiscard]] Port degree(Node v) const override {
+    assert(v < adjacency_.size());
+    return static_cast<Port>(adjacency_[v].size());
+  }
+  [[nodiscard]] Step step(Node v, Port p) const override {
+    assert(v < adjacency_.size());
+    assert(p < adjacency_[v].size());
+    const HalfEdge& e = adjacency_[v][p];
+    return Step{e.to, e.rev_port};
+  }
   [[nodiscard]] std::string name() const override { return name_; }
 
   /// All half-edges at v, indexed by port.

@@ -161,8 +161,14 @@ class Mailbox {
     has_pending_ = false;
     return pending_;
   }
+  // The engine writes the observation and the coroutine writes its
+  // action field by field: whole-struct copies of these small,
+  // mixed-width structs compile to wide loads of values just stored
+  // narrow, which stall store forwarding once per move.
   void deliver_and_resume(const Observation& obs) {
-    last_ = obs;
+    last_.degree = obs.degree;
+    last_.entry_port = obs.entry_port;
+    last_.clock = obs.clock;
     auto leaf = std::exchange(leaf_, nullptr);
     assert(leaf);
     leaf.resume();
@@ -175,11 +181,17 @@ class Mailbox {
     Action action;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) noexcept {
-      mailbox->pending_ = action;
+      mailbox->pending_.kind = action.kind;
+      mailbox->pending_.port = action.port;
+      mailbox->pending_.wait_rounds = action.wait_rounds;
       mailbox->has_pending_ = true;
       mailbox->leaf_ = h;
     }
-    Observation await_resume() const noexcept { return mailbox->last_; }
+    /// The arrival observation, i.e. last(); callers that keep it past
+    /// their next action copy it.
+    const Observation& await_resume() const noexcept {
+      return mailbox->last_;
+    }
   };
 
   Action pending_{};

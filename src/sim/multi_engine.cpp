@@ -1,9 +1,12 @@
 #include "sim/multi_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 
+#include "graph/graph.hpp"
 #include "support/saturating.hpp"
 
 namespace rdv::sim {
@@ -24,7 +27,9 @@ struct AgentState {
   std::uint64_t busy_until = kRoundInfinity;
   Node move_target = graph::kNoNode;
   Port move_port = 0;
-  Port move_entry = 0;
+  /// Entry port the next observation reports: set when the action is
+  /// chosen, so delivering it is a plain copy.
+  std::optional<Port> arrival_entry;
   bool started = false;
   bool finished = false;
   bool action_is_move = false;
@@ -33,11 +38,26 @@ struct AgentState {
   std::uint32_t zero_wait_spin = 0;
 };
 
+/// Per-agent storage: a fixed-size array when the agent count is known
+/// at compile time (K > 0), so every per-agent loop has a constant trip
+/// count; a vector sized once per run otherwise (K == 0).
+template <class T, std::size_t K>
+using PerAgent = std::conditional_t<K == 0, std::vector<T>, std::array<T, K>>;
+
+/// The one engine body. `Topo` is the static type the runner calls
+/// degree/step on: `graph::Graph` (final, accessors inline) for explicit
+/// graphs, `ITopology` for everything else. Nothing is allocated per
+/// event: the per-event scratch (`old_pos_`, `moved_`) is sized once.
+template <class Topo, std::size_t K>
 class MultiRunner {
  public:
-  MultiRunner(const ITopology& g, const MultiRunConfig& config,
-              std::size_t k)
-      : g_(g), config_(config), agents_(k) {
+  MultiRunner(const Topo& g, const MultiRunConfig& config, std::size_t k)
+      : g_(g), config_(config) {
+    if constexpr (K == 0) {
+      agents_.resize(k);
+      old_pos_.resize(k);
+      moved_.resize(k);
+    }
     if (config.record_trace) result_.trace.enable(config.trace_limit);
     result_.first_meeting.assign(k * k, kNever);
     result_.moves.assign(k, 0);
@@ -51,15 +71,18 @@ class MultiRunner {
       agents_[i].start_round = specs[i].start_round;
     }
 
+    std::size_t unstarted = k;
     std::uint64_t round = 0;
     for (;;) {
-      // Spawn agents whose starting round arrived.
-      for (std::size_t i = 0; i < k; ++i) {
+      // Spawn agents whose starting round arrived; once all have, the
+      // scan is skipped for the rest of the run.
+      for (std::size_t i = 0; unstarted > 0 && i < k; ++i) {
         AgentState& a = agents_[i];
         if (!a.started && a.start_round == round) {
           a.started = true;
+          --unstarted;
           a.pos = a.start_node;
-          result_.trace.record(round, static_cast<std::uint8_t>(i), a.pos,
+          result_.trace.record(round, static_cast<std::uint32_t>(i), a.pos,
                                kNoPort);
           const Observation initial{g_.degree(a.pos), std::nullopt, 0};
           a.mailbox.set_initial(initial);
@@ -70,15 +93,22 @@ class MultiRunner {
         }
       }
 
-      // Meeting bookkeeping + termination checks.
-      bool all_present = true;
+      // One pass over the agents: presence, gathering, termination and
+      // the next event round.
       bool all_same = true;
+      bool everything_done = unstarted == 0;
+      std::uint64_t next = kRoundInfinity;
       for (std::size_t i = 0; i < k; ++i) {
-        if (!agents_[i].started) {
-          all_present = false;
-          break;
+        const AgentState& a = agents_[i];
+        if (!a.started) {
+          next = std::min(next, a.start_round);
+          continue;
         }
-        if (agents_[i].pos != agents_[0].pos) all_same = false;
+        if (a.pos != agents_[0].pos) all_same = false;
+        if (!a.finished) {
+          everything_done = false;
+          if (a.has_action) next = std::min(next, a.busy_until);
+        }
       }
       bool stop_pair_met = false;
       for (std::size_t i = 0; i < k; ++i) {
@@ -95,7 +125,7 @@ class MultiRunner {
           }
         }
       }
-      if (all_present && all_same) {
+      if (unstarted == 0 && all_same) {
         result_.gathered = true;
         result_.gather_round_absolute = round;
         std::uint64_t last_start = 0;
@@ -106,28 +136,12 @@ class MultiRunner {
         return finish(round);
       }
       if (stop_pair_met) return finish(round);
-
-      bool everything_done = true;
-      for (const AgentState& a : agents_) {
-        if (!a.started || !a.finished) {
-          everything_done = false;
-          break;
-        }
-      }
       if (everything_done) {
         result_.programs_finished = true;
         return finish(round);
       }
 
-      // Next event.
-      std::uint64_t next = kRoundInfinity;
-      for (const AgentState& a : agents_) {
-        if (!a.started) {
-          next = std::min(next, a.start_round);
-        } else if (!a.finished && a.has_action) {
-          next = std::min(next, a.busy_until);
-        }
-      }
+      // Advance to the next event, or stop at the cap.
       if (next > config_.max_rounds || next == kRoundInfinity) {
         return finish(config_.max_rounds);
       }
@@ -135,9 +149,10 @@ class MultiRunner {
 
       // Apply move completions, then detect pairwise swaps, then
       // resume.
-      std::vector<Node> old_pos(k);
-      std::vector<bool> moved(k, false);
-      for (std::size_t i = 0; i < k; ++i) old_pos[i] = agents_[i].pos;
+      for (std::size_t i = 0; i < k; ++i) {
+        old_pos_[i] = agents_[i].pos;
+        moved_[i] = 0;
+      }
       for (std::size_t i = 0; i < k; ++i) {
         AgentState& a = agents_[i];
         if (!a.started || a.finished || !a.has_action ||
@@ -147,15 +162,15 @@ class MultiRunner {
         if (a.action_is_move) {
           a.pos = a.move_target;
           ++a.moves;
-          moved[i] = true;
-          result_.trace.record(round, static_cast<std::uint8_t>(i), a.pos,
+          moved_[i] = 1;
+          result_.trace.record(round, static_cast<std::uint32_t>(i), a.pos,
                                a.move_port);
         }
       }
       for (std::size_t i = 0; i < k; ++i) {
         for (std::size_t j = i + 1; j < k; ++j) {
-          if (moved[i] && moved[j] && agents_[i].pos == old_pos[j] &&
-              agents_[j].pos == old_pos[i] &&
+          if (moved_[i] && moved_[j] && agents_[i].pos == old_pos_[j] &&
+              agents_[j].pos == old_pos_[i] &&
               agents_[i].pos != agents_[j].pos) {
             ++result_.edge_crossings;
           }
@@ -170,9 +185,7 @@ class MultiRunner {
         a.has_action = false;
         Observation obs;
         obs.degree = g_.degree(a.pos);
-        obs.entry_port = a.action_is_move
-                             ? std::optional<Port>(a.move_entry)
-                             : std::nullopt;
+        obs.entry_port = a.arrival_entry;
         obs.clock = round - a.start_round;
         a.mailbox.deliver_and_resume(obs);
         collect(i, round);
@@ -215,7 +228,7 @@ class MultiRunner {
         const graph::Step s = g_.step(a.pos, action.port);
         a.move_target = s.to;
         a.move_port = action.port;
-        a.move_entry = s.entry_port;
+        a.arrival_entry = s.entry_port;
         a.action_is_move = true;
         a.has_action = true;
         a.busy_until = round + 1;
@@ -234,6 +247,7 @@ class MultiRunner {
         continue;
       }
       a.action_is_move = false;
+      a.arrival_entry.reset();
       a.has_action = true;
       a.busy_until = sat_add(round, action.wait_rounds);
       a.zero_wait_spin = 0;
@@ -250,11 +264,24 @@ class MultiRunner {
     return std::move(result_);
   }
 
-  const ITopology& g_;
+  const Topo& g_;
   const MultiRunConfig& config_;
   MultiRunResult result_;
-  std::vector<AgentState> agents_;
+  PerAgent<AgentState, K> agents_{};
+  PerAgent<Node, K> old_pos_{};
+  PerAgent<std::uint8_t, K> moved_{};
 };
+
+/// Picks the agent-count specialization: the two-agent rendezvous path
+/// (run_pair / run_anonymous) gets fixed-size storage.
+template <class Topo>
+MultiRunResult run_on(const Topo& g, const std::vector<AgentSpec>& agents,
+                      const MultiRunConfig& config) {
+  if (agents.size() == 2) {
+    return MultiRunner<Topo, 2>(g, config, 2).run(agents);
+  }
+  return MultiRunner<Topo, 0>(g, config, agents.size()).run(agents);
+}
 
 }  // namespace
 
@@ -267,8 +294,12 @@ MultiRunResult run_multi(const ITopology& g,
   if (normalized.stop_on_pair_a > normalized.stop_on_pair_b) {
     std::swap(normalized.stop_on_pair_a, normalized.stop_on_pair_b);
   }
-  MultiRunner runner(g, normalized, agents.size());
-  return runner.run(agents);
+  // One dispatch per run: an explicit Graph is simulated through its
+  // final type, so degree/step inline into the event loop.
+  if (const auto* explicit_graph = dynamic_cast<const graph::Graph*>(&g)) {
+    return run_on(*explicit_graph, agents, normalized);
+  }
+  return run_on(g, agents, normalized);
 }
 
 }  // namespace rdv::sim

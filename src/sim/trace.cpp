@@ -7,7 +7,7 @@ namespace rdv::sim {
 std::string Trace::to_string() const {
   std::ostringstream out;
   for (const TraceEvent& e : events_) {
-    out << "round " << e.round << ": agent " << int(e.agent);
+    out << "round " << e.round << ": agent " << e.agent;
     if (e.via_port == kNoPort) {
       out << " appears at node " << e.node;
     } else {

@@ -11,7 +11,7 @@ namespace rdv::sim {
 
 struct TraceEvent {
   std::uint64_t round;   ///< Absolute round the event takes effect.
-  std::uint8_t agent;    ///< 0 = earlier, 1 = later.
+  std::uint32_t agent;   ///< Index into the run's agents (0 = earlier).
   graph::Node node;      ///< Node occupied from this round on.
   graph::Port via_port;  ///< Outgoing port taken (kNoPort for spawn).
 };
@@ -24,7 +24,7 @@ class Trace {
     enabled_ = true;
     limit_ = limit;
   }
-  void record(std::uint64_t round, std::uint8_t agent, graph::Node node,
+  void record(std::uint64_t round, std::uint32_t agent, graph::Node node,
               graph::Port via_port) {
     if (!enabled_) return;
     if (events_.size() < limit_) {

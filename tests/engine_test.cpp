@@ -129,6 +129,26 @@ TEST(Engine, EntryPortsReported) {
   for (const Port p : entries) EXPECT_EQ(p, 1u);  // clockwise entry
 }
 
+TEST(Engine, WaitAfterMoveReportsNoEntryPort) {
+  const Graph g = families::oriented_ring(5);
+  std::vector<std::optional<Port>> entries;
+  AgentProgram prog = [&entries](Mailbox& mb, Observation) -> Proc {
+    return [](Mailbox& mb2, std::vector<std::optional<Port>>* out) -> Proc {
+      out->push_back((co_await mb2.move(0)).entry_port);
+      out->push_back((co_await mb2.wait(2)).entry_port);
+      out->push_back((co_await mb2.move(0)).entry_port);
+      out->push_back((co_await mb2.wait(0)).entry_port);
+    }(mb, &entries);
+  };
+  const RunResult r = run_pair(g, prog, sleeper_program(), 0, 3, 0);
+  ASSERT_TRUE(r.ok()) << r.error;
+  ASSERT_EQ(entries.size(), 4u);
+  EXPECT_EQ(entries[0], std::optional<Port>(1));
+  EXPECT_EQ(entries[1], std::nullopt);
+  EXPECT_EQ(entries[2], std::optional<Port>(1));
+  EXPECT_EQ(entries[3], std::nullopt);
+}
+
 TEST(Engine, OutOfRangePortIsAnError) {
   const Graph g = families::path_graph(3);
   auto prog = scripted({Action::move(7)});

@@ -244,5 +244,33 @@ TEST(MultiEngine, ErrorsPropagateWithAgentIndex) {
   EXPECT_NE(r.error.find("agent 2"), std::string::npos);
 }
 
+// Regression: trace events stored the agent index in a byte, so a
+// traced run with more than 256 agents mislabeled agent 256 + i as i.
+TEST(MultiEngine, TraceLabelsAgentsPast255) {
+  const Graph g = families::path_graph(2);
+  const std::size_t k = 300;
+  std::vector<AgentSpec> specs;
+  for (std::size_t i = 0; i + 1 < k; ++i) specs.push_back({sleeper(), 0, 0});
+  specs.push_back({step_once(0), 1, 0});  // the last agent walks 1 -> 0
+  MultiRunConfig config;
+  config.record_trace = true;
+  config.trace_limit = 2 * k;
+  const MultiRunResult r = run_multi(g, specs, config);
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_TRUE(r.gathered);
+  EXPECT_EQ(r.gather_round_absolute, 1u);
+  const std::vector<TraceEvent>& events = r.trace.events();
+  ASSERT_EQ(events.size(), k + 1);  // k spawns, then the one move
+  for (std::size_t i = 0; i < k; ++i) {
+    EXPECT_EQ(events[i].agent, i);
+    EXPECT_EQ(events[i].via_port, kNoPort);
+  }
+  EXPECT_EQ(events[k].agent, k - 1);
+  EXPECT_EQ(events[k].node, 0u);
+  EXPECT_NE(r.trace.to_string().find("round 1: agent 299 moves via port 0 "
+                                     "to node 0\n"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace rdv::sim
