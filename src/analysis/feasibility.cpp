@@ -1,10 +1,5 @@
 #include "analysis/feasibility.hpp"
 
-#include <memory>
-
-#include "cache/artifact_cache.hpp"
-#include "support/thread_pool.hpp"
-
 namespace rdv::analysis {
 
 SticCheck verify_stic(const graph::Graph& g,
@@ -18,31 +13,6 @@ SticCheck verify_stic(const graph::Graph& g,
   check.consistent =
       check.run.ok() && (check.run.met == check.cls.feasible);
   return check;
-}
-
-SweepSummary feasibility_sweep(const graph::Graph& g,
-                               std::uint64_t max_delay,
-                               const sim::AgentProgram& program,
-                               const sim::RunConfig& config) {
-  const std::shared_ptr<const views::ViewClasses> classes =
-      cache::cached_view_classes(g);
-  const std::vector<Stic> stics = enumerate_stics(g, max_delay);
-  SweepSummary summary;
-  summary.checks.resize(stics.size());
-  support::parallel_for(
-      support::default_pool(), 0, stics.size(), [&](std::size_t i) {
-        summary.checks[i] =
-            verify_stic(g, *classes, stics[i], program, config);
-      });
-  for (const SticCheck& check : summary.checks) {
-    if (check.cls.feasible) {
-      ++summary.feasible;
-    } else {
-      ++summary.infeasible;
-    }
-    if (!check.consistent) ++summary.inconsistent;
-  }
-  return summary;
 }
 
 }  // namespace rdv::analysis

@@ -28,17 +28,12 @@ struct SticCheck {
                                     const sim::AgentProgram& program,
                                     const sim::RunConfig& config);
 
+/// Result of sweep::feasibility_sweep over one graph.
 struct SweepSummary {
   std::vector<SticCheck> checks;
   std::uint64_t feasible = 0;
   std::uint64_t infeasible = 0;
   std::uint64_t inconsistent = 0;
 };
-
-/// Verifies every ordered STIC with delays 0..max_delay, in parallel.
-[[nodiscard]] SweepSummary feasibility_sweep(const graph::Graph& g,
-                                             std::uint64_t max_delay,
-                                             const sim::AgentProgram& program,
-                                             const sim::RunConfig& config);
 
 }  // namespace rdv::analysis

@@ -1,7 +1,6 @@
 #include "analysis/stics.hpp"
 
 #include "cache/artifact_cache.hpp"
-#include "views/shrink.hpp"
 
 namespace rdv::analysis {
 
@@ -18,7 +17,9 @@ ClassifiedStic classify_stic(const graph::Graph& g,
   ClassifiedStic out;
   out.stic = stic;
   out.symmetric = classes.symmetric(stic.u, stic.v);
-  out.shrink = views::shrink(g, stic.u, stic.v);
+  // The cached all-pairs table is the one Shrink source: computed once
+  // per graph, then an O(n+m) fingerprint and a cache hit per STIC.
+  out.shrink = cache::cached_all_pairs_shrink(g)->at(stic.u, stic.v);
   out.feasible = !out.symmetric || stic.delay >= out.shrink;
   return out;
 }

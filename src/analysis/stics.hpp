@@ -23,20 +23,22 @@ struct Stic {
 struct ClassifiedStic {
   Stic stic;
   bool symmetric = false;
-  /// Shrink(u, v); meaningful for the characterization when symmetric
-  /// (computed for every pair — for nonsymmetric pairs it is still the
-  /// min same-sequence distance, reported for diagnostics).
+  /// Shrink(u, v), read from the cached all-pairs table; meaningful for
+  /// the characterization when symmetric (for nonsymmetric pairs it is
+  /// still the min same-sequence distance, reported for diagnostics;
+  /// graph::kUnreachable across components).
   std::uint32_t shrink = 0;
   /// Corollary 3.1: feasible iff nonsymmetric, or delta >= Shrink.
   bool feasible = false;
 };
 
-/// Classify one STIC (computes symmetry and Shrink).
+/// Classify one STIC (symmetry and Shrink resolved through the global
+/// artifact cache).
 [[nodiscard]] ClassifiedStic classify_stic(const graph::Graph& g,
                                            const Stic& stic);
 
 /// Classify against precomputed view classes (avoids recomputing the
-/// partition in sweeps).
+/// partition in sweeps); Shrink still comes from the global cache.
 [[nodiscard]] ClassifiedStic classify_stic(const graph::Graph& g,
                                            const views::ViewClasses& classes,
                                            const Stic& stic);

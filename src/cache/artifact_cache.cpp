@@ -49,10 +49,6 @@ std::uint64_t uxs_bytes(const uxs::Uxs& y) {
   return y.length() * sizeof(std::uint64_t) + y.provenance().size();
 }
 
-std::uint64_t shrink_bytes(const views::ShrinkResult& r) {
-  return r.witness.size() * sizeof(graph::Port) + sizeof(views::ShrinkResult);
-}
-
 std::uint64_t all_pairs_shrink_bytes(const views::AllPairsShrink& a) {
   return a.values.size() * sizeof(std::uint32_t) +
          sizeof(views::AllPairsShrink);
@@ -80,8 +76,6 @@ ArtifactCache::ArtifactCache(const CacheConfig& config)
                  config.bytes_per_shard),
       uxs_(config.shards, config.capacity_per_shard, config.enabled,
            config.bytes_per_shard),
-      shrink_(config.shards, config.capacity_per_shard, config.enabled,
-              config.bytes_per_shard),
       all_pairs_shrink_(config.shards, config.capacity_per_shard,
                         config.enabled, config.bytes_per_shard) {}
 
@@ -93,11 +87,6 @@ std::shared_ptr<const views::ViewClasses> ArtifactCache::view_classes(
 std::string ArtifactCache::disk_key(const GraphFingerprint& fp) {
   return "fp-" + hex16(fp.hi) + "-" + hex16(fp.lo) + "-n" +
          std::to_string(fp.n);
-}
-
-std::string ArtifactCache::disk_key(const ShrinkKey& key) {
-  return disk_key(key.fp) + "-u" + std::to_string(key.u) + "-v" +
-         std::to_string(key.v);
 }
 
 std::shared_ptr<const views::ViewClasses> ArtifactCache::view_classes(
@@ -174,26 +163,6 @@ std::shared_ptr<const uxs::Uxs> ArtifactCache::uxs(std::uint32_t n) {
       uxs_bytes);
 }
 
-std::shared_ptr<const views::ShrinkResult> ArtifactCache::shrink(
-    const graph::Graph& g, graph::Node u, graph::Node v) {
-  return shrink(g, fingerprint(g), u, v);
-}
-
-std::shared_ptr<const views::ShrinkResult> ArtifactCache::shrink(
-    const graph::Graph& g, const GraphFingerprint& fp, graph::Node u,
-    graph::Node v) {
-  const ShrinkKey key{fp, u, v};
-  return shrink_.get_or_compute(
-      key,
-      [this, &g, u, v, &key] {
-        return through_disk<views::ShrinkResult>(
-            disk(), store::Kind::kShrink, disk_key(key),
-            store::encode_shrink, store::decode_shrink,
-            [&g, u, v] { return views::shrink_with_witness(g, u, v); });
-      },
-      shrink_bytes);
-}
-
 std::shared_ptr<const views::AllPairsShrink> ArtifactCache::all_pairs_shrink(
     const graph::Graph& g) {
   return all_pairs_shrink(g, fingerprint(g));
@@ -217,7 +186,6 @@ CacheStats ArtifactCache::stats() const {
   stats.view_classes = view_classes_.stats();
   stats.quotients = quotients_.stats();
   stats.uxs = uxs_.stats();
-  stats.shrink = shrink_.stats();
   stats.all_pairs_shrink = all_pairs_shrink_.stats();
   return stats;
 }
@@ -226,7 +194,6 @@ void ArtifactCache::clear() {
   view_classes_.clear();
   quotients_.clear();
   uxs_.clear();
-  shrink_.clear();
   all_pairs_shrink_.clear();
 }
 
@@ -276,12 +243,6 @@ std::shared_ptr<const views::QuotientGraph> cached_quotient(
 std::shared_ptr<const uxs::Uxs> cached_uxs(std::uint32_t n,
                                            ArtifactCache* cache) {
   return (cache != nullptr ? *cache : global_cache()).uxs(n);
-}
-
-std::shared_ptr<const views::ShrinkResult> cached_shrink(
-    const graph::Graph& g, graph::Node u, graph::Node v,
-    ArtifactCache* cache) {
-  return (cache != nullptr ? *cache : global_cache()).shrink(g, u, v);
 }
 
 std::shared_ptr<const views::AllPairsShrink> cached_all_pairs_shrink(

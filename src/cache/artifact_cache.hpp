@@ -61,43 +61,23 @@ struct CacheStats {
   StoreStats view_classes;
   StoreStats quotients;
   StoreStats uxs;
-  StoreStats shrink;
   StoreStats all_pairs_shrink;
 
   [[nodiscard]] std::uint64_t total_hits() const {
-    return view_classes.hits + quotients.hits + uxs.hits + shrink.hits +
+    return view_classes.hits + quotients.hits + uxs.hits +
            all_pairs_shrink.hits;
   }
   [[nodiscard]] std::uint64_t total_misses() const {
     return view_classes.misses + quotients.misses + uxs.misses +
-           shrink.misses + all_pairs_shrink.misses;
+           all_pairs_shrink.misses;
   }
   [[nodiscard]] std::uint64_t total_bytes() const {
-    return view_classes.bytes + quotients.bytes + uxs.bytes + shrink.bytes +
+    return view_classes.bytes + quotients.bytes + uxs.bytes +
            all_pairs_shrink.bytes;
   }
 };
 
-/// Key of the Shrink store: one pair-BFS result per (graph structure,
-/// ordered (u, v) start pair).
-struct ShrinkKey {
-  GraphFingerprint fp;
-  graph::Node u = 0;
-  graph::Node v = 0;
-
-  friend bool operator==(const ShrinkKey&, const ShrinkKey&) = default;
-};
-
-struct ShrinkKeyHash {
-  [[nodiscard]] std::size_t operator()(const ShrinkKey& k) const noexcept {
-    std::uint64_t h = FingerprintHash{}(k.fp);
-    h ^= (static_cast<std::uint64_t>(k.u) << 32 | k.v) *
-         0x9E3779B97F4A7C15ULL;
-    return static_cast<std::size_t>(h ^ (h >> 29));
-  }
-};
-
-/// Thread-safe memoizing store for the three artifact kinds. Share one
+/// Thread-safe memoizing store for the four artifact kinds. Share one
 /// instance across every sweep touching the same graphs (the default
 /// entry points below use a process-global instance).
 class ArtifactCache {
@@ -137,20 +117,10 @@ class ArtifactCache {
   /// by n.
   [[nodiscard]] std::shared_ptr<const uxs::Uxs> uxs(std::uint32_t n);
 
-  /// Shrink pair-BFS result for (u, v) on g (views::shrink_with_witness,
-  /// O(n^2 * max_degree)), keyed by (fingerprint, u, v) so repeated
-  /// queries for the same pair — across experiment kernels and scales —
-  /// run the product BFS once.
-  [[nodiscard]] std::shared_ptr<const views::ShrinkResult> shrink(
-      const graph::Graph& g, graph::Node u, graph::Node v);
-  [[nodiscard]] std::shared_ptr<const views::ShrinkResult> shrink(
-      const graph::Graph& g, const GraphFingerprint& fp, graph::Node u,
-      graph::Node v);
-
   /// Batched all-pairs Shrink table of g (views::shrink_all_pairs),
-  /// keyed by fingerprint alone — ONE artifact per graph replacing n^2
-  /// tiny per-pair entries on the census hot path. Same two-tier
-  /// behavior as the other per-graph artifacts.
+  /// keyed by fingerprint alone: the one Shrink source of every
+  /// production path (classification, census, experiment kernels).
+  /// Same two-tier behavior as the other per-graph artifacts.
   [[nodiscard]] std::shared_ptr<const views::AllPairsShrink>
   all_pairs_shrink(const graph::Graph& g);
   [[nodiscard]] std::shared_ptr<const views::AllPairsShrink>
@@ -166,13 +136,12 @@ class ArtifactCache {
     return config_.disk.get();
   }
 
-  /// Disk-store key strings (filename-safe): the fingerprint for
-  /// per-graph artifacts, "n<k>" for UXS sizes, fingerprint + pair for
-  /// Shrink. Built via std::string — no fixed-width buffer, so no key
-  /// component can ever be truncated into a colliding prefix (public so
-  /// tests can pin that property on adversarially wide keys).
+  /// Disk-store key string (filename-safe) of a per-graph artifact
+  /// ("n<k>" keys UXS sizes). Built via std::string — no fixed-width
+  /// buffer, so no key component can ever be truncated into a
+  /// colliding prefix (public so tests can pin that property on
+  /// adversarially wide keys).
   [[nodiscard]] static std::string disk_key(const GraphFingerprint& fp);
-  [[nodiscard]] static std::string disk_key(const ShrinkKey& key);
 
  private:
 
@@ -182,7 +151,6 @@ class ArtifactCache {
   ShardedLruStore<GraphFingerprint, views::QuotientGraph, FingerprintHash>
       quotients_;
   ShardedLruStore<std::uint32_t, uxs::Uxs> uxs_;
-  ShardedLruStore<ShrinkKey, views::ShrinkResult, ShrinkKeyHash> shrink_;
   ShardedLruStore<GraphFingerprint, views::AllPairsShrink, FingerprintHash>
       all_pairs_shrink_;
 };
@@ -211,9 +179,6 @@ cached_symmetric_pairs(const graph::Graph& g, ArtifactCache* cache = nullptr);
     const graph::Graph& g, ArtifactCache* cache = nullptr);
 [[nodiscard]] std::shared_ptr<const uxs::Uxs> cached_uxs(
     std::uint32_t n, ArtifactCache* cache = nullptr);
-[[nodiscard]] std::shared_ptr<const views::ShrinkResult> cached_shrink(
-    const graph::Graph& g, graph::Node u, graph::Node v,
-    ArtifactCache* cache = nullptr);
 [[nodiscard]] std::shared_ptr<const views::AllPairsShrink>
 cached_all_pairs_shrink(const graph::Graph& g, ArtifactCache* cache = nullptr);
 

@@ -304,7 +304,6 @@ void register_metric_sources() {
         tier("view_classes", stats.view_classes);
         tier("quotients", stats.quotients);
         tier("uxs", stats.uxs);
-        tier("shrink", stats.shrink);
         tier("all_pairs_shrink", stats.all_pairs_shrink);
       });
   obs::Registry::instance().register_source(
@@ -646,28 +645,6 @@ int run_main(int argc, const char* const* argv) {
   if (failures != 0) {
     std::fprintf(stderr, "rdv_bench: %d of %zu experiments failed\n",
                  failures, selected.size());
-    return 1;
-  }
-  return 0;
-}
-
-int run_single(std::string_view id) {
-  const Registry& registry = builtin_registry();
-  const Experiment* e = registry.find(id);
-  if (e == nullptr) {
-    std::fprintf(stderr, "unknown experiment id '%s'\n",
-                 std::string(id).c_str());
-    return 2;
-  }
-  ExpContext ctx;
-  ctx.scale = support::repro_census()
-                  ? Scale::kCensus
-                  : (support::repro_full() ? Scale::kFull : Scale::kQuick);
-  try {
-    const ExpOutput output = run_experiment(*e, ctx);
-    emit(*e, output, emit_options_from_env());
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "%s failed: %s\n", e->id.c_str(), ex.what());
     return 1;
   }
   return 0;

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <string_view>
-
 /// The `rdv_bench` driver: list / describe / filter / run any
 /// registered experiment, replacing the bespoke per-bench main()s.
 namespace rdv::exp {
@@ -10,10 +8,5 @@ namespace rdv::exp {
 /// code: 0 on success, 1 when an experiment failed (or --check found an
 /// empty table), 2 on usage errors.
 int run_main(int argc, const char* const* argv);
-
-/// Back-compat entry for the thin per-experiment bench binaries: runs
-/// one experiment by id with the environment-derived context
-/// (REPRO_FULL scale, REPRO_CSV_DIR / REPRO_JSON_DIR emission).
-int run_single(std::string_view id);
 
 }  // namespace rdv::exp

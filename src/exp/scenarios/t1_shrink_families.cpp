@@ -5,9 +5,10 @@
 //
 // Each graph is one case whose kernel sweeps the graph's symmetric
 // pairs on sweep::run_stic_sweep: the outer case loop fans out on the
-// pool AND the per-pair Shrink product BFS runs chunked on the same
-// pool (work-assisting waits make the nesting safe); the view
-// partition is resolved once per graph through the cache.
+// pool AND the pair classifications run chunked on the same pool
+// (work-assisting waits make the nesting safe). The view partition and
+// the all-pairs Shrink table are each resolved once per graph through
+// the cache.
 #include <algorithm>
 #include <memory>
 
@@ -30,8 +31,9 @@ std::vector<std::string> graph_row(const Graph& g, const ExpContext& ctx) {
   for (const auto& [u, v] : views::symmetric_pairs(g, *classes)) {
     pairs.push_back(Stic{u, v, 0});
   }
-  // Kernel computes Shrink (record.cls.shrink) on the pool; the cheap
-  // BFS distance rides along in the merge loop below.
+  // Kernel classifies each pair (record.cls.shrink from the cached
+  // all-pairs table) on the pool; the cheap BFS distance rides along in
+  // the merge loop below.
   const sweep::SticKernel kernel = [&g, &classes](const Stic& stic) {
     sweep::SticRecord record;
     record.stic = stic;

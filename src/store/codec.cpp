@@ -37,7 +37,6 @@ const char* kind_name(Kind kind) noexcept {
     case Kind::kViewClasses: return "view_classes";
     case Kind::kQuotients: return "quotients";
     case Kind::kUxs: return "uxs";
-    case Kind::kShrink: return "shrink";
     case Kind::kShrinkAllPairs: return "shrink_all_pairs";
   }
   return "?";
@@ -112,28 +111,6 @@ views::QuotientGraph decode_quotient(std::string_view bytes) {
   q.multiplicity = d.u32_vec();
   d.finish();
   return q;
-}
-
-std::string encode_shrink(const views::ShrinkResult& r) {
-  Encoder e;
-  e.u32(r.shrink);
-  e.u32_vec(r.witness);
-  e.u32(r.closest_u);
-  e.u32(r.closest_v);
-  e.u64(r.pairs_explored);
-  return e.take();
-}
-
-views::ShrinkResult decode_shrink(std::string_view bytes) {
-  Decoder d(bytes);
-  views::ShrinkResult r;
-  r.shrink = d.u32();
-  r.witness = d.u32_vec();
-  r.closest_u = d.u32();
-  r.closest_v = d.u32();
-  r.pairs_explored = d.u64();
-  d.finish();
-  return r;
 }
 
 std::string encode_all_pairs_shrink(const views::AllPairsShrink& a) {

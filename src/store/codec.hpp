@@ -146,13 +146,13 @@ enum class Kind {
   kViewClasses = 0,
   kQuotients = 1,
   kUxs = 2,
-  kShrink = 3,
-  kShrinkAllPairs = 4,
+  kShrinkAllPairs = 3,
 };
-inline constexpr std::size_t kKindCount = 5;
+inline constexpr std::size_t kKindCount = 4;
 
 /// Stable directory / stats name ("view_classes", "quotients", "uxs",
-/// "shrink", "shrink_all_pairs").
+/// "shrink_all_pairs"). The store persists kinds by this name, never by
+/// enumerator value.
 [[nodiscard]] const char* kind_name(Kind kind) noexcept;
 
 /// Artifact serializers: deterministic byte renderings of the four
@@ -166,9 +166,6 @@ inline constexpr std::size_t kKindCount = 5;
 
 [[nodiscard]] std::string encode_quotient(const views::QuotientGraph& q);
 [[nodiscard]] views::QuotientGraph decode_quotient(std::string_view bytes);
-
-[[nodiscard]] std::string encode_shrink(const views::ShrinkResult& r);
-[[nodiscard]] views::ShrinkResult decode_shrink(std::string_view bytes);
 
 [[nodiscard]] std::string encode_all_pairs_shrink(
     const views::AllPairsShrink& a);

@@ -36,6 +36,11 @@ PoolMetrics& pool_metrics() {
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
+  // Construct the metric statics (and the obs::Registry behind them)
+  // before any pool static finishes constructing, so they are destroyed
+  // after every pool: a worker still parking at exit must not bump a
+  // counter the Registry has already freed.
+  (void)pool_metrics();
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }

@@ -280,8 +280,8 @@ struct SticSweepResult {
 [[nodiscard]] support::Table to_table(std::vector<std::string> headers,
                                       const std::vector<SticRecord>& records);
 
-/// analysis::feasibility_sweep rebuilt on the sweep runner: verifies
-/// every ordered STIC with delays 0..max_delay against Corollary 3.1.
+/// Verifies every ordered STIC with delays 0..max_delay against
+/// Corollary 3.1 (analysis::verify_stic per STIC, on the sweep runner).
 [[nodiscard]] analysis::SweepSummary feasibility_sweep(
     const graph::Graph& g, std::uint64_t max_delay,
     const sim::AgentProgram& program, const sim::RunConfig& run_config,

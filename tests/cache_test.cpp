@@ -215,31 +215,6 @@ TEST(ArtifactCache, ByteBudgetKeepsEntriesThatFit) {
   EXPECT_LE(stats.view_classes.bytes, config.bytes_per_shard);
 }
 
-TEST(ArtifactCache, ShrinkComputedOncePerPairAndMatchesDirect) {
-  ArtifactCache cache;
-  const graph::Graph g = families::oriented_ring(6);
-  const auto first = cache.shrink(g, 0, 3);
-  const auto again = cache.shrink(g, 0, 3);
-  EXPECT_EQ(first.get(), again.get());
-  const views::ShrinkResult direct = views::shrink_with_witness(g, 0, 3);
-  EXPECT_EQ(first->shrink, direct.shrink);
-  EXPECT_EQ(first->witness, direct.witness);
-  EXPECT_EQ(first->closest_u, direct.closest_u);
-  EXPECT_EQ(first->closest_v, direct.closest_v);
-
-  // Distinct pairs (and distinct graphs) are distinct keys.
-  const auto other_pair = cache.shrink(g, 0, 2);
-  EXPECT_NE(other_pair.get(), first.get());
-  const graph::Graph h = families::oriented_ring(8);
-  const auto other_graph = cache.shrink(h, 0, 3);
-  EXPECT_NE(other_graph.get(), first.get());
-
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.shrink.misses, 3u);
-  EXPECT_EQ(stats.shrink.hits, 1u);
-  EXPECT_GT(stats.shrink.bytes, 0u);
-}
-
 TEST(ArtifactCache, AllPairsShrinkComputedOncePerGraphAndMatchesOracle) {
   ArtifactCache cache;
   const graph::Graph g = families::random_connected(9, 10, 51);
@@ -276,33 +251,11 @@ TEST(ArtifactCache, DiskKeysNeverTruncateOrCollideOnWideKeys) {
   EXPECT_EQ(fp_key,
             "fp-ffffffffffffffff-ffffffffffffffff-n4294967295");
 
-  ShrinkKey pair_key;
-  pair_key.fp = wide;
-  pair_key.u = ~0u;
-  pair_key.v = ~0u;
-  const std::string widest = ArtifactCache::disk_key(pair_key);
-  // Longer than the old buffer could hold, yet every component intact.
-  EXPECT_GT(widest.size(), 63u);
-  EXPECT_NE(widest.find("u4294967295"), std::string::npos);
-  EXPECT_NE(widest.find("v4294967295"), std::string::npos);
-
   // Distinct keys that agree on every leading component must stay
   // distinct — the collision a truncating formatter produces.
-  ShrinkKey other = pair_key;
-  other.v = ~0u - 1;
-  EXPECT_NE(ArtifactCache::disk_key(other), widest);
   GraphFingerprint other_fp = wide;
   other_fp.n = ~0u - 1;
   EXPECT_NE(ArtifactCache::disk_key(other_fp), fp_key);
-}
-
-TEST(CachedEntryPoints, CachedShrinkResolvesThroughExplicitCache) {
-  ArtifactCache cache;
-  const graph::Graph g = families::oriented_torus(3, 3);
-  const auto via_helper = cached_shrink(g, 0, 4, &cache);
-  EXPECT_EQ(via_helper->shrink, views::shrink(g, 0, 4));
-  EXPECT_EQ(cache.stats().shrink.misses, 1u);
-  EXPECT_EQ(cached_shrink(g, 0, 4, &cache).get(), via_helper.get());
 }
 
 TEST(ArtifactCache, LruKeepsRecentlyUsedEntries) {

@@ -222,6 +222,8 @@ TEST(ExpCensusStreaming, CensusPathNeverRunsPerPairBfs) {
   EXPECT_GT(views::shrink_all_pairs_compute_count(), batch_before);
 }
 
+// Also pins the one Shrink source: no experiment may fall back to the
+// per-pair product BFS; every Shrink comes from the all-pairs table.
 TEST(ExpSmoke, EveryExperimentProducesRowsAtSmokeScale) {
   support::ThreadPool pool(2);
   for (const Experiment& e : builtin_registry().all()) {
@@ -229,9 +231,11 @@ TEST(ExpSmoke, EveryExperimentProducesRowsAtSmokeScale) {
     ExpContext ctx;
     ctx.scale = Scale::kSmoke;
     ctx.sweep.pool = &pool;
+    const std::uint64_t pair_before = views::shrink_pair_bfs_count();
     const ExpOutput output = run_experiment(e, ctx);
     EXPECT_GE(output.table.row_count(), 1u);
     EXPECT_EQ(output.table.column_count(), e.headers.size());
+    EXPECT_EQ(views::shrink_pair_bfs_count(), pair_before);
   }
 }
 

@@ -10,6 +10,7 @@
 #include "graph/families/qhat.hpp"
 #include "sim/engine.hpp"
 #include "support/saturating.hpp"
+#include "sweep/sweep.hpp"
 #include "uxs/verifier.hpp"
 #include "views/refinement.hpp"
 #include "views/shrink.hpp"
@@ -72,7 +73,7 @@ TEST(Integration, FeasibilitySweepOrientedRing3) {
   options.max_phases = 120;
   sim::RunConfig config;
   config.max_rounds = 1u << 23;
-  const analysis::SweepSummary summary = analysis::feasibility_sweep(
+  const analysis::SweepSummary summary = sweep::feasibility_sweep(
       g, 1, core::universal_rv_program(options), config);
   EXPECT_EQ(summary.inconsistent, 0u);
   EXPECT_EQ(summary.infeasible, 6u);  // six ordered pairs at delay 0

@@ -120,21 +120,12 @@ TEST(Codec, ArtifactsRoundTripByteExactly) {
       EXPECT_EQ(q.arcs[i][p].rev_port, q2.arcs[i][p].rev_port);
     }
   }
-
-  const views::ShrinkResult r = views::shrink_with_witness(g, 0, 4);
-  const views::ShrinkResult r2 = decode_shrink(encode_shrink(r));
-  EXPECT_EQ(r.shrink, r2.shrink);
-  EXPECT_EQ(r.witness, r2.witness);
-  EXPECT_EQ(r.closest_u, r2.closest_u);
-  EXPECT_EQ(r.closest_v, r2.closest_v);
-  EXPECT_EQ(r.pairs_explored, r2.pairs_explored);
 }
 
 TEST(Codec, DecodersRejectGarbage) {
   EXPECT_THROW(decode_uxs("garbage"), CodecError);
   EXPECT_THROW(decode_view_classes(""), CodecError);
   EXPECT_THROW(decode_quotient("\x01\x02"), CodecError);
-  EXPECT_THROW(decode_shrink("x"), CodecError);
   // Valid payload + trailing byte is rejected too.
   const std::string ok = encode_view_classes(views::ViewClasses{{0, 1}, 2, 1});
   EXPECT_THROW(decode_view_classes(ok + "z"), CodecError);
@@ -166,7 +157,7 @@ TEST(DiskStore, SaveLoadRoundTripWithStats) {
   EXPECT_EQ(stats.lookups(), 2u);
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
   // Kinds are separate namespaces (and separate subdirectories).
-  EXPECT_FALSE(store.load(Kind::kShrink, "n6").has_value());
+  EXPECT_FALSE(store.load(Kind::kShrinkAllPairs, "n6").has_value());
   EXPECT_TRUE(
       fs::exists(fs::path(config.root) / "uxs" / "n6.bin"));
 }
@@ -176,32 +167,32 @@ TEST(DiskStore, CorruptionAndTruncationFallBackToMiss) {
   config.root = fresh_dir("corrupt");
   DiskStore store(config);
   const std::string payload = "payload-bytes-0123456789";
-  ASSERT_TRUE(store.save(Kind::kShrink, "k1", payload));
-  const std::string path = store.path_for(Kind::kShrink, "k1");
+  ASSERT_TRUE(store.save(Kind::kShrinkAllPairs, "k1", payload));
+  const std::string path = store.path_for(Kind::kShrinkAllPairs, "k1");
 
   // Flip one payload byte: checksum mismatch -> corrupt miss.
   std::string bytes = read_file(path);
   bytes[bytes.size() - 3] = static_cast<char>(bytes[bytes.size() - 3] ^ 0x40);
   write_file(path, bytes);
-  EXPECT_FALSE(store.load(Kind::kShrink, "k1").has_value());
-  EXPECT_EQ(store.stats(Kind::kShrink).corrupt, 1u);
+  EXPECT_FALSE(store.load(Kind::kShrinkAllPairs, "k1").has_value());
+  EXPECT_EQ(store.stats(Kind::kShrinkAllPairs).corrupt, 1u);
 
   // Truncate mid-header: corrupt miss, not a crash.
   write_file(path, read_file(path).substr(0, 9));
-  EXPECT_FALSE(store.load(Kind::kShrink, "k1").has_value());
+  EXPECT_FALSE(store.load(Kind::kShrinkAllPairs, "k1").has_value());
 
   // Garbage magic: corrupt miss.
   write_file(path, "not a store file at all");
-  EXPECT_FALSE(store.load(Kind::kShrink, "k1").has_value());
+  EXPECT_FALSE(store.load(Kind::kShrinkAllPairs, "k1").has_value());
 
   // Empty file (torn creation): corrupt miss.
   write_file(path, "");
-  EXPECT_FALSE(store.load(Kind::kShrink, "k1").has_value());
-  EXPECT_EQ(store.stats(Kind::kShrink).corrupt, 4u);
+  EXPECT_FALSE(store.load(Kind::kShrinkAllPairs, "k1").has_value());
+  EXPECT_EQ(store.stats(Kind::kShrinkAllPairs).corrupt, 4u);
 
   // A rewrite repairs the entry.
-  ASSERT_TRUE(store.save(Kind::kShrink, "k1", payload));
-  const auto repaired = store.load(Kind::kShrink, "k1");
+  ASSERT_TRUE(store.save(Kind::kShrinkAllPairs, "k1", payload));
+  const auto repaired = store.load(Kind::kShrinkAllPairs, "k1");
   ASSERT_TRUE(repaired.has_value());
   EXPECT_EQ(*repaired, payload);
 }
@@ -352,7 +343,7 @@ TEST(DiskStore, ConcurrentWritersOneDirectorySettleOnCompleteFiles) {
           // write would be visible.
           const std::string payload(4096 + 97 * k, static_cast<char>('a' + k));
           ASSERT_TRUE(stores[static_cast<std::size_t>(w)]->save(
-              Kind::kShrink, "key" + std::to_string(k), payload));
+              Kind::kShrinkAllPairs, "key" + std::to_string(k), payload));
         }
       }
     });
@@ -362,7 +353,8 @@ TEST(DiskStore, ConcurrentWritersOneDirectorySettleOnCompleteFiles) {
   config.root = root;
   DiskStore reader(config);
   for (int k = 0; k < kKeys; ++k) {
-    const auto loaded = reader.load(Kind::kShrink, "key" + std::to_string(k));
+    const auto loaded =
+        reader.load(Kind::kShrinkAllPairs, "key" + std::to_string(k));
     ASSERT_TRUE(loaded.has_value()) << k;
     EXPECT_EQ(*loaded,
               std::string(4096 + 97 * k, static_cast<char>('a' + k)));
@@ -370,7 +362,7 @@ TEST(DiskStore, ConcurrentWritersOneDirectorySettleOnCompleteFiles) {
   // No temp droppings left behind.
   std::size_t files = 0;
   for (const auto& entry :
-       fs::directory_iterator(fs::path(root) / "shrink")) {
+       fs::directory_iterator(fs::path(root) / "shrink_all_pairs")) {
     EXPECT_EQ(entry.path().extension(), ".bin") << entry.path();
     ++files;
   }
@@ -435,11 +427,11 @@ TEST(CacheStoreIntegration, WarmCacheSkipsEveryRecomputeIncludingUxs) {
   const auto classes = cold.view_classes(g);
   const auto quotient = cold.quotient(g);
   const auto y = cold.uxs(5);
-  const auto shr = cold.shrink(g, 0, 4);
+  const auto shr = cold.all_pairs_shrink(g);
   EXPECT_EQ(disk->stats(Kind::kViewClasses).writes, 1u);
   EXPECT_EQ(disk->stats(Kind::kQuotients).writes, 1u);
   EXPECT_EQ(disk->stats(Kind::kUxs).writes, 1u);
-  EXPECT_EQ(disk->stats(Kind::kShrink).writes, 1u);
+  EXPECT_EQ(disk->stats(Kind::kShrinkAllPairs).writes, 1u);
   const std::uint64_t verifications_after_cold =
       uxs::corpus_verification_count();
 
@@ -456,15 +448,13 @@ TEST(CacheStoreIntegration, WarmCacheSkipsEveryRecomputeIncludingUxs) {
   EXPECT_TRUE(std::equal(y_warm->terms().begin(), y_warm->terms().end(),
                          y->terms().begin(), y->terms().end()));
   EXPECT_EQ(y_warm->provenance(), y->provenance());
-  const auto shr_warm = warm.shrink(g, 0, 4);
-  EXPECT_EQ(shr_warm->shrink, shr->shrink);
-  EXPECT_EQ(shr_warm->witness, shr->witness);
+  EXPECT_EQ(warm.all_pairs_shrink(g)->values, shr->values);
 
   EXPECT_EQ(uxs::corpus_verification_count(), verifications_after_cold);
   EXPECT_EQ(disk->stats(Kind::kViewClasses).hits, 1u);
   EXPECT_EQ(disk->stats(Kind::kQuotients).hits, 1u);
   EXPECT_EQ(disk->stats(Kind::kUxs).hits, 1u);
-  EXPECT_EQ(disk->stats(Kind::kShrink).hits, 1u);
+  EXPECT_EQ(disk->stats(Kind::kShrinkAllPairs).hits, 1u);
   // And the memory tier now shields the disk: repeated requests add no
   // disk traffic.
   (void)warm.uxs(5);

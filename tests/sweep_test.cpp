@@ -357,31 +357,6 @@ TEST(SticSweep, ToTableSkipsRecordsWithoutCells) {
   EXPECT_NE(table.to_csv().find("a\nc"), std::string::npos);
 }
 
-TEST(SticSweep, FeasibilitySweepMatchesAnalysisLayer) {
-  const graph::Graph g = families::oriented_ring(3);
-  core::UniversalOptions options;
-  options.max_phases = 120;
-  const sim::AgentProgram program = core::universal_rv_program(options);
-  sim::RunConfig config;
-  config.max_rounds = 1u << 23;
-
-  const analysis::SweepSummary via_sweep =
-      feasibility_sweep(g, 2, program, config);
-  const analysis::SweepSummary via_analysis =
-      analysis::feasibility_sweep(g, 2, program, config);
-
-  EXPECT_EQ(via_sweep.feasible, via_analysis.feasible);
-  EXPECT_EQ(via_sweep.infeasible, via_analysis.infeasible);
-  EXPECT_EQ(via_sweep.inconsistent, 0u);
-  EXPECT_EQ(via_analysis.inconsistent, 0u);
-  ASSERT_EQ(via_sweep.checks.size(), via_analysis.checks.size());
-  for (std::size_t i = 0; i < via_sweep.checks.size(); ++i) {
-    EXPECT_EQ(via_sweep.checks[i].cls.stic, via_analysis.checks[i].cls.stic);
-    EXPECT_EQ(via_sweep.checks[i].run.met, via_analysis.checks[i].run.met);
-    EXPECT_TRUE(via_sweep.checks[i].consistent);
-  }
-}
-
 TEST(SticSweep, FeasibilitySweepDeterministicAcrossThreadCounts) {
   const graph::Graph g = families::path_graph(3);
   core::UniversalOptions options;
