@@ -26,8 +26,10 @@
 //
 // M7 — simulator cost per agent move: SymmRV, AsymmRV and UniversalRV
 // on an oriented ring, the symmetric double tree and lazily interned
-// Q-hat, best-of-3 wall per cell over a fixed STIC set. Informational:
-// no gate, only the sim_ns_per_move_* trend fields.
+// Q-hat, best-of-3 wall per cell over a fixed STIC set, plus T6's
+// dedicated Z runs for k = 6 on a fresh Q-hat(24) per repetition (the
+// cost of interning the theorem-regime graph). Informational: no gate,
+// only the sim_ns_per_move_* trend fields.
 //
 // Emits one BENCH_sweep.json datapoint (into REPRO_CSV_DIR when set,
 // else the working directory) covering all comparisons for trend
@@ -43,6 +45,7 @@
 #include <vector>
 
 #include "analysis/experiments.hpp"
+#include "analysis/steiner.hpp"
 #include "cache/artifact_cache.hpp"
 #include "obs/profile.hpp"
 #include "obs/task_events.hpp"
@@ -610,6 +613,41 @@ int main() {
                          rdv::support::format_double(ms, 3),
                          rdv::support::format_double(ns_per_move, 1)});
     }
+  }
+  {
+    // Theorem regime: T6's Z runs for k = 6 on a fresh Q-hat(24) per
+    // repetition, so interning, the step memo and freeing the topology
+    // are all inside the timed region (the qhat_implicit(2) arena above
+    // is fully materialized after its first run).
+    constexpr std::uint32_t kZ = 6;
+    const auto program = rdv::analysis::dedicated_z_program(kZ);
+    rdv::sim::RunConfig config;
+    config.max_rounds = 64ull * kZ * (std::uint64_t{2} << kZ);
+    std::string name;
+    std::size_t runs = 0;
+    std::uint64_t moves = 0;
+    std::uint64_t rounds = 0;
+    const double ms = best_of_ms(repeats, [&] {
+      const families::QhatImplicitTopology topo(4 * kZ);
+      const auto z = families::qhat_z_set(topo, topo.root(), kZ);
+      name = topo.name();
+      runs = z.size();
+      moves = 0;
+      rounds = 0;
+      for (const rdv::graph::Node v : z) {
+        const rdv::sim::RunResult r = rdv::sim::run_anonymous(
+            topo, program, topo.root(), v, 2 * kZ, config);
+        moves += r.moves[0] + r.moves[1];
+        rounds += r.rounds_simulated;
+      }
+    });
+    const double ns_per_move =
+        moves > 0 ? ms * 1e6 / static_cast<double>(moves) : 0;
+    sim_ns_per_move.emplace_back("z_qhat24", ns_per_move);
+    sim_table.add_row({"dedicated_z(6)", name, std::to_string(runs),
+                       std::to_string(moves), std::to_string(rounds),
+                       rdv::support::format_double(ms, 3),
+                       rdv::support::format_double(ns_per_move, 1)});
   }
   rdv::analysis::emit_table("micro_sweep_sim",
                             "M7: simulator cost per agent move", sim_table);

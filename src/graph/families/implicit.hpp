@@ -8,9 +8,10 @@
 
 namespace rdv::graph::families {
 
-/// Non-materialized twins of the structured generators, in the
-/// `QhatImplicitTopology` mold: adjacency is computed, never stored, so
-/// the census scale is bounded by arithmetic, not memory. Each class
+/// Non-materialized twins of the structured generators: adjacency is
+/// computed, never stored (unlike `QhatImplicitTopology`, which interns
+/// nodes and memoizes resolved edges), so the census scale is bounded by
+/// arithmetic, not memory. Each class
 /// matches its explicit generator's port convention EXACTLY (the test
 /// suite cross-checks step/degree node by node at small sizes) and adds
 /// two closed forms the implicit census runs on:

@@ -7,17 +7,56 @@
 namespace rdv::graph::families {
 namespace {
 
-std::string key_of(std::span<const Dir> path) {
-  std::string key;
-  key.reserve(path.size());
-  for (Dir d : path) key.push_back(static_cast<char>(d));
-  return key;
-}
+constexpr std::array<Step, 4> kUnresolved{Step{kNoNode, 0}, Step{kNoNode, 0},
+                                          Step{kNoNode, 0}, Step{kNoNode, 0}};
+constexpr std::uint64_t kLengthUnit = std::uint64_t{1} << 56;
 
 }  // namespace
 
+QhatImplicitTopology::PackedPath QhatImplicitTopology::PackedPath::pushed(
+    Dir d) const noexcept {
+  const std::uint32_t i = size();
+  assert(i < kMaxHeight);
+  PackedPath next = *this;
+  const std::uint64_t bits = static_cast<std::uint64_t>(d) << (2 * (i % 32));
+  (i < 32 ? next.lo : next.hi) |= bits;
+  next.hi += kLengthUnit;
+  return next;
+}
+
+QhatImplicitTopology::PackedPath QhatImplicitTopology::PackedPath::popped()
+    const noexcept {
+  assert(size() > 0);
+  const std::uint32_t i = size() - 1;
+  PackedPath next = *this;
+  (i < 32 ? next.lo : next.hi) &= ~(std::uint64_t{3} << (2 * (i % 32)));
+  next.hi -= kLengthUnit;
+  return next;
+}
+
+std::uint64_t QhatImplicitTopology::PackedPath::hash() const noexcept {
+  // SplitMix64's finalizer over both words.
+  std::uint64_t z = lo ^ (hi * 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+QhatImplicitTopology::PackedPath QhatImplicitTopology::pack(
+    std::span<const Dir> path) {
+  PackedPath packed;
+  for (const Dir d : path) packed = packed.pushed(d);
+  return packed;
+}
+
+void QhatImplicitTopology::unpack(const PackedPath& path,
+                                  std::span<Dir> out) {
+  assert(out.size() >= path.size());
+  for (std::uint32_t i = 0; i < path.size(); ++i) out[i] = path.at(i);
+}
+
 QhatImplicitTopology::QhatImplicitTopology(std::uint32_t h) : h_(h) {
-  if (h < 2 || h > 39) {
+  if (h < 2 || h > kMaxHeight) {
     throw std::invalid_argument(
         "QhatImplicitTopology: h must be in [2, 39]");
   }
@@ -40,8 +79,8 @@ QhatImplicitTopology::QhatImplicitTopology(std::uint32_t h) : h_(h) {
     }
   }
   // Materialize the root.
-  paths_.emplace_back();
-  index_.emplace(std::string{}, 0);
+  slots_.assign(16, kNoNode);
+  (void)intern(PackedPath{});
 }
 
 Port QhatImplicitTopology::degree(Node v) const {
@@ -54,9 +93,11 @@ std::string QhatImplicitTopology::name() const {
   return "qhat_implicit(" + std::to_string(h_) + ")";
 }
 
-const std::vector<Dir>& QhatImplicitTopology::path_of(Node v) const {
+std::vector<Dir> QhatImplicitTopology::path_of(Node v) const {
   assert(v < paths_.size());
-  return paths_[v];
+  std::vector<Dir> path(paths_[v].size());
+  unpack(paths_[v], path);
+  return path;
 }
 
 Node QhatImplicitTopology::node_at(std::span<const Dir> path) const {
@@ -64,18 +105,38 @@ Node QhatImplicitTopology::node_at(std::span<const Dir> path) const {
     throw std::invalid_argument("node_at: path longer than height");
   }
   for (std::size_t i = 0; i < path.size(); ++i) {
+    if (static_cast<std::uint8_t>(path[i]) >= 4) {
+      throw std::invalid_argument("node_at: direction out of range");
+    }
     if (i > 0 && path[i] == opposite(path[i - 1])) {
       throw std::invalid_argument("node_at: path steps back to parent");
     }
   }
-  return intern(std::vector<Dir>(path.begin(), path.end()));
+  return intern(pack(path));
 }
 
-Node QhatImplicitTopology::intern(const std::vector<Dir>& path) const {
-  auto [it, inserted] = index_.try_emplace(
-      key_of(path), static_cast<Node>(paths_.size()));
-  if (inserted) paths_.push_back(path);
-  return it->second;
+Node QhatImplicitTopology::intern(const PackedPath& path) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = path.hash() & mask;
+  for (; slots_[i] != kNoNode; i = (i + 1) & mask) {
+    if (paths_[slots_[i]] == path) return slots_[i];
+  }
+  const auto id = static_cast<Node>(paths_.size());
+  slots_[i] = id;
+  paths_.push_back(path);
+  adj_.push_back(kUnresolved);
+  if (2 * paths_.size() > slots_.size()) rehash(2 * slots_.size());
+  return id;
+}
+
+void QhatImplicitTopology::rehash(std::size_t slot_count) const {
+  slots_.assign(slot_count, kNoNode);
+  const std::size_t mask = slot_count - 1;
+  for (Node id = 0; id < paths_.size(); ++id) {
+    std::size_t i = paths_[id].hash() & mask;
+    while (slots_[i] != kNoNode) i = (i + 1) & mask;
+    slots_[i] = id;
+  }
 }
 
 std::uint64_t QhatImplicitTopology::completions(std::uint32_t remaining,
@@ -101,54 +162,60 @@ std::uint64_t QhatImplicitTopology::leaf_rank(
 
 std::vector<Dir> QhatImplicitTopology::leaf_unrank(
     Dir last, std::uint64_t rank) const {
+  std::vector<Dir> path(h_);
+  unrank_into(last, rank, path);
+  return path;
+}
+
+void QhatImplicitTopology::unrank_into(Dir last, std::uint64_t rank,
+                                       std::span<Dir> out) const {
   assert(rank >= 1 && rank <= x_);
-  std::vector<Dir> path;
-  path.reserve(h_);
+  assert(out.size() >= h_);
   for (std::uint32_t j = 0; j < h_; ++j) {
+    [[maybe_unused]] bool placed = false;
     for (std::uint8_t c = 0; c < 4; ++c) {
       const Dir dir = static_cast<Dir>(c);
-      if (j > 0 && dir == opposite(path.back())) continue;
+      if (j > 0 && dir == opposite(out[j - 1])) continue;
       const std::uint64_t count = completions(h_ - 1 - j, dir, last);
       if (rank <= count) {
-        path.push_back(dir);
+        out[j] = dir;
+        placed = true;
         break;
       }
       rank -= count;
     }
-    assert(path.size() == j + 1);
+    assert(placed);
   }
   assert(rank == 1);
-  return path;
 }
 
-Step QhatImplicitTopology::step(Node v, Port p) const {
-  assert(v < paths_.size());
-  assert(p < 4);
-  const std::vector<Dir> path = paths_[v];  // copy: intern may reallocate
+Step QhatImplicitTopology::resolve(Node v, Port p) const {
+  const PackedPath path = paths_[v];  // copy: intern may reallocate
+  const std::uint32_t length = path.size();
   const Dir port = static_cast<Dir>(p);
-
-  // Tree edge toward the parent (the root has none).
-  if (!path.empty() && port == opposite(path.back())) {
-    std::vector<Dir> parent(path.begin(), path.end() - 1);
-    const Dir came_from = path.back();
-    return Step{intern(parent), to_port(came_from)};
+  Step far;
+  if (length > 0 && port == opposite(path.at(length - 1))) {
+    // Tree edge toward the parent (the root has none).
+    far = Step{intern(path.popped()), to_port(path.at(length - 1))};
+  } else if (length < h_) {
+    // Tree edge toward a child.
+    far = Step{intern(path.pushed(port)), to_port(opposite(port))};
+  } else {
+    // Leaf-to-leaf edge: resolve through the shared Section-4 wiring rule.
+    std::array<Dir, kMaxHeight> dirs{};
+    const std::span<Dir> leaf(dirs.data(), h_);
+    unpack(path, leaf);
+    const Dir type = opposite(leaf.back());
+    assert(port != type);  // type == tree-edge port, handled above
+    const LeafLink link = leaf_link(type, leaf_rank(leaf), x_, port);
+    // A leaf of type T has final direction opposite(T).
+    unrank_into(opposite(link.type), link.index, leaf);
+    far = Step{intern(pack(leaf)), to_port(link.entry)};
   }
-
-  // Tree edge toward a child.
-  if (path.size() < h_) {
-    std::vector<Dir> child = path;
-    child.push_back(port);
-    return Step{intern(child), to_port(opposite(port))};
-  }
-
-  // Leaf-to-leaf edge: resolve through the shared Section-4 wiring rule.
-  const Dir type = opposite(path.back());
-  assert(port != type);  // type == tree-edge port, handled above
-  const std::uint64_t index = leaf_rank(path);
-  const LeafLink link = leaf_link(type, index, x_, port);
-  // A leaf of type T has final direction opposite(T).
-  std::vector<Dir> target = leaf_unrank(opposite(link.type), link.index);
-  return Step{intern(target), to_port(link.entry)};
+  // Port-labeled edges are symmetric: the far end's entry port leads back.
+  adj_[v][p] = far;
+  adj_[far.to][far.entry_port] = Step{v, p};
+  return far;
 }
 
 }  // namespace rdv::graph::families

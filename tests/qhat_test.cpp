@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "graph/families/qhat.hpp"
 #include "graph/families/qhat_implicit.hpp"
+#include "support/splitmix.hpp"
 #include "views/refinement.hpp"
 
 namespace rdv::graph::families {
@@ -136,8 +139,85 @@ TEST_P(QhatAgreementTest, ImplicitMatchesExplicit) {
   }
 }
 
+TEST_P(QhatAgreementTest, MemoMatchesExplicitInShuffledOrder) {
+  // Every (v, p) once in a seeded shuffled order on a fresh topology,
+  // each query twice: the first may hit an entry filled from the far
+  // end of an earlier edge, the second always hits the memo.
+  const std::uint32_t h = GetParam();
+  const QhatGraph q = qhat_explicit(h);
+  const QhatImplicitTopology topo(h);
+  std::vector<Node> to_implicit(q.graph.size());
+  for (Node v = 0; v < q.graph.size(); ++v) {
+    to_implicit[v] = topo.node_at(q.node_paths[v]);
+  }
+  std::vector<std::pair<Node, Port>> queries;
+  for (Node v = 0; v < q.graph.size(); ++v) {
+    for (Port p = 0; p < 4; ++p) queries.emplace_back(v, p);
+  }
+  support::SplitMix64 rng(0x5eed0000u + h);
+  for (std::size_t i = queries.size(); i > 1; --i) {
+    std::swap(queries[i - 1], queries[rng.next_below(i)]);
+  }
+  for (const auto& [v, p] : queries) {
+    const Step se = q.graph.step(v, p);
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      const Step si = topo.step(to_implicit[v], p);
+      ASSERT_EQ(si.to, to_implicit[se.to])
+          << "h=" << h << " node " << v << " port " << p << " #" << repeat;
+      ASSERT_EQ(si.entry_port, se.entry_port);
+    }
+  }
+  EXPECT_EQ(topo.materialized(), q.graph.size());
+}
+
 INSTANTIATE_TEST_SUITE_P(Heights, QhatAgreementTest,
-                         ::testing::Values(2u, 3u, 4u, 5u));
+                         ::testing::Values(2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+TEST(QhatImplicit, NodeAtRejectsInvalidPaths) {
+  const QhatImplicitTopology topo(4);
+  const std::vector<Dir> out_of_range{Dir::N, static_cast<Dir>(5)};
+  EXPECT_THROW((void)topo.node_at(out_of_range), std::invalid_argument);
+  const std::vector<Dir> lone{static_cast<Dir>(4)};
+  EXPECT_THROW((void)topo.node_at(lone), std::invalid_argument);
+  const std::vector<Dir> back{Dir::E, Dir::W};
+  EXPECT_THROW((void)topo.node_at(back), std::invalid_argument);
+  const std::vector<Dir> too_long(5, Dir::N);
+  EXPECT_THROW((void)topo.node_at(too_long), std::invalid_argument);
+  EXPECT_EQ(topo.materialized(), 1u);  // nothing phantom was interned
+}
+
+TEST(QhatImplicit, SeededWalkAtTheoremScaleRoundTrips) {
+  // h = 28 (the k = 7 regime): a long random walk reaches leaves and
+  // crosses leaf-to-leaf edges; every step must lead back through its
+  // entry port and every node must be the node of its own path.
+  const QhatImplicitTopology topo(28);
+  support::SplitMix64 rng(28);
+  std::vector<Node> walk{topo.root()};
+  std::vector<Port> ports;    // ports[i]: the port taken at walk[i]
+  std::vector<Port> entries;  // entries[i]: the port walk[i + 1] is entered by
+  for (int i = 0; i < 100000; ++i) {
+    const Node v = walk.back();
+    const auto p = static_cast<Port>(rng.next_below(4));
+    const Step s = topo.step(v, p);
+    ASSERT_EQ(topo.step(s.to, s.entry_port), (Step{v, p})) << "step " << i;
+    ASSERT_EQ(topo.node_at(topo.path_of(s.to)), s.to) << "step " << i;
+    walk.push_back(s.to);
+    ports.push_back(p);
+    entries.push_back(s.entry_port);
+  }
+  EXPECT_GT(topo.materialized(), 1000u);
+  // The round trip above reads the reverse-filled memo. Retracing the
+  // walk backwards on a fresh topology resolves most edges from their
+  // other end instead, so it checks that the far end really leads back.
+  const QhatImplicitTopology fresh(28);
+  Node u = fresh.node_at(topo.path_of(walk.back()));
+  for (std::size_t i = entries.size(); i-- > 0;) {
+    const Step s = fresh.step(u, entries[i]);
+    ASSERT_EQ(fresh.path_of(s.to), topo.path_of(walk[i])) << "step " << i;
+    ASSERT_EQ(s.entry_port, ports[i]) << "step " << i;
+    u = s.to;
+  }
+}
 
 TEST(QhatImplicit, LazyMaterialization) {
   const QhatImplicitTopology topo(30);  // explicit would be ~2 * 3^30 nodes

@@ -143,6 +143,29 @@ TEST(SimGolden, DedicatedZRunsOnImplicitQhat) {
       << std::hex << digest.value();
 }
 
+TEST(SimGolden, DedicatedZRunsOnImplicitQhatK4ToK6) {
+  // Final positions are node ids of the lazily interned topology, and
+  // the node count is folded in per k, so this also pins the order in
+  // which Q-hat nodes are materialized (constant taken before the
+  // topology memoized its edges).
+  Digest digest;
+  for (std::uint32_t k = 4; k <= 6; ++k) {
+    const families::QhatImplicitTopology topo(4 * k);
+    const AgentProgram program = analysis::dedicated_z_program(k);
+    RunConfig config;
+    config.max_rounds = 64ull * k * (std::uint64_t{2} << k);
+    for (const graph::Node v : families::qhat_z_set(topo, topo.root(), k)) {
+      const RunResult r =
+          run_anonymous(topo, program, topo.root(), v, 2 * k, config);
+      ASSERT_TRUE(r.ok()) << r.error;
+      digest.add(r);
+    }
+    digest.add(topo.materialized());
+  }
+  EXPECT_EQ(digest.value(), 0x0a0f45f8466fa1b6ull)
+      << std::hex << digest.value();
+}
+
 TEST(SimGolden, UniversalRvGatheringOnRing4) {
   // k >= 3 runs take the engine's variable-width path.
   const Graph g = families::oriented_ring(4);
