@@ -18,11 +18,13 @@
 // graphs, n = 64..2048, with a cell-by-cell class equality check per
 // size (the >= 10x @ n=1024 acceptance bar of the worklist engine).
 //
-// M6 — task-profiler overhead: the M2 kernel on a dedicated 4-thread
-// pool with task-lifecycle events off vs on (interleaved best-of-5),
-// gated at <= 2% overhead with zero dropped events, and the
-// reconstructed critical path must account for the sweep wall within
-// 5% — the "observability must not perturb what it observes" bar.
+// M6 — event-recording overhead: the M2 kernel on a dedicated 4-thread
+// pool with the event ring off vs on (41 interleaved off/on/off
+// triples), gated on the median on/off ratio against a noise band
+// measured from the same run's off/off ratios, at <= 2% overhead with
+// zero dropped events; the reconstructed critical path must account
+// for the sweep wall within 5% — the "observability must not perturb
+// what it observes" bar.
 //
 // M7 — simulator cost per agent move: SymmRV, AsymmRV and UniversalRV
 // on an oriented ring, the symmetric double tree and lazily interned
@@ -36,6 +38,7 @@
 // tracking.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -451,53 +454,82 @@ int main() {
       "M5: view refinement, naive fixpoint vs splitter worklist",
       refine_cmp);
 
-  // ---- M6: task-profiler overhead, off vs on -------------------------
-  // Interleaved off/on pairs so thermal and cache drift hit both sides
-  // equally; best-of-5 each. clear_task_events before every profiled
-  // run keeps the final drain to exactly one run's events.
-  rdv::obs::set_task_event_ring_capacity(1u << 16);
+  // ---- M6: event-recording overhead, off vs on -----------------------
+  // Interleaved off/on/off triples. The gate statistic is the median
+  // over triples of on / mean(off, off): the neighbours bracket the on
+  // run, so linear drift cancels. Its noise band comes from the same
+  // run's off/off ratios (the triple's two off runs, in alternating
+  // order): rdv_metrics diff's mu + max(3 sigma, 5% mu) rule, where
+  // sigma is the standard error of a median of that many ratios
+  // (1.2533 sigma_ratio / sqrt(n)), because the gated number is a
+  // median, not one pair. The gate trips only above the band, the 2%
+  // threshold and the 0.5 ms absolute floor. clear_task_events before
+  // every recorded run keeps the final drain to exactly one run's
+  // events.
   rdv::support::ThreadPool profile_pool(4);
   rdv::sweep::SweepConfig profile_config;
   profile_config.pool = &profile_pool;
   profile_config.chunk_size = 16;
-  const int profile_repeats = 5;
-  double profile_off_ms = 0;
-  double profile_on_ms = 0;
-  for (int i = 0; i < profile_repeats; ++i) {
+  const auto timed_sweep_ms = [&](bool record) {
+    rdv::obs::set_task_events_enabled(record);
+    if (record) rdv::obs::clear_task_events();
+    const double ms = best_of_ms(1, [&] {
+      (void)rdv::sweep::run_stic_sweep(stics, kernel, profile_config);
+    });
     rdv::obs::set_task_events_enabled(false);
-    const double off = best_of_ms(1, [&] {
-      (void)rdv::sweep::run_stic_sweep(stics, kernel, profile_config);
-    });
-    if (i == 0 || off < profile_off_ms) profile_off_ms = off;
-    rdv::obs::set_task_events_enabled(true);
-    rdv::obs::clear_task_events();
-    const double on = best_of_ms(1, [&] {
-      (void)rdv::sweep::run_stic_sweep(stics, kernel, profile_config);
-    });
-    if (i == 0 || on < profile_on_ms) profile_on_ms = on;
+    return ms;
+  };
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t mid = v.size() / 2;
+    return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2;
+  };
+  constexpr int kTriples = 41;
+  std::vector<double> on_ratios;
+  std::vector<double> null_ratios;
+  std::vector<double> off_runs;
+  std::vector<double> on_runs;
+  for (int i = 0; i < kTriples; ++i) {
+    const double off_a = timed_sweep_ms(false);
+    const double on = timed_sweep_ms(true);
+    const double off_b = timed_sweep_ms(false);
+    on_ratios.push_back(on / ((off_a + off_b) / 2));
+    null_ratios.push_back(i % 2 == 0 ? off_b / off_a : off_a / off_b);
+    off_runs.push_back(off_a);
+    off_runs.push_back(off_b);
+    on_runs.push_back(on);
   }
-  rdv::obs::set_task_events_enabled(false);
   const rdv::obs::Profile profile =
       rdv::obs::build_profile(rdv::obs::drain_task_events());
-  const double profile_overhead_pct =
-      profile_off_ms > 0
-          ? (profile_on_ms - profile_off_ms) / profile_off_ms * 100.0
-          : 0;
+  double null_mu = 0;
+  for (const double r : null_ratios) null_mu += r;
+  null_mu /= kTriples;
+  double null_var = 0;
+  for (const double r : null_ratios) null_var += (r - null_mu) * (r - null_mu);
+  null_var /= kTriples;
+  const double median_se = 1.2533 * std::sqrt(null_var / kTriples);
+  const double band = null_mu + std::max(3 * median_se, 0.05 * null_mu);
+  const double on_ratio = median(on_ratios);
+
+  const double profile_off_ms = median(off_runs);
+  const double profile_on_ms = median(on_runs);
+  const double profile_overhead_pct = (on_ratio - 1.0) * 100.0;
+  const double profile_band_pct = (band - 1.0) * 100.0;
   if (profile.dropped != 0) {
     std::fprintf(stderr,
-                 "error: task profiler dropped %llu events (ring too "
-                 "small for the workload)\n",
+                 "error: event ring dropped %llu events (ring too small "
+                 "for the workload)\n",
                  static_cast<unsigned long long>(profile.dropped));
     return 1;
   }
-  // The 0.5 ms absolute floor keeps a sub-millisecond smoke kernel
-  // from failing the relative gate on scheduler noise alone.
-  if (profile_overhead_pct > 2.0 &&
-      (profile_on_ms - profile_off_ms) > 0.5) {
+  if (on_ratio > band && profile_overhead_pct > 2.0 &&
+      (on_ratio - 1.0) * profile_off_ms > 0.5) {
     std::fprintf(stderr,
-                 "error: task profiler overhead %.2f%% exceeds the 2%% "
-                 "gate (off %.3f ms, on %.3f ms)\n",
-                 profile_overhead_pct, profile_off_ms, profile_on_ms);
+                 "error: event-recording overhead %.2f%% (median of %d "
+                 "on/off ratios) exceeds the 2%% gate and the off/off "
+                 "noise band %.2f%% (off %.3f ms, on %.3f ms)\n",
+                 profile_overhead_pct, kTriples, profile_band_pct,
+                 profile_off_ms, profile_on_ms);
     return 1;
   }
   for (const rdv::obs::SweepProfile& sp : profile.sweeps) {
@@ -520,19 +552,23 @@ int main() {
       return 1;
     }
   }
-  rdv::support::Table profile_cmp(
-      {"config", "threads", "best ms", "overhead %", "events", "dropped"});
-  profile_cmp.add_row({"profile off", "4",
+  rdv::support::Table profile_cmp({"config", "threads", "median ms",
+                                   "overhead %", "band %", "events",
+                                   "dropped"});
+  profile_cmp.add_row({"recording off", "4",
                        rdv::support::format_double(profile_off_ms, 3), "-",
-                       "-", "-"});
-  profile_cmp.add_row({"profile on", "4",
+                       "-", "-", "-"});
+  profile_cmp.add_row({"recording on", "4",
                        rdv::support::format_double(profile_on_ms, 3),
                        rdv::support::format_double(profile_overhead_pct, 2),
+                       rdv::support::format_double(profile_band_pct, 2),
                        std::to_string(profile.events),
                        std::to_string(profile.dropped)});
   rdv::analysis::emit_table(
       "micro_sweep_profile",
-      "M6: task-lifecycle profiler overhead, off vs on", profile_cmp);
+      "M6: event-recording overhead, off vs on (median of interleaved "
+      "triples)",
+      profile_cmp);
 
   // ---- M7: simulator ns per agent move -------------------------------
   // Each cell runs one program over its arena's STICs (delays 0..1)
@@ -681,6 +717,7 @@ int main() {
        << ",\"profile_off_ms\":" << profile_off_ms
        << ",\"profile_on_ms\":" << profile_on_ms
        << ",\"profile_overhead_pct\":" << profile_overhead_pct
+       << ",\"profile_band_pct\":" << profile_band_pct
        << ",\"profile_events\":" << profile.events
        << ",\"profile_dropped\":" << profile.dropped;
   for (const auto& [key, ns] : sim_ns_per_move) {

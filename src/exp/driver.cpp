@@ -14,7 +14,6 @@
 #include "obs/metrics_tools.hpp"
 #include "obs/profile.hpp"
 #include "obs/task_events.hpp"
-#include "obs/trace.hpp"
 #include "store/result_log.hpp"
 #include "support/bench_json.hpp"
 #include "support/env.hpp"
@@ -54,14 +53,15 @@ options:
   --metrics-out F  write the unified metrics snapshot (cache/store/
                    pool/sweep/exp series) as JSON after the run; feed
                    it to rdv_metrics dump|diff|assert
-  --trace-out F    enable span tracing and write a Chrome-trace /
-                   Perfetto JSON (chrome://tracing, ui.perfetto.dev)
-  --profile-out F  enable task-lifecycle profiling and write the
-                   scheduler profile (submit/steal/exec/park per task,
-                   sweep DAGs) as JSON; analyze with rdv_profile
-                   report|top|diff. Combined with --trace-out, the
-                   trace gains flow arrows stitching each task's
+  --trace-out F    record the event ring and write a Chrome-trace /
+                   Perfetto JSON (chrome://tracing, ui.perfetto.dev):
+                   experiment spans plus sweep / task / merge / park
+                   slices and flow arrows stitching each task's
                    submit -> steal -> execute -> merge across threads
+  --profile-out F  record the event ring and write the scheduler
+                   profile (submit/steal/exec/park per task, sweep
+                   DAGs) as JSON; analyze with rdv_profile
+                   report|top|diff
   --check          fail (exit 1) if any experiment emits an empty table
   --help           this text
 
@@ -331,14 +331,11 @@ void register_metric_sources() {
       });
   obs::Registry::instance().register_source(
       "exp.obs", [](obs::MetricsSnapshot& snap) {
-        // Observability self-monitoring (ISSUE 9): ring overwrites in
-        // the span tracer and the task-event log surface as counters,
-        // so CI can assert obs.*_dropped==0 on smoke runs — a sidecar
-        // that silently lost events is worse than none.
-        snap.counters["obs.trace_dropped"] = obs::trace_dropped_count();
-        snap.counters["obs.task_events_dropped"] =
-            obs::task_events_dropped_count();
-        snap.counters["obs.task_events_recorded"] =
+        // Observability self-monitoring: event-ring overwrites surface
+        // as a counter, so CI can assert obs.events_dropped==0 on smoke
+        // runs — a sidecar that silently lost events is worse than none.
+        snap.counters["obs.events_dropped"] = obs::task_events_dropped_count();
+        snap.counters["obs.events_recorded"] =
             obs::task_events_recorded_count();
       });
   obs::Registry::instance().register_source(
@@ -478,11 +475,12 @@ int run_main(int argc, const char* const* argv) {
   if (!args.store_dir.empty()) {
     support::env_export("RDV_STORE_DIR", args.store_dir);
   }
-  // Tracing/profiling flip on only when a sink was requested (and
+  // The event ring records only when a sink was requested (and from
   // before the pool spins up, so worker park/assist events are
   // captured too).
-  if (!args.trace_out.empty()) obs::set_trace_enabled(true);
-  if (!args.profile_out.empty()) obs::set_task_events_enabled(true);
+  const bool record_events =
+      !args.trace_out.empty() || !args.profile_out.empty();
+  if (record_events) obs::set_task_events_enabled(true);
   register_metric_sources();
 
   const Registry& registry = builtin_registry();
@@ -621,25 +619,18 @@ int run_main(int argc, const char* const* argv) {
                    args.metrics_out.c_str());
     }
   }
-  if (!args.trace_out.empty()) {
-    // With profiling also on, the trace gains per-task flow arrows
-    // (submit -> steal -> execute -> merge) on the same thread rows.
-    const bool ok = args.profile_out.empty()
-                        ? obs::write_chrome_trace(args.trace_out)
-                        : obs::write_chrome_trace_with_tasks(args.trace_out);
-    if (!ok) {
+  if (record_events) {
+    if (!obs::write_event_sidecars(args.trace_out, args.profile_out)) {
       ++failures;
     } else {
-      std::fprintf(stderr, "rdv_bench: chrome trace written to %s\n",
-                   args.trace_out.c_str());
-    }
-  }
-  if (!args.profile_out.empty()) {
-    if (!obs::write_profile(args.profile_out)) {
-      ++failures;
-    } else {
-      std::fprintf(stderr, "rdv_bench: scheduler profile written to %s\n",
-                   args.profile_out.c_str());
+      if (!args.trace_out.empty()) {
+        std::fprintf(stderr, "rdv_bench: chrome trace written to %s\n",
+                     args.trace_out.c_str());
+      }
+      if (!args.profile_out.empty()) {
+        std::fprintf(stderr, "rdv_bench: scheduler profile written to %s\n",
+                     args.profile_out.c_str());
+      }
     }
   }
   if (failures != 0) {

@@ -1,7 +1,6 @@
 #include "obs/metrics_tools.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,20 +9,13 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/json.hpp"
+
 namespace rdv::obs {
 
 namespace {
 
 // ---- rendering ------------------------------------------------------
-
-void append_quoted(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
 
 template <typename Map, typename RenderValue>
 void append_object(std::string& out, const Map& map,
@@ -33,7 +25,7 @@ void append_object(std::string& out, const Map& map,
   for (const auto& [name, value] : map) {
     if (!first) out += ',';
     first = false;
-    append_quoted(out, name);
+    json::append_string(out, name);
     out += ':';
     render_value(out, value);
   }
@@ -41,94 +33,9 @@ void append_object(std::string& out, const Map& map,
 }
 
 // ---- parsing --------------------------------------------------------
-//
-// A deliberately small strict parser for the one shape we emit; every
-// error names the offset so a truncated or hand-edited baseline is
-// diagnosable.
 
-struct Cursor {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("metrics json: " + what + " at offset " +
-                             std::to_string(pos));
-  }
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-      ++pos;
-    }
-  }
-  [[nodiscard]] char peek() {
-    skip_ws();
-    if (pos >= text.size()) fail("unexpected end of input");
-    return text[pos];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos;
-  }
-  [[nodiscard]] bool try_consume(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-  [[nodiscard]] std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\') {
-        if (pos >= text.size()) fail("dangling escape");
-        c = text[pos++];
-        if (c != '"' && c != '\\') fail("unsupported escape");
-      }
-      out += c;
-    }
-    if (pos >= text.size()) fail("unterminated string");
-    ++pos;
-    return out;
-  }
-  [[nodiscard]] std::int64_t parse_int() {
-    skip_ws();
-    const bool negative = pos < text.size() && text[pos] == '-';
-    if (negative) ++pos;
-    if (pos >= text.size() ||
-        std::isdigit(static_cast<unsigned char>(text[pos])) == 0) {
-      fail("expected integer");
-    }
-    std::uint64_t magnitude = 0;
-    while (pos < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[pos])) != 0) {
-      magnitude = magnitude * 10 + static_cast<std::uint64_t>(text[pos] - '0');
-      ++pos;
-    }
-    return negative ? -static_cast<std::int64_t>(magnitude)
-                    : static_cast<std::int64_t>(magnitude);
-  }
-  [[nodiscard]] std::uint64_t parse_uint() {
-    const std::int64_t v = parse_int();
-    if (v < 0) fail("expected non-negative integer");
-    return static_cast<std::uint64_t>(v);
-  }
-};
-
-/// Parses {"name": <value>, ...} invoking on_entry per key.
-template <typename OnEntry>
-void parse_object(Cursor& cursor, const OnEntry& on_entry) {
-  cursor.expect('{');
-  if (cursor.try_consume('}')) return;
-  do {
-    std::string key = cursor.parse_string();
-    cursor.expect(':');
-    on_entry(std::move(key));
-  } while (cursor.try_consume(','));
-  cursor.expect('}');
-}
+using json::Cursor;
+using json::parse_object;
 
 HistogramSnapshot parse_histogram(Cursor& cursor) {
   HistogramSnapshot hist;
@@ -186,8 +93,8 @@ std::string render_metrics_json(const MetricsSnapshot& snap) {
   return out;
 }
 
-MetricsSnapshot parse_metrics_json(std::string_view json) {
-  Cursor cursor{json};
+MetricsSnapshot parse_metrics_json(std::string_view text) {
+  Cursor cursor{text, "metrics json"};
   MetricsSnapshot snap;
   bool saw_format = false;
   parse_object(cursor, [&](std::string key) {
@@ -214,8 +121,7 @@ MetricsSnapshot parse_metrics_json(std::string_view json) {
     }
   });
   if (!saw_format) cursor.fail("missing format field");
-  cursor.skip_ws();
-  if (cursor.pos != json.size()) cursor.fail("trailing garbage");
+  cursor.expect_end();
   return snap;
 }
 

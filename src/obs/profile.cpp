@@ -1,15 +1,13 @@
 #include "obs/profile.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <stdexcept>
-#include <string_view>
+#include <type_traits>
 #include <unordered_map>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -33,190 +31,96 @@ std::string format_pct(double fraction) {
   return buf;
 }
 
-// ---- rendering ------------------------------------------------------
-
-void append_task_json(std::string& out, const TaskProfile& t) {
-  out += "{\"id\":" + std::to_string(t.id);
-  out += ",\"sweep\":" + std::to_string(t.sweep);
-  out += ",\"chunk\":" + std::to_string(t.chunk);
-  out += ",\"is_chunk\":";
-  out += t.is_chunk ? "true" : "false";
-  out += ",\"stolen\":";
-  out += t.stolen ? "true" : "false";
-  out += ",\"victim\":" + std::to_string(t.steal_victim);
-  out += ",\"submit_tid\":" + std::to_string(t.submit_tid);
-  out += ",\"exec_tid\":" + std::to_string(t.exec_tid);
-  out += ",\"submit\":" + std::to_string(t.submit_t);
-  out += ",\"dequeue\":" + std::to_string(t.dequeue_t);
-  out += ",\"begin\":" + std::to_string(t.begin_t);
-  out += ",\"end\":" + std::to_string(t.end_t);
-  out += '}';
-}
-
-// ---- parsing --------------------------------------------------------
+// ---- the profile sidecar's records ---------------------------------
 //
-// Same deliberately small strict-parser shape as metrics_tools.cpp:
-// one Cursor for the one JSON shape we emit, every error naming its
-// offset so a truncated or hand-edited sidecar is diagnosable.
+// One field list per record type, in render order: the renderer and
+// the strict parser both walk it, so the two can never disagree.
 
-struct Cursor {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("profile json: " + what + " at offset " +
-                             std::to_string(pos));
-  }
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-      ++pos;
-    }
-  }
-  [[nodiscard]] char peek() {
-    skip_ws();
-    if (pos >= text.size()) fail("unexpected end of input");
-    return text[pos];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos;
-  }
-  [[nodiscard]] bool try_consume(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-  [[nodiscard]] std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\') {
-        if (pos >= text.size()) fail("dangling escape");
-        c = text[pos++];
-        if (c != '"' && c != '\\') fail("unsupported escape");
-      }
-      out += c;
-    }
-    if (pos >= text.size()) fail("unterminated string");
-    ++pos;
-    return out;
-  }
-  [[nodiscard]] std::uint64_t parse_uint() {
-    skip_ws();
-    if (pos >= text.size() ||
-        std::isdigit(static_cast<unsigned char>(text[pos])) == 0) {
-      fail("expected non-negative integer");
-    }
-    std::uint64_t value = 0;
-    while (pos < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[pos])) != 0) {
-      value = value * 10 + static_cast<std::uint64_t>(text[pos] - '0');
-      ++pos;
-    }
-    return value;
-  }
-  [[nodiscard]] bool parse_bool() {
-    skip_ws();
-    if (text.compare(pos, 4, "true") == 0) {
-      pos += 4;
-      return true;
-    }
-    if (text.compare(pos, 5, "false") == 0) {
-      pos += 5;
-      return false;
-    }
-    fail("expected boolean");
-  }
+constexpr auto kTaskFields = [](auto& t, const auto& field) {
+  field("id", t.id);
+  field("sweep", t.sweep);
+  field("chunk", t.chunk);
+  field("is_chunk", t.is_chunk);
+  field("stolen", t.stolen);
+  field("victim", t.steal_victim);
+  field("submit_tid", t.submit_tid);
+  field("exec_tid", t.exec_tid);
+  field("submit", t.submit_t);
+  field("dequeue", t.dequeue_t);
+  field("begin", t.begin_t);
+  field("end", t.end_t);
+};
+constexpr auto kMergeFields = [](auto& m, const auto& field) {
+  field("sweep", m.sweep);
+  field("chunk", m.chunk);
+  field("tid", m.tid);
+  field("begin", m.begin_t);
+  field("end", m.end_t);
+};
+constexpr auto kParkFields = [](auto& p, const auto& field) {
+  field("tid", p.tid);
+  field("begin", p.begin_t);
+  field("end", p.end_t);
+};
+constexpr auto kSweepFields = [](auto& s, const auto& field) {
+  field("id", s.id);
+  field("chunks", s.chunks);
+  field("items", s.items);
+  field("tid", s.tid);
+  field("begin", s.begin_t);
+  field("end", s.end_t);
 };
 
-template <typename OnEntry>
-void parse_object(Cursor& cursor, const OnEntry& on_entry) {
-  cursor.expect('{');
-  if (cursor.try_consume('}')) return;
-  do {
-    std::string key = cursor.parse_string();
-    cursor.expect(':');
-    on_entry(std::move(key));
-  } while (cursor.try_consume(','));
-  cursor.expect('}');
+/// Appends ,"key":[{...},...] for one record array.
+template <typename Record, typename Fields>
+void append_records(std::string& out, const char* key,
+                    const std::vector<Record>& records,
+                    const Fields& fields) {
+  out += ",\"" + std::string(key) + "\":[";
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (i != 0) out += ',';
+    char sep = '{';
+    fields(records[i], [&](const char* name, const auto& value) {
+      out += sep;
+      sep = ',';
+      out += "\"" + std::string(name) + "\":";
+      if constexpr (std::is_same_v<std::decay_t<decltype(value)>, bool>) {
+        out += value ? "true" : "false";
+      } else {
+        out += std::to_string(value);
+      }
+    });
+    out += '}';
+  }
+  out += ']';
 }
 
-template <typename OnElement>
-void parse_array(Cursor& cursor, const OnElement& on_element) {
-  cursor.expect('[');
-  if (cursor.try_consume(']')) return;
-  do {
-    on_element();
-  } while (cursor.try_consume(','));
-  cursor.expect(']');
-}
+using json::Cursor;
 
-TaskProfile parse_task(Cursor& cursor) {
-  TaskProfile t;
-  parse_object(cursor, [&](std::string key) {
-    if (key == "id") t.id = cursor.parse_uint();
-    else if (key == "sweep") t.sweep = cursor.parse_uint();
-    else if (key == "chunk") t.chunk = cursor.parse_uint();
-    else if (key == "is_chunk") t.is_chunk = cursor.parse_bool();
-    else if (key == "stolen") t.stolen = cursor.parse_bool();
-    else if (key == "victim") t.steal_victim = cursor.parse_uint();
-    else if (key == "submit_tid")
-      t.submit_tid = static_cast<std::uint32_t>(cursor.parse_uint());
-    else if (key == "exec_tid")
-      t.exec_tid = static_cast<std::uint32_t>(cursor.parse_uint());
-    else if (key == "submit") t.submit_t = cursor.parse_uint();
-    else if (key == "dequeue") t.dequeue_t = cursor.parse_uint();
-    else if (key == "begin") t.begin_t = cursor.parse_uint();
-    else if (key == "end") t.end_t = cursor.parse_uint();
-    else cursor.fail("unknown task field '" + key + "'");
+/// Parses one record array; `what` names the record in errors.
+template <typename Record, typename Fields>
+void parse_records(Cursor& cursor, const char* what,
+                   std::vector<Record>& records, const Fields& fields) {
+  json::parse_array(cursor, [&] {
+    Record record;
+    json::parse_object(cursor, [&](const std::string& key) {
+      bool known = false;
+      fields(record, [&](const char* name, auto& value) {
+        if (known || key != name) return;
+        known = true;
+        using Value = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<Value, bool>) {
+          value = cursor.parse_bool();
+        } else {
+          value = static_cast<Value>(cursor.parse_uint());
+        }
+      });
+      if (!known) {
+        cursor.fail(std::string("unknown ") + what + " field '" + key + "'");
+      }
+    });
+    records.push_back(record);
   });
-  return t;
-}
-
-MergeProfile parse_merge(Cursor& cursor) {
-  MergeProfile m;
-  parse_object(cursor, [&](std::string key) {
-    if (key == "sweep") m.sweep = cursor.parse_uint();
-    else if (key == "chunk") m.chunk = cursor.parse_uint();
-    else if (key == "tid")
-      m.tid = static_cast<std::uint32_t>(cursor.parse_uint());
-    else if (key == "begin") m.begin_t = cursor.parse_uint();
-    else if (key == "end") m.end_t = cursor.parse_uint();
-    else cursor.fail("unknown merge field '" + key + "'");
-  });
-  return m;
-}
-
-ParkInterval parse_park(Cursor& cursor) {
-  ParkInterval p;
-  parse_object(cursor, [&](std::string key) {
-    if (key == "tid")
-      p.tid = static_cast<std::uint32_t>(cursor.parse_uint());
-    else if (key == "begin") p.begin_t = cursor.parse_uint();
-    else if (key == "end") p.end_t = cursor.parse_uint();
-    else cursor.fail("unknown park field '" + key + "'");
-  });
-  return p;
-}
-
-SweepProfile parse_sweep(Cursor& cursor) {
-  SweepProfile s;
-  parse_object(cursor, [&](std::string key) {
-    if (key == "id") s.id = cursor.parse_uint();
-    else if (key == "chunks") s.chunks = cursor.parse_uint();
-    else if (key == "items") s.items = cursor.parse_uint();
-    else if (key == "tid")
-      s.tid = static_cast<std::uint32_t>(cursor.parse_uint());
-    else if (key == "begin") s.begin_t = cursor.parse_uint();
-    else if (key == "end") s.end_t = cursor.parse_uint();
-    else cursor.fail("unknown sweep field '" + key + "'");
-  });
-  return s;
 }
 
 constexpr std::uint64_t kProfileFormat = 1;
@@ -225,25 +129,15 @@ constexpr std::uint64_t kProfileFormat = 1;
 /// id space from the submit -> begin arrows (which use the task id).
 constexpr std::uint64_t kMergeFlowBase = 1ULL << 62;
 
-/// log2 latency histogram over 65 buckets (bucket b = values of
-/// bit_width b; bucket 0 = zero), matching obs::histogram_bucket.
-struct LatencyHistogram {
-  std::array<std::uint64_t, 65> buckets{};
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
+/// Adds one latency sample to a plain (single-threaded) log2
+/// histogram, bucketed like obs::Histogram.
+void observe(HistogramSnapshot& hist, std::uint64_t value) {
+  hist.buckets[histogram_bucket(value)] += 1;
+  ++hist.count;
+  hist.sum += value;
+}
 
-  void observe(std::uint64_t value) {
-    buckets[histogram_bucket(value)] += 1;
-    ++count;
-    sum += value;
-  }
-  [[nodiscard]] double mean() const {
-    return count == 0 ? 0.0
-                      : static_cast<double>(sum) / static_cast<double>(count);
-  }
-};
-
-void append_histogram_lines(std::string& out, const LatencyHistogram& hist) {
+void append_histogram_lines(std::string& out, const HistogramSnapshot& hist) {
   if (hist.count == 0) {
     out += "  (empty)\n";
     return;
@@ -314,7 +208,6 @@ std::uint64_t total_exec_micros(const Profile& profile) {
 
 Profile build_profile(const std::vector<TaskEvent>& events) {
   Profile profile;
-  profile.events = events.size();
   profile.dropped = task_events_dropped_count();
 
   std::unordered_map<std::uint64_t, TaskProfile> tasks;
@@ -323,45 +216,50 @@ Profile build_profile(const std::vector<TaskEvent>& events) {
   std::map<std::uint64_t, SweepProfile> sweeps;
 
   for (const TaskEvent& e : events) {
+    // Spans share the ring but are no part of the scheduler model.
+    if (e.kind == TaskEventKind::kSpan) continue;
+    ++profile.events;
     if (profile.t_min == 0 || e.t_micros < profile.t_min) {
       profile.t_min = e.t_micros;
     }
     profile.t_max = std::max(profile.t_max, e.t_micros);
+    // The record each kind updates, created keyed on first sight.
+    const auto task = [&]() -> TaskProfile& {
+      TaskProfile& t = tasks[e.task];
+      t.id = e.task;
+      return t;
+    };
+    const auto sweep = [&]() -> SweepProfile& {
+      SweepProfile& s = sweeps[e.a];
+      s.id = e.a;
+      return s;
+    };
+    const auto merge = [&]() -> MergeProfile& {
+      MergeProfile& m = merges[{e.a, e.b}];
+      m.sweep = e.a;
+      m.chunk = e.b;
+      return m;
+    };
     switch (e.kind) {
-      case TaskEventKind::kSubmit: {
-        TaskProfile& t = tasks[e.task];
-        t.id = e.task;
-        t.submit_t = e.t_micros;
-        t.submit_tid = e.tid;
+      case TaskEventKind::kSubmit:
+        task().submit_t = e.t_micros;
+        task().submit_tid = e.tid;
         break;
-      }
-      case TaskEventKind::kDequeue: {
-        TaskProfile& t = tasks[e.task];
-        t.id = e.task;
-        t.dequeue_t = e.t_micros;
+      case TaskEventKind::kDequeue:
+        task().dequeue_t = e.t_micros;
         break;
-      }
-      case TaskEventKind::kSteal: {
-        TaskProfile& t = tasks[e.task];
-        t.id = e.task;
-        t.dequeue_t = e.t_micros;
-        t.stolen = true;
-        t.steal_victim = e.a;
+      case TaskEventKind::kSteal:
+        task().dequeue_t = e.t_micros;
+        task().stolen = true;
+        task().steal_victim = e.a;
         break;
-      }
-      case TaskEventKind::kBegin: {
-        TaskProfile& t = tasks[e.task];
-        t.id = e.task;
-        t.begin_t = e.t_micros;
-        t.exec_tid = e.tid;
+      case TaskEventKind::kBegin:
+        task().begin_t = e.t_micros;
+        task().exec_tid = e.tid;
         break;
-      }
-      case TaskEventKind::kEnd: {
-        TaskProfile& t = tasks[e.task];
-        t.id = e.task;
-        t.end_t = e.t_micros;
+      case TaskEventKind::kEnd:
+        task().end_t = e.t_micros;
         break;
-      }
       case TaskEventKind::kPark:
         pending_park[e.tid] = e.t_micros;
         break;
@@ -374,44 +272,29 @@ Profile build_profile(const std::vector<TaskEvent>& events) {
         pending_park.erase(it);
         break;
       }
-      case TaskEventKind::kSweepBegin: {
-        SweepProfile& s = sweeps[e.a];
-        s.id = e.a;
-        s.chunks = e.b;
-        s.tid = e.tid;
-        s.begin_t = e.t_micros;
+      case TaskEventKind::kSweepBegin:
+        sweep().chunks = e.b;
+        sweep().tid = e.tid;
+        sweep().begin_t = e.t_micros;
         break;
-      }
-      case TaskEventKind::kSweepEnd: {
-        SweepProfile& s = sweeps[e.a];
-        s.id = e.a;
-        s.items = e.b;
-        s.end_t = e.t_micros;
+      case TaskEventKind::kSweepEnd:
+        sweep().items = e.b;
+        sweep().end_t = e.t_micros;
         break;
-      }
-      case TaskEventKind::kChunkTask: {
-        TaskProfile& t = tasks[e.task];
-        t.id = e.task;
-        t.sweep = e.a;
-        t.chunk = e.b;
-        t.is_chunk = true;
+      case TaskEventKind::kChunkTask:
+        task().sweep = e.a;
+        task().chunk = e.b;
+        task().is_chunk = true;
         break;
-      }
-      case TaskEventKind::kMergeBegin: {
-        MergeProfile& m = merges[{e.a, e.b}];
-        m.sweep = e.a;
-        m.chunk = e.b;
-        m.tid = e.tid;
-        m.begin_t = e.t_micros;
+      case TaskEventKind::kMergeBegin:
+        merge().tid = e.tid;
+        merge().begin_t = e.t_micros;
         break;
-      }
-      case TaskEventKind::kMergeEnd: {
-        MergeProfile& m = merges[{e.a, e.b}];
-        m.sweep = e.a;
-        m.chunk = e.b;
-        m.end_t = e.t_micros;
+      case TaskEventKind::kMergeEnd:
+        merge().end_t = e.t_micros;
         break;
-      }
+      case TaskEventKind::kSpan:
+        break;
     }
   }
 
@@ -508,53 +391,20 @@ std::string render_profile_json(const Profile& profile) {
   out += ",\"dropped\":" + std::to_string(profile.dropped);
   out += ",\"t_min\":" + std::to_string(profile.t_min);
   out += ",\"t_max\":" + std::to_string(profile.t_max);
-  out += ",\"tasks\":[";
-  for (std::size_t i = 0; i < profile.tasks.size(); ++i) {
-    if (i != 0) out += ',';
-    append_task_json(out, profile.tasks[i]);
-  }
-  out += "],\"merges\":[";
-  for (std::size_t i = 0; i < profile.merges.size(); ++i) {
-    const MergeProfile& m = profile.merges[i];
-    if (i != 0) out += ',';
-    out += "{\"sweep\":" + std::to_string(m.sweep);
-    out += ",\"chunk\":" + std::to_string(m.chunk);
-    out += ",\"tid\":" + std::to_string(m.tid);
-    out += ",\"begin\":" + std::to_string(m.begin_t);
-    out += ",\"end\":" + std::to_string(m.end_t);
-    out += '}';
-  }
-  out += "],\"parks\":[";
-  for (std::size_t i = 0; i < profile.parks.size(); ++i) {
-    const ParkInterval& p = profile.parks[i];
-    if (i != 0) out += ',';
-    out += "{\"tid\":" + std::to_string(p.tid);
-    out += ",\"begin\":" + std::to_string(p.begin_t);
-    out += ",\"end\":" + std::to_string(p.end_t);
-    out += '}';
-  }
-  out += "],\"sweeps\":[";
-  for (std::size_t i = 0; i < profile.sweeps.size(); ++i) {
-    const SweepProfile& s = profile.sweeps[i];
-    if (i != 0) out += ',';
-    out += "{\"id\":" + std::to_string(s.id);
-    out += ",\"chunks\":" + std::to_string(s.chunks);
-    out += ",\"items\":" + std::to_string(s.items);
-    out += ",\"tid\":" + std::to_string(s.tid);
-    out += ",\"begin\":" + std::to_string(s.begin_t);
-    out += ",\"end\":" + std::to_string(s.end_t);
-    out += '}';
-  }
-  out += "]}";
+  append_records(out, "tasks", profile.tasks, kTaskFields);
+  append_records(out, "merges", profile.merges, kMergeFields);
+  append_records(out, "parks", profile.parks, kParkFields);
+  append_records(out, "sweeps", profile.sweeps, kSweepFields);
+  out += '}';
   return out;
 }
 
 bool parse_profile_json(const std::string& text, Profile* out) {
   try {
-    Cursor cursor{text};
+    Cursor cursor{text, "profile json"};
     Profile profile;
     bool saw_format = false;
-    parse_object(cursor, [&](std::string key) {
+    json::parse_object(cursor, [&](const std::string& key) {
       if (key == "format") {
         saw_format = true;
         const std::uint64_t format = cursor.parse_uint();
@@ -570,28 +420,19 @@ bool parse_profile_json(const std::string& text, Profile* out) {
       } else if (key == "t_max") {
         profile.t_max = cursor.parse_uint();
       } else if (key == "tasks") {
-        parse_array(cursor, [&] {
-          profile.tasks.push_back(parse_task(cursor));
-        });
+        parse_records(cursor, "task", profile.tasks, kTaskFields);
       } else if (key == "merges") {
-        parse_array(cursor, [&] {
-          profile.merges.push_back(parse_merge(cursor));
-        });
+        parse_records(cursor, "merge", profile.merges, kMergeFields);
       } else if (key == "parks") {
-        parse_array(cursor, [&] {
-          profile.parks.push_back(parse_park(cursor));
-        });
+        parse_records(cursor, "park", profile.parks, kParkFields);
       } else if (key == "sweeps") {
-        parse_array(cursor, [&] {
-          profile.sweeps.push_back(parse_sweep(cursor));
-        });
+        parse_records(cursor, "sweep", profile.sweeps, kSweepFields);
       } else {
         cursor.fail("unknown top-level key '" + key + "'");
       }
     });
     if (!saw_format) cursor.fail("missing format field");
-    cursor.skip_ws();
-    if (cursor.pos != text.size()) cursor.fail("trailing garbage");
+    cursor.expect_end();
     *out = std::move(profile);
     return true;
   } catch (const std::exception& e) {
@@ -658,13 +499,13 @@ std::string render_profile_report(const Profile& profile) {
            "%\n";
   }
 
-  LatencyHistogram queue_hist;
-  LatencyHistogram steal_hist;
+  HistogramSnapshot queue_hist;
+  HistogramSnapshot steal_hist;
   for (const TaskProfile& t : profile.tasks) {
     if (!t.complete()) continue;
-    queue_hist.observe(t.queue_micros());
+    observe(queue_hist, t.queue_micros());
     if (t.stolen) {
-      steal_hist.observe(clamped_sub(t.dequeue_t, t.submit_t));
+      observe(steal_hist, clamped_sub(t.dequeue_t, t.submit_t));
     }
   }
   out += "queue latency (submit -> begin, log2 us):\n";
@@ -759,49 +600,51 @@ std::string render_profile_diff(const Profile& a, const Profile& b) {
 
 std::string render_task_trace_events(const Profile& profile) {
   std::string out;
-  const auto append = [&out](const std::string& event) {
+  const auto slice = [&out](const std::string& name, const char* category,
+                            std::uint32_t tid, std::uint64_t ts,
+                            std::uint64_t dur, const std::string& args) {
     if (!out.empty()) out += ',';
-    out += event;
+    append_chrome_slice(out, name, category, tid, ts, dur, args);
+  };
+  // Flow arrows: Chrome draws one arrow chain per (name, id), from the
+  // "s" event through any "t" steps to the "f" event.
+  const auto flow = [&out](const char* name, char phase, std::uint64_t id,
+                           std::uint32_t tid, std::uint64_t ts) {
+    if (!out.empty()) out += ',';
+    out += "{\"name\":\"" + std::string(name) +
+           "\",\"cat\":\"flow\",\"ph\":\"" + phase + "\"";
+    if (phase == 'f') out += ",\"bp\":\"e\"";
+    out += ",\"id\":" + std::to_string(id) +
+           ",\"pid\":1,\"tid\":" + std::to_string(tid) +
+           ",\"ts\":" + std::to_string(ts) + "}";
   };
   for (const SweepProfile& s : profile.sweeps) {
     if (s.end_t == 0) continue;
-    append("{\"name\":\"sweep " + std::to_string(s.id) +
-           "\",\"cat\":\"sweep\",\"ph\":\"X\",\"pid\":1,\"tid\":" +
-           std::to_string(s.tid) + ",\"ts\":" + std::to_string(s.begin_t) +
-           ",\"dur\":" + std::to_string(s.micros()) +
-           ",\"args\":{\"chunks\":" + std::to_string(s.chunks) +
-           ",\"items\":" + std::to_string(s.items) + "}}");
+    slice("sweep " + std::to_string(s.id), "sweep", s.tid, s.begin_t,
+          s.micros(),
+          "\"chunks\":" + std::to_string(s.chunks) +
+              ",\"items\":" + std::to_string(s.items));
   }
   for (const TaskProfile& t : profile.tasks) {
     if (t.begin_t != 0 && t.end_t != 0) {
-      std::string name = t.is_chunk
-                             ? "chunk " + std::to_string(t.sweep) + ":" +
-                                   std::to_string(t.chunk)
-                             : "task " + std::to_string(t.id);
-      append("{\"name\":\"" + name +
-             "\",\"cat\":\"task\",\"ph\":\"X\",\"pid\":1,\"tid\":" +
-             std::to_string(t.exec_tid) +
-             ",\"ts\":" + std::to_string(t.begin_t) +
-             ",\"dur\":" + std::to_string(t.exec_micros()) +
-             ",\"args\":{\"task\":" + std::to_string(t.id) + "}}");
+      slice(t.is_chunk ? "chunk " + std::to_string(t.sweep) + ":" +
+                             std::to_string(t.chunk)
+                       : "task " + std::to_string(t.id),
+            "task", t.exec_tid, t.begin_t, t.exec_micros(),
+            "\"task\":" + std::to_string(t.id));
     }
-    // Flow arrows: submit ("s") -> optional steal step ("t") -> begin
-    // ("f"). Chrome draws one arrow chain per flow id.
+    // Submit ("s") -> optional steal step ("t") -> begin ("f").
     if (t.submit_t != 0 && t.begin_t != 0) {
-      const std::string id = std::to_string(t.id);
-      append("{\"name\":\"task\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":" +
-             id + ",\"pid\":1,\"tid\":" + std::to_string(t.submit_tid) +
-             ",\"ts\":" + std::to_string(t.submit_t) + "}");
+      flow("task", 's', t.id, t.submit_tid, t.submit_t);
       if (t.stolen && t.dequeue_t != 0) {
-        append("{\"name\":\"task\",\"cat\":\"flow\",\"ph\":\"t\",\"id\":" +
-               id + ",\"pid\":1,\"tid\":" + std::to_string(t.exec_tid) +
-               ",\"ts\":" + std::to_string(t.dequeue_t) + "}");
+        flow("task", 't', t.id, t.exec_tid, t.dequeue_t);
       }
-      append("{\"name\":\"task\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\""
-             ",\"id\":" +
-             id + ",\"pid\":1,\"tid\":" + std::to_string(t.exec_tid) +
-             ",\"ts\":" + std::to_string(t.begin_t) + "}");
+      flow("task", 'f', t.id, t.exec_tid, t.begin_t);
     }
+  }
+  for (const ParkInterval& p : profile.parks) {
+    slice("park", "pool", p.tid, p.begin_t, clamped_sub(p.end_t, p.begin_t),
+          {});
   }
   std::map<std::pair<std::uint64_t, std::uint64_t>, const TaskProfile*>
       chunk_tasks;
@@ -810,62 +653,56 @@ std::string render_task_trace_events(const Profile& profile) {
   }
   for (const MergeProfile& m : profile.merges) {
     if (m.end_t == 0) continue;
-    append("{\"name\":\"merge " + std::to_string(m.sweep) + ":" +
-           std::to_string(m.chunk) +
-           "\",\"cat\":\"sweep\",\"ph\":\"X\",\"pid\":1,\"tid\":" +
-           std::to_string(m.tid) + ",\"ts\":" + std::to_string(m.begin_t) +
-           ",\"dur\":" + std::to_string(m.micros()) +
-           ",\"args\":{\"chunk\":" + std::to_string(m.chunk) + "}}");
+    slice("merge " + std::to_string(m.sweep) + ":" + std::to_string(m.chunk),
+          "sweep", m.tid, m.begin_t, m.micros(),
+          "\"chunk\":" + std::to_string(m.chunk));
     // Second flow: the chunk's task end -> its merge begin, in a
     // distinct id space so it never collides with the submit flows.
     if (const auto it = chunk_tasks.find({m.sweep, m.chunk});
         it != chunk_tasks.end()) {
       const TaskProfile& t = *it->second;
-      const std::string id = std::to_string(kMergeFlowBase + t.id);
-      append("{\"name\":\"merge\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":" +
-             id + ",\"pid\":1,\"tid\":" + std::to_string(t.exec_tid) +
-             ",\"ts\":" + std::to_string(t.end_t) + "}");
-      append("{\"name\":\"merge\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":"
-             "\"e\",\"id\":" +
-             id + ",\"pid\":1,\"tid\":" + std::to_string(m.tid) +
-             ",\"ts\":" + std::to_string(std::max(m.begin_t, t.end_t)) +
-             "}");
+      flow("merge", 's', kMergeFlowBase + t.id, t.exec_tid, t.end_t);
+      flow("merge", 'f', kMergeFlowBase + t.id, m.tid,
+           std::max(m.begin_t, t.end_t));
     }
   }
   return out;
 }
 
-bool write_profile(const std::string& path) {
-  const Profile profile = build_profile(drain_task_events());
-  const std::string json = render_profile_json(profile);
+namespace {
+
+bool write_sidecar(const std::string& path, const char* what,
+                   const std::string& text) {
   std::ofstream out(path);
   if (!out) {
-    std::fprintf(stderr, "obs: cannot write profile %s\n", path.c_str());
+    std::fprintf(stderr, "obs: cannot write %s %s\n", what, path.c_str());
     return false;
   }
-  out << json;
+  out << text;
   if (!out.flush().good()) {
-    std::fprintf(stderr, "obs: short write to profile %s\n", path.c_str());
+    std::fprintf(stderr, "obs: short write to %s %s\n", what, path.c_str());
     return false;
   }
   return true;
 }
 
-bool write_chrome_trace_with_tasks(const std::string& path) {
-  const Profile profile = build_profile(drain_task_events());
-  const std::string json =
-      render_chrome_trace(drain_trace(), render_task_trace_events(profile));
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "obs: cannot write trace %s\n", path.c_str());
-    return false;
+}  // namespace
+
+bool write_event_sidecars(const std::string& trace_path,
+                          const std::string& profile_path) {
+  const std::vector<TaskEvent> events = drain_task_events();
+  const Profile profile = build_profile(events);
+  bool ok = true;
+  if (!trace_path.empty()) {
+    ok &= write_sidecar(
+        trace_path, "trace",
+        render_chrome_trace(events, render_task_trace_events(profile)));
   }
-  out << json;
-  if (!out.flush().good()) {
-    std::fprintf(stderr, "obs: short write to trace %s\n", path.c_str());
-    return false;
+  if (!profile_path.empty()) {
+    ok &= write_sidecar(profile_path, "profile",
+                        render_profile_json(profile));
   }
-  return true;
+  return ok;
 }
 
 }  // namespace rdv::obs

@@ -8,18 +8,20 @@
 #include "obs/task_events.hpp"
 
 /// Post-run scheduler profile analyzer (ISSUE 9 tentpole): turns the
-/// raw task-event stream (obs/task_events.hpp) into a causal model of
-/// a run — per-task lifecycles stitched across threads, per-sweep task
-/// DAGs, critical paths with per-stage attribution, thread busy/park
-/// timelines, queue/steal latency histograms, and the thundering-herd
-/// factor (cv wakeups per useful task) that motivates the per-worker
-/// parking rewrite on the roadmap.
+/// lifecycle events of the one event ring (obs/task_events.hpp; span
+/// events are skipped) into a causal model of a run — per-task
+/// lifecycles stitched across threads, per-sweep task DAGs, critical
+/// paths with per-stage attribution, thread busy/park timelines,
+/// queue/steal latency histograms, and the thundering-herd factor (cv
+/// wakeups per useful task) that motivates the per-worker parking
+/// rewrite on the roadmap.
 ///
 /// The profile round-trips through a JSON sidecar (`rdv_bench
 /// --profile-out`), so the `rdv_profile` CLI can re-analyze, compare,
-/// and rank long after the run. Like every obs surface it is
-/// sidecar-only: building or rendering a profile never touches stdout
-/// or a result byte.
+/// and rank long after the run. It also renders the sweep, task, merge
+/// and park slices of the Chrome trace (`--trace-out`). Like every obs
+/// surface it is sidecar-only: building or rendering a profile never
+/// touches stdout or a result byte.
 namespace rdv::obs {
 
 /// One pool task's reconstructed lifecycle. Timestamps are micros on
@@ -92,8 +94,8 @@ struct SweepProfile {
 };
 
 struct Profile {
-  /// Raw events consumed / events lost to ring overwrites at drain
-  /// time. A nonzero dropped count means lifecycles may be incomplete;
+  /// Lifecycle events consumed / events lost to ring overwrites (of
+  /// any kind, spans included) at drain time. A nonzero dropped count means lifecycles may be incomplete;
   /// rdv_profile report --strict fails on it.
   std::uint64_t events = 0;
   std::uint64_t dropped = 0;
@@ -181,19 +183,20 @@ struct CriticalPath {
                                               const Profile& b);
 
 /// Chrome-trace fragment (comma-joined event objects, no brackets) for
-/// render_chrome_trace's extra_events hook: an "X" slice per task
-/// execution / merge / sweep, plus flow events ("s" at submit, "t" at
-/// a steal, "f" at begin; a second flow from chunk end to its merge)
-/// stitching each lifecycle across thread rows.
+/// render_chrome_trace's extra_events hook: an "X" slice per sweep,
+/// task execution, merge and park (category "pool"), plus flow events
+/// ("s" at submit, "t" at a steal, "f" at begin; a second flow from
+/// chunk end to its merge) stitching each lifecycle across thread rows.
+/// These slices are the trace's only record of those moments.
 [[nodiscard]] std::string render_task_trace_events(const Profile& profile);
 
-/// drain_task_events + build + render + write. Returns false when the
-/// file cannot be written (reported on stderr, never stdout).
-bool write_profile(const std::string& path);
-
-/// Combined sidecar: span trace AND task-profile flow events in one
-/// Chrome trace file (what --trace-out emits when --profile-out is
-/// also active, so the timeline and the causal arrows line up).
-bool write_chrome_trace_with_tasks(const std::string& path);
+/// Drains the event ring ONCE and writes the requested sidecars from
+/// that one snapshot (an empty path skips its sink): the Chrome trace
+/// (span slices plus render_task_trace_events of the reconstructed
+/// profile) and the profile JSON, so the two files always describe the
+/// same events. Returns false when a file cannot be written (reported
+/// on stderr, never stdout).
+bool write_event_sidecars(const std::string& trace_path,
+                          const std::string& profile_path);
 
 }  // namespace rdv::obs

@@ -13,16 +13,16 @@ namespace rdv::obs {
 namespace {
 
 std::atomic<bool> g_enabled{false};
-std::atomic<std::size_t> g_ring_capacity{65536};
+std::atomic<std::size_t> g_ring_capacity{81920};
 std::atomic<std::uint64_t> g_dropped{0};
 std::atomic<std::uint64_t> g_recorded{0};
 std::atomic<std::uint64_t> g_next_task{1};
 std::atomic<std::uint64_t> g_next_sweep{1};
 std::atomic<std::uint32_t> g_next_thread{0};
 
-/// One thread's event ring. Like the span tracer's ring, the mutex is
-/// private to the owning thread in steady state (only drain/clear
-/// contend), so record() is an uncontended lock plus a struct store.
+/// One thread's event ring. The mutex is private to the owning thread
+/// in steady state (only drain/clear contend), so record() is an
+/// uncontended lock plus a struct store.
 struct EventRing {
   support::RankedMutex mutex{support::LockRank::kObsRing};
   std::vector<TaskEvent> slots;
@@ -81,6 +81,13 @@ RingDirectory& directory() {
   return dir;
 }
 
+/// Every ring ever registered (snapshot of the directory).
+std::vector<std::shared_ptr<EventRing>> all_rings() {
+  RingDirectory& dir = directory();
+  std::lock_guard lock(dir.mutex);
+  return dir.rings;
+}
+
 /// The calling thread's ring, registered (and sized) on first use.
 /// shared_ptr keeps the ring alive for drains after the thread exits.
 EventRing& thread_event_ring() {
@@ -102,24 +109,6 @@ std::uint32_t thread_obs_id() noexcept {
   thread_local const std::uint32_t id =
       g_next_thread.fetch_add(1, std::memory_order_relaxed);
   return id;
-}
-
-const char* task_event_kind_name(TaskEventKind kind) noexcept {
-  switch (kind) {
-    case TaskEventKind::kSubmit: return "submit";
-    case TaskEventKind::kDequeue: return "dequeue";
-    case TaskEventKind::kSteal: return "steal";
-    case TaskEventKind::kBegin: return "begin";
-    case TaskEventKind::kEnd: return "end";
-    case TaskEventKind::kPark: return "park";
-    case TaskEventKind::kUnpark: return "unpark";
-    case TaskEventKind::kSweepBegin: return "sweep_begin";
-    case TaskEventKind::kSweepEnd: return "sweep_end";
-    case TaskEventKind::kChunkTask: return "chunk_task";
-    case TaskEventKind::kMergeBegin: return "merge_begin";
-    case TaskEventKind::kMergeEnd: return "merge_end";
-  }
-  return "?";
 }
 
 bool task_events_enabled() noexcept {
@@ -154,6 +143,11 @@ void record_task_event(TaskEventKind kind, std::uint64_t task,
   thread_event_ring().record(event);
 }
 
+void record_event(TaskEvent event) {
+  if (!task_events_enabled()) return;
+  thread_event_ring().record(event);
+}
+
 std::uint64_t task_events_dropped_count() noexcept {
   return g_dropped.load(std::memory_order_relaxed);
 }
@@ -163,14 +157,8 @@ std::uint64_t task_events_recorded_count() noexcept {
 }
 
 std::vector<TaskEvent> drain_task_events() {
-  std::vector<std::shared_ptr<EventRing>> rings;
-  {
-    RingDirectory& dir = directory();
-    std::lock_guard lock(dir.mutex);
-    rings = dir.rings;
-  }
   std::vector<TaskEvent> events;
-  for (const auto& ring : rings) {
+  for (const auto& ring : all_rings()) {
     std::vector<TaskEvent> part = ring->snapshot();
     events.insert(events.end(), part.begin(), part.end());
   }
@@ -184,13 +172,7 @@ std::vector<TaskEvent> drain_task_events() {
 }
 
 void clear_task_events() {
-  std::vector<std::shared_ptr<EventRing>> rings;
-  {
-    RingDirectory& dir = directory();
-    std::lock_guard lock(dir.mutex);
-    rings = dir.rings;
-  }
-  for (const auto& ring : rings) ring->clear();
+  for (const auto& ring : all_rings()) ring->clear();
   g_dropped.store(0, std::memory_order_relaxed);
   g_recorded.store(0, std::memory_order_relaxed);
 }

@@ -2,37 +2,38 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
-/// Task-lifecycle event log (ISSUE 9 tentpole): per-thread rings of
-/// fixed-size scheduler events — submit / dequeue / steal / begin /
-/// end / park / unpark from the thread pool, sweep / chunk / merge
-/// markers from the pipelined sweep runner — carrying STABLE TASK IDS,
-/// so a post-run analyzer (obs/profile.hpp) can stitch one task's
-/// lifecycle across threads: who submitted it, who stole it, when it
-/// ran, and which merge consumed its output.
+/// The one observability event ring: per-thread rings of fixed-size
+/// events — submit / dequeue / steal / begin / end / park / unpark from
+/// the thread pool, sweep / chunk / merge markers from the pipelined
+/// sweep runner, and completed spans from obs::Span (obs/trace.hpp).
+/// Pool events carry STABLE TASK IDS, so a post-run analyzer
+/// (obs/profile.hpp) can stitch one task's lifecycle across threads:
+/// who submitted it, who stole it, when it ran, and which merge
+/// consumed its output.
 ///
-/// Design mirrors the span tracer (obs/trace.hpp):
-///  - OFF by default; when off, the instrumentation costs one relaxed
-///    atomic load per call site and records nothing. `rdv_bench
-///    --profile-out` (or set_task_events_enabled) switches it on.
+/// Design:
+///  - OFF by default; when off, every call site costs one relaxed
+///    atomic load and records nothing. `rdv_bench --trace-out` or
+///    `--profile-out` (or set_task_events_enabled) switches it on.
 ///  - Each recording thread owns one fixed-capacity ring; a full ring
-///    overwrites its oldest event (counted in the dropped tally) —
-///    recording never blocks and never allocates. Events are plain
-///    trivially-copyable structs.
+///    overwrites its oldest event (counted once in the dropped tally)
+///    — recording never blocks and never allocates. Events are plain
+///    trivially-copyable structs; span strings are interned ids.
 ///  - Rings register globally on first use and outlive their threads;
 ///    drain_task_events() snapshots every ring and merges the events
 ///    into one deterministic order.
 ///
-/// Like metrics and traces, the event log is sidecar-only: nothing
-/// here touches stdout or a result byte.
+/// Like metrics, the event log is sidecar-only: nothing here touches
+/// stdout or a result byte.
 namespace rdv::obs {
 
-/// Stable per-thread observability id, shared by the span tracer's
-/// rings and the task-event rings (assigned once per thread, in
-/// first-use order). Sharing one id space is what lets Chrome-trace
-/// flow events stitched from task events land on the same timeline
-/// rows as that thread's spans.
+/// Stable per-thread observability id (assigned once per thread, in
+/// first-use order): the `tid` of every event the thread records, so
+/// span slices and flow events stitched from task events land on the
+/// same Chrome-trace timeline rows.
 [[nodiscard]] std::uint32_t thread_obs_id() noexcept;
 
 enum class TaskEventKind : std::uint8_t {
@@ -61,9 +62,11 @@ enum class TaskEventKind : std::uint8_t {
   /// merging thread.
   kMergeBegin,
   kMergeEnd,
+  /// A completed obs::Span, recorded when it closes: t_micros = start,
+  /// a = duration, b = its integer arg; name / category / arg_key hold
+  /// interned string ids (obs/trace.hpp).
+  kSpan,
 };
-
-[[nodiscard]] const char* task_event_kind_name(TaskEventKind kind) noexcept;
 
 struct TaskEvent {
   std::uint64_t t_micros = 0;
@@ -79,14 +82,21 @@ struct TaskEvent {
   /// merged order is deterministic for a fixed set of events.
   std::uint32_t seq = 0;
   TaskEventKind kind = TaskEventKind::kSubmit;
+  /// kSpan only: interned string ids (0 = none), in the padding after
+  /// `kind`, so a span costs no more ring memory than a pool event.
+  std::uint16_t category = 0;
+  std::uint16_t name = 0;
+  std::uint16_t arg_key = 0;
 };
+static_assert(sizeof(TaskEvent) <= 48 &&
+              std::is_trivially_copyable_v<TaskEvent>);
 
 /// Global on/off switch (reads are one relaxed atomic load).
 [[nodiscard]] bool task_events_enabled() noexcept;
 void set_task_events_enabled(bool enabled) noexcept;
 
 /// Ring capacity (events per thread) for rings created AFTER the call;
-/// existing rings keep theirs. Default 65536.
+/// existing rings keep theirs. Default 81920 (3.75 MiB per thread).
 void set_task_event_ring_capacity(std::size_t events) noexcept;
 
 /// Process-wide task / sweep id allocators (1-based; 0 is "no id").
@@ -95,15 +105,20 @@ void set_task_event_ring_capacity(std::size_t events) noexcept;
 [[nodiscard]] std::uint64_t next_task_id() noexcept;
 [[nodiscard]] std::uint64_t next_sweep_id() noexcept;
 
-/// Records one event on the calling thread's ring (overwrites the
-/// oldest when full). No-op when disabled — callers on hot paths
-/// should check task_events_enabled() first to skip id allocation.
+/// Records one event, stamped now, on the calling thread's ring
+/// (overwrites the oldest when full). No-op when disabled — callers on
+/// hot paths should check task_events_enabled() first to skip id
+/// allocation.
 void record_task_event(TaskEventKind kind, std::uint64_t task = 0,
                        std::uint64_t a = 0, std::uint64_t b = 0);
 
+/// Records a prebuilt event as is (the ring stamps tid and seq). No-op
+/// when disabled.
+void record_event(TaskEvent event);
+
 /// Cumulative events lost to ring overwrites / recorded successfully
-/// (all rings). Bridged into metrics as obs.task_events_dropped —
-/// CI asserts zero drops on smoke runs.
+/// (all rings). Bridged into metrics as obs.events_dropped and
+/// obs.events_recorded — CI asserts zero drops on smoke runs.
 [[nodiscard]] std::uint64_t task_events_dropped_count() noexcept;
 [[nodiscard]] std::uint64_t task_events_recorded_count() noexcept;
 

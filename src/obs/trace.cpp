@@ -1,229 +1,113 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <memory>
+#include <functional>
+#include <limits>
+#include <map>
 #include <mutex>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/task_events.hpp"
 #include "support/check.hpp"
 
 namespace rdv::obs {
 
 namespace {
 
-std::atomic<bool> g_enabled{false};
-std::atomic<std::size_t> g_ring_capacity{16384};
-std::atomic<std::uint64_t> g_dropped{0};
-
-/// One thread's span ring. The mutex is private to the thread in
-/// steady state (only drain/clear contend), so record() is an
-/// uncontended lock + two stores — cheap, and TSan-clean.
-struct TraceRing {
+/// Append-only string table behind the events' 16-bit string ids. Only
+/// span open/arg/render touch it, never with a ring mutex held.
+struct InternTable {
+  static constexpr std::uint16_t kFullId = 1;
   support::RankedMutex mutex{support::LockRank::kObsRing};
-  std::vector<TraceEvent> slots;
-  /// Next write position; wraps. size_ saturates at capacity.
-  std::size_t head = 0;
-  std::size_t size = 0;
-  std::uint32_t tid = 0;
-
-  void record(const TraceEvent& event) {
-    std::lock_guard lock(mutex);
-    if (slots.empty()) return;  // capacity 0: drop everything
-    if (size == slots.size()) {
-      g_dropped.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ++size;
-    }
-    slots[head] = event;
-    head = (head + 1) % slots.size();
-  }
-
-  /// Events oldest-first.
-  std::vector<TraceEvent> snapshot() {
-    std::lock_guard lock(mutex);
-    std::vector<TraceEvent> out;
-    out.reserve(size);
-    const std::size_t capacity = slots.size();
-    const std::size_t first = (head + capacity - size) % capacity;
-    for (std::size_t i = 0; i < size; ++i) {
-      out.push_back(slots[(first + i) % capacity]);
-    }
-    return out;
-  }
-
-  void clear() {
-    std::lock_guard lock(mutex);
-    head = 0;
-    size = 0;
-  }
+  std::vector<std::string> strings{"", "(intern table full)"};
+  std::map<std::string, std::uint16_t, std::less<>> ids;
 };
 
-struct RingDirectory {
-  support::RankedMutex mutex{support::LockRank::kObsRing};
-  std::vector<std::shared_ptr<TraceRing>> rings;
-};
-
-RingDirectory& directory() {
-  static RingDirectory dir;
-  return dir;
+InternTable& intern_table() {
+  static InternTable table;
+  return table;
 }
 
-/// The calling thread's ring, registered (and sized) on first use.
-/// shared_ptr keeps the ring alive for drains after the thread exits.
-/// The ring id is the shared obs thread id (task_events.hpp), so span
-/// rows and task-event flow rows line up in one Chrome timeline.
-TraceRing& thread_ring() {
-  thread_local const std::shared_ptr<TraceRing> ring = [] {
-    auto r = std::make_shared<TraceRing>();
-    r->slots.resize(g_ring_capacity.load(std::memory_order_relaxed));
-    r->tid = thread_obs_id();
-    RingDirectory& dir = directory();
-    std::lock_guard lock(dir.mutex);
-    dir.rings.push_back(r);
-    return r;
-  }();
-  return *ring;
-}
-
-void copy_name(char (&dst)[TraceEvent::kNameCapacity + 1],
-               std::string_view name) {
-  const std::size_t n = std::min(name.size(), TraceEvent::kNameCapacity);
-  std::memcpy(dst, name.data(), n);
-  dst[n] = '\0';
-}
-
-/// Minimal JSON string escape for names/categories (ours are ASCII
-/// identifiers, but stay safe).
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+/// Interns `s` and returns its id; 0 is the empty string.
+std::uint16_t intern_event_string(std::string_view s) {
+  if (s.empty()) return 0;
+  InternTable& table = intern_table();
+  std::lock_guard lock(table.mutex);
+  if (const auto it = table.ids.find(s); it != table.ids.end()) {
+    return it->second;
   }
-  out += '"';
+  if (table.strings.size() > std::numeric_limits<std::uint16_t>::max()) {
+    return InternTable::kFullId;
+  }
+  const auto id = static_cast<std::uint16_t>(table.strings.size());
+  table.strings.emplace_back(s);
+  table.ids.emplace(s, id);
+  return id;
 }
 
 }  // namespace
 
-bool trace_enabled() noexcept {
-  return g_enabled.load(std::memory_order_relaxed);
+std::string event_string(std::uint16_t id) {
+  InternTable& table = intern_table();
+  std::lock_guard lock(table.mutex);
+  return id < table.strings.size() ? table.strings[id] : std::string();
 }
 
-void set_trace_enabled(bool enabled) noexcept {
-  g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-void set_trace_ring_capacity(std::size_t events) noexcept {
-  g_ring_capacity.store(events, std::memory_order_relaxed);
-}
-
-std::uint64_t trace_dropped_count() noexcept {
-  return g_dropped.load(std::memory_order_relaxed);
-}
-
-void record_span(std::string_view name, const char* category,
-                 std::uint64_t start_micros, std::uint64_t dur_micros,
-                 const char* arg_key, std::uint64_t arg_value) {
-  if (!trace_enabled()) return;
-  TraceRing& ring = thread_ring();
-  TraceEvent event;
-  copy_name(event.name, name);
-  event.category = category;
-  event.start_micros = start_micros;
-  event.dur_micros = dur_micros;
-  event.tid = ring.tid;
-  event.arg_key = arg_key;
-  event.arg_value = arg_value;
-  ring.record(event);
-}
-
-Span::Span(const char* category, std::string_view name) noexcept
-    : active_(trace_enabled()), category_(category) {
+Span::Span(const char* category, std::string_view name)
+    : active_(task_events_enabled()) {
   if (!active_) return;
-  copy_name(name_, name);
+  category_ = intern_event_string(category);
+  name_ = intern_event_string(name);
   start_micros_ = now_micros();
+}
+
+void Span::arg(const char* key, std::uint64_t value) {
+  if (!active_) return;
+  arg_key_ = intern_event_string(key);
+  arg_value_ = value;
 }
 
 Span::~Span() {
   if (!active_) return;
-  record_span(name_, category_, start_micros_,
-              now_micros() - start_micros_, arg_key_, arg_value_);
+  TaskEvent event;
+  event.kind = TaskEventKind::kSpan;
+  event.t_micros = start_micros_;
+  event.a = now_micros() - start_micros_;
+  event.b = arg_value_;
+  event.category = category_;
+  event.name = name_;
+  event.arg_key = arg_key_;
+  record_event(event);
 }
 
-std::vector<TraceEvent> drain_trace() {
-  std::vector<std::shared_ptr<TraceRing>> rings;
-  {
-    RingDirectory& dir = directory();
-    std::lock_guard lock(dir.mutex);
-    rings = dir.rings;
-  }
-  std::vector<TraceEvent> events;
-  for (const auto& ring : rings) {
-    std::vector<TraceEvent> part = ring->snapshot();
-    events.insert(events.end(), part.begin(), part.end());
-  }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.start_micros != b.start_micros
-                                ? a.start_micros < b.start_micros
-                                : a.tid < b.tid;
-                   });
-  return events;
+void append_chrome_slice(std::string& out, std::string_view name,
+                         std::string_view category, std::uint32_t tid,
+                         std::uint64_t ts, std::uint64_t dur,
+                         const std::string& args) {
+  out += "{\"name\":";
+  json::append_string(out, name);
+  out += ",\"cat\":";
+  json::append_string(out, category);
+  out += ",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tid) +
+         ",\"ts\":" + std::to_string(ts) + ",\"dur\":" + std::to_string(dur);
+  if (!args.empty()) out += ",\"args\":{" + args + "}";
+  out += '}';
 }
 
-void clear_trace() {
-  std::vector<std::shared_ptr<TraceRing>> rings;
-  {
-    RingDirectory& dir = directory();
-    std::lock_guard lock(dir.mutex);
-    rings = dir.rings;
-  }
-  for (const auto& ring : rings) ring->clear();
-  g_dropped.store(0, std::memory_order_relaxed);
-}
-
-std::string render_chrome_trace(const std::vector<TraceEvent>& events,
+std::string render_chrome_trace(const std::vector<TaskEvent>& events,
                                 const std::string& extra_events) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  for (const TraceEvent& e : events) {
+  for (const TaskEvent& e : events) {
+    if (e.kind != TaskEventKind::kSpan) continue;
     if (!first) out += ',';
     first = false;
-    out += "{\"name\":";
-    append_json_string(out, e.name);
-    out += ",\"cat\":";
-    append_json_string(out, e.category);
-    out += ",\"ph\":\"X\",\"pid\":1,\"tid\":";
-    out += std::to_string(e.tid);
-    out += ",\"ts\":";
-    out += std::to_string(e.start_micros);
-    out += ",\"dur\":";
-    out += std::to_string(e.dur_micros);
-    if (e.arg_key != nullptr) {
-      out += ",\"args\":{";
-      append_json_string(out, e.arg_key);
-      out += ':';
-      out += std::to_string(e.arg_value);
-      out += '}';
+    std::string args;
+    if (e.arg_key != 0) {
+      json::append_string(args, event_string(e.arg_key));
+      args += ':' + std::to_string(e.b);
     }
-    out += '}';
+    append_chrome_slice(out, event_string(e.name), event_string(e.category),
+                        e.tid, e.t_micros, e.a, args);
   }
   if (!extra_events.empty()) {
     if (!first) out += ',';
@@ -231,21 +115,6 @@ std::string render_chrome_trace(const std::vector<TraceEvent>& events,
   }
   out += "]}";
   return out;
-}
-
-bool write_chrome_trace(const std::string& path) {
-  const std::string json = render_chrome_trace(drain_trace());
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "obs: cannot write trace %s\n", path.c_str());
-    return false;
-  }
-  out << json;
-  if (!out.flush().good()) {
-    std::fprintf(stderr, "obs: short write to trace %s\n", path.c_str());
-    return false;
-  }
-  return true;
 }
 
 }  // namespace rdv::obs

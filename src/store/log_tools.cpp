@@ -9,22 +9,6 @@ namespace rdv::store {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 support::Table record_table(const ResultRecord& r) {
   support::Table table(r.headers);
   for (const std::vector<std::string>& row : r.rows) table.add_row(row);
@@ -55,8 +39,11 @@ std::string render_log_json(const std::vector<ResultRecord>& records,
   for (std::size_t i = 0; i < records.size(); ++i) {
     const ResultRecord& r = records[i];
     if (i != 0) out << ",";
-    out << "\n  {\"experiment_id\": \"" << json_escape(r.experiment_id)
-        << "\", \"scale\": \"" << json_escape(r.scale) << "\"";
+    std::string head = "\n  {\"experiment_id\": ";
+    support::append_json_string(head, r.experiment_id);
+    head += ", \"scale\": ";
+    support::append_json_string(head, r.scale);
+    out << head;
     if (include_wall) out << ", \"wall_micros\": " << r.wall_micros;
     out << ", \"items_total\": " << r.items_total
         << ", \"items_produced\": " << r.items_produced

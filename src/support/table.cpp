@@ -66,8 +66,6 @@ std::string Table::to_csv() const {
   return out.str();
 }
 
-namespace {
-
 void append_json_string(std::string& out, const std::string& s) {
   out += '"';
   for (const char c : s) {
@@ -90,6 +88,8 @@ void append_json_string(std::string& out, const std::string& s) {
   }
   out += '"';
 }
+
+namespace {
 
 void append_json_row(std::string& out, const std::vector<std::string>& cells) {
   out += '[';

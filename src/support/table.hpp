@@ -48,6 +48,11 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
+/// Appends `s` as a JSON string literal with full escaping (`"`, `\`,
+/// \n, \r, \t, and every other control byte as \u00XX) — the one
+/// escaper behind to_json and the result-log JSON export.
+void append_json_string(std::string& out, const std::string& s);
+
 /// Formats a round count, rendering kRoundInfinity as "inf".
 [[nodiscard]] std::string format_rounds(std::uint64_t rounds);
 

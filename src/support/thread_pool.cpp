@@ -223,8 +223,6 @@ void ThreadPool::worker_loop(std::size_t index) {
       run_task(task);
       continue;
     }
-    const bool traced = obs::trace_enabled();
-    const std::uint64_t park_start = traced ? obs::now_micros() : 0;
     obs::record_task_event(obs::TaskEventKind::kPark);
     {
       std::unique_lock lock(sleep_mutex_);
@@ -238,10 +236,6 @@ void ThreadPool::worker_loop(std::size_t index) {
       pool_metrics().wakeups.add();
     }
     obs::record_task_event(obs::TaskEventKind::kUnpark);
-    if (traced) {
-      obs::record_span("park", "pool", park_start,
-                       obs::now_micros() - park_start);
-    }
   }
 }
 
@@ -268,8 +262,6 @@ void ThreadPool::assist_until(const std::function<bool()>& done,
     // for or executing on some other thread. Sleep until anything is
     // submitted or completes (both bump the epoch), then re-check.
     if (done()) return;
-    const bool traced = obs::trace_enabled();
-    const std::uint64_t park_start = traced ? obs::now_micros() : 0;
     obs::record_task_event(obs::TaskEventKind::kPark);
     {
       std::unique_lock lock(sleep_mutex_);
@@ -282,10 +274,6 @@ void ThreadPool::assist_until(const std::function<bool()>& done,
       pool_metrics().wakeups.add();
     }
     obs::record_task_event(obs::TaskEventKind::kUnpark);
-    if (traced) {
-      obs::record_span("park.wait", "pool", park_start,
-                       obs::now_micros() - park_start);
-    }
   }
 }
 

@@ -13,7 +13,6 @@
 #include "cache/artifact_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/task_events.hpp"
-#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
@@ -112,8 +111,6 @@ std::vector<R> sweep_map(std::size_t n,
   support::ThreadPool& pool = detail::effective_pool(config);
   const std::size_t chunks =
       n == 0 ? 0 : (n + chunk_size - 1) / chunk_size;
-  obs::Span sweep_span("sweep", "map");
-  sweep_span.arg("items", n);
   // Profiler markers (ISSUE 9): the sweep id joins this sweep's chunk
   // tasks and merges into one DAG the analyzer can walk. All profiling
   // is sidecar-only — ids are allocated only when enabled, so the off
@@ -159,8 +156,6 @@ std::vector<R> sweep_map(std::size_t n,
     std::atomic<bool>* done = &chunk_done[c];
     const std::uint64_t task_id =
         group.submit([lo, hi, out, done, &fn, &stop_flag] {
-          obs::Span chunk_span("sweep", "chunk");
-          chunk_span.arg("items", hi - lo);
           detail::SweepMetrics& metrics = detail::sweep_metrics();
           metrics.chunks.add();
           out->reserve(hi - lo);
@@ -200,8 +195,6 @@ std::vector<R> sweep_map(std::size_t n,
         },
         group.tag());
     if (!stopped) {
-      obs::Span merge_span("sweep", "merge");
-      merge_span.arg("chunk", front);
       // Note for the analyzer: the chunk task publishes chunk_done
       // BEFORE the pool records its kEnd, so this kMergeBegin may
       // carry a timestamp slightly before the chunk's kEnd — the

@@ -134,82 +134,121 @@ TEST(Metrics, SnapshotSourcesAreIdempotentByName) {
   Registry::instance().reset_for_tests();
 }
 
-// ---- tracer ----------------------------------------------------------
+// ---- spans on the one event ring --------------------------------------
 
 TEST(Trace, DisabledSpansRecordNothing) {
-  set_trace_enabled(false);
-  clear_trace();
+  set_task_events_enabled(false);
+  clear_task_events();
   {
     Span span("obs_test", "invisible");
     span.arg("x", 1);
   }
-  record_span("also_invisible", "obs_test", 0, 1);
-  for (const TraceEvent& e : drain_trace()) {
-    EXPECT_STRNE(e.category, "obs_test");
+  for (const TaskEvent& e : drain_task_events()) {
+    EXPECT_NE(e.kind, TaskEventKind::kSpan);
   }
+  EXPECT_EQ(task_events_recorded_count(), 0u);
 }
 
-TEST(Trace, RingOverflowDropsOldestAndNeverBlocks) {
-  clear_trace();
-  set_trace_ring_capacity(4);
-  set_trace_enabled(true);
-  // A fresh thread gets a fresh (capacity-4) ring; recording far more
-  // events than capacity must complete (recording never blocks) and
-  // keep exactly the newest four.
+TEST(EventRing, SpansAndTaskEventsShareOneRing) {
+  clear_task_events();
+  set_task_event_ring_capacity(4);
+  set_task_events_enabled(true);
+  // A fresh thread gets a fresh capacity-4 ring. Three spans and seven
+  // task events, interleaved, must never block, keep exactly the
+  // newest four in record order, and count each of the six overwrites
+  // once — there is no second ring to drop into.
   std::thread([] {
-    for (int i = 0; i < 100; ++i) {
-      const std::string name = "evt" + std::to_string(i);
-      record_span(name, "obs_test_ring", 1000 + static_cast<uint64_t>(i),
-                  1);
+    std::uint64_t task = 9000;
+    std::uint64_t span = 0;
+    for (const char kind : std::string("TSTTSTTTST")) {
+      if (kind == 'T') {
+        record_task_event(TaskEventKind::kBegin, task++);
+      } else {
+        Span s("obs_test_ring", "span " + std::to_string(span++));
+      }
     }
   }).join();
-  set_trace_enabled(false);
-  set_trace_ring_capacity(16384);
-  std::vector<TraceEvent> mine;
-  for (const TraceEvent& e : drain_trace()) {
-    if (std::string_view(e.category) == "obs_test_ring") mine.push_back(e);
+  set_task_events_enabled(false);
+  set_task_event_ring_capacity(81920);
+  std::vector<std::string> mine;
+  for (const TaskEvent& e : drain_task_events()) {
+    if (e.kind == TaskEventKind::kSpan &&
+        event_string(e.category) == "obs_test_ring") {
+      mine.push_back(event_string(e.name));
+    } else if (e.kind == TaskEventKind::kBegin && e.task >= 9000 &&
+               e.task < 9007) {
+      mine.push_back(std::to_string(e.task));
+    }
   }
-  ASSERT_EQ(mine.size(), 4u);
-  EXPECT_STREQ(mine[0].name, "evt96");
-  EXPECT_STREQ(mine[3].name, "evt99");
-  EXPECT_GE(trace_dropped_count(), 96u);
-  clear_trace();
-  EXPECT_EQ(trace_dropped_count(), 0u);
+  EXPECT_EQ(mine, (std::vector<std::string>{"9004", "9005", "span 2",
+                                            "9006"}));
+  EXPECT_EQ(task_events_dropped_count(), 6u);
+  EXPECT_EQ(task_events_recorded_count(), 10u);
+  clear_task_events();
+  EXPECT_EQ(task_events_dropped_count(), 0u);
+  EXPECT_EQ(task_events_recorded_count(), 0u);
 }
 
-TEST(Trace, LongNamesTruncateSafely) {
-  clear_trace();
-  set_trace_enabled(true);
+TEST(Trace, NamesOfAnyLengthRoundTripThroughTheInternTable) {
+  clear_task_events();
+  set_task_events_enabled(true);
   const std::string longname(200, 'x');
-  record_span(longname, "obs_test_name", 1, 2, "k", 3);
-  set_trace_enabled(false);
+  {
+    // The name is built on the fly and dies before the span closes.
+    Span span("obs_test_name", std::string(longname));
+    span.arg("k", 3);
+  }
+  set_task_events_enabled(false);
+  const std::vector<TaskEvent> events = drain_task_events();
   bool found = false;
-  for (const TraceEvent& e : drain_trace()) {
-    if (std::string_view(e.category) != "obs_test_name") continue;
+  for (const TaskEvent& e : events) {
+    if (e.kind != TaskEventKind::kSpan ||
+        event_string(e.category) != "obs_test_name") {
+      continue;
+    }
     found = true;
-    EXPECT_EQ(std::string_view(e.name).size(), TraceEvent::kNameCapacity);
-    EXPECT_EQ(e.arg_value, 3u);
+    EXPECT_EQ(event_string(e.name), longname);
+    EXPECT_EQ(event_string(e.arg_key), "k");
+    EXPECT_EQ(e.b, 3u);
   }
   EXPECT_TRUE(found);
-  clear_trace();
+  EXPECT_NE(render_chrome_trace(events).find("\"" + longname + "\""),
+            std::string::npos);
+  EXPECT_EQ(event_string(0), "");
+  clear_task_events();
 }
 
 TEST(Trace, ChromeRenderEscapesAndShapes) {
-  TraceEvent e;
-  std::snprintf(e.name, sizeof e.name, "quote\"back\\slash");
-  e.category = "cat";
-  e.start_micros = 10;
-  e.dur_micros = 5;
-  e.tid = 3;
-  e.arg_key = "items";
-  e.arg_value = 42;
-  const std::string json = render_chrome_trace({e});
+  clear_task_events();
+  set_task_events_enabled(true);
+  {
+    Span span("cat", "quote\"back\\slash\x01");
+    span.arg("items", 42);
+  }
+  set_task_events_enabled(false);
+  std::vector<TaskEvent> spans;
+  for (const TaskEvent& e : drain_task_events()) {
+    if (e.kind == TaskEventKind::kSpan) spans.push_back(e);
+  }
+  clear_task_events();
+  ASSERT_EQ(spans.size(), 1u);
+  TaskEvent e = spans[0];
+  e.t_micros = 10;
+  e.a = 5;
+  TaskEvent lifecycle;
+  lifecycle.kind = TaskEventKind::kBegin;
+  lifecycle.task = 77;
+  const std::string json = render_chrome_trace({e, lifecycle});
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("quote\\\"back\\\\slash"), std::string::npos);
+  EXPECT_NE(json.find("quote\\\"back\\\\slash\\u0001"), std::string::npos);
   EXPECT_NE(json.find("\"ts\":10"), std::string::npos);
   EXPECT_NE(json.find("\"dur\":5"), std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"items\":42}"), std::string::npos);
+  // Only spans render as slices; lifecycle events reach the trace
+  // through the reconstructed profile (render_task_trace_events).
+  EXPECT_EQ(json.find("\"ph\":\"X\"", json.find("\"ph\":\"X\"") + 1),
+            std::string::npos);
 }
 
 // ---- task-lifecycle events -------------------------------------------
@@ -227,51 +266,6 @@ TEST(TaskEvents, DisabledRecordsNothingAndAllocatorsStayMonotone) {
   EXPECT_GT(a, 0u);
   EXPECT_GT(b, a);
   EXPECT_GT(next_sweep_id(), 0u);
-}
-
-TEST(TaskEvents, KindNamesAreStable) {
-  EXPECT_STREQ(task_event_kind_name(TaskEventKind::kSubmit), "submit");
-  EXPECT_STREQ(task_event_kind_name(TaskEventKind::kDequeue), "dequeue");
-  EXPECT_STREQ(task_event_kind_name(TaskEventKind::kSteal), "steal");
-  EXPECT_STREQ(task_event_kind_name(TaskEventKind::kBegin), "begin");
-  EXPECT_STREQ(task_event_kind_name(TaskEventKind::kEnd), "end");
-  EXPECT_STREQ(task_event_kind_name(TaskEventKind::kPark), "park");
-  EXPECT_STREQ(task_event_kind_name(TaskEventKind::kUnpark), "unpark");
-  EXPECT_STREQ(task_event_kind_name(TaskEventKind::kSweepBegin),
-               "sweep_begin");
-  EXPECT_STREQ(task_event_kind_name(TaskEventKind::kSweepEnd), "sweep_end");
-  EXPECT_STREQ(task_event_kind_name(TaskEventKind::kChunkTask),
-               "chunk_task");
-  EXPECT_STREQ(task_event_kind_name(TaskEventKind::kMergeBegin),
-               "merge_begin");
-  EXPECT_STREQ(task_event_kind_name(TaskEventKind::kMergeEnd), "merge_end");
-}
-
-TEST(TaskEvents, TinyRingOverflowCountsDropsAndKeepsNewest) {
-  clear_task_events();
-  set_task_event_ring_capacity(4);
-  set_task_events_enabled(true);
-  // A fresh thread gets a fresh capacity-4 ring; ten events must never
-  // block, keep exactly the newest four, and count the six overwrites.
-  std::thread([] {
-    for (std::uint64_t i = 0; i < 10; ++i) {
-      record_task_event(TaskEventKind::kBegin, 9000 + i);
-    }
-  }).join();
-  set_task_events_enabled(false);
-  set_task_event_ring_capacity(65536);
-  std::vector<std::uint64_t> mine;
-  for (const TaskEvent& e : drain_task_events()) {
-    if (e.task >= 9000 && e.task < 9010) mine.push_back(e.task);
-  }
-  ASSERT_EQ(mine.size(), 4u);
-  EXPECT_EQ(mine.front(), 9006u);
-  EXPECT_EQ(mine.back(), 9009u);
-  EXPECT_EQ(task_events_dropped_count(), 6u);
-  EXPECT_EQ(task_events_recorded_count(), 10u);
-  clear_task_events();
-  EXPECT_EQ(task_events_dropped_count(), 0u);
-  EXPECT_EQ(task_events_recorded_count(), 0u);
 }
 
 TEST(TaskEvents, DrainIsDeterministicAndPreservesPerThreadOrder) {
@@ -941,7 +935,7 @@ TEST(EndToEnd, PrimaryStdoutIsByteIdenticalWithSidecarsOn) {
       {"rdv_bench", "t1_shrink_families", "--smoke", metrics_flag.c_str(),
        trace_flag.c_str()},
       sidecar_rc);
-  set_trace_enabled(false);
+  set_task_events_enabled(false);
 
   EXPECT_EQ(plain_rc, 0);
   EXPECT_EQ(sidecar_rc, 0);
@@ -964,6 +958,8 @@ TEST(EndToEnd, PrimaryStdoutIsByteIdenticalWithSidecarsOn) {
       snap.histograms.count("exp.t1_shrink_families.wall_micros"), 1u);
   EXPECT_GE(
       snap.histograms.at("exp.t1_shrink_families.wall_micros").count, 1u);
+  EXPECT_EQ(snap.counters.at("obs.events_dropped"), 0u);
+  EXPECT_GT(snap.counters.at("obs.events_recorded"), 0u);
 
   // The trace sidecar is a Chrome-trace JSON with experiment spans.
   std::ifstream tin(trace_path, std::ios::binary);
@@ -978,7 +974,84 @@ TEST(EndToEnd, PrimaryStdoutIsByteIdenticalWithSidecarsOn) {
 
   ::unlink(metrics_path.c_str());
   ::unlink(trace_path.c_str());
-  clear_trace();
+  clear_task_events();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+std::size_t count_of(const std::string& haystack, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+/// Checks that a Chrome trace records each moment of `profile` once:
+/// one X slice per completed sweep, executed task, merge and park, and
+/// none of the span slices that used to duplicate them. With
+/// `same_drain` false the profile comes from a later drain, which may
+/// hold a task end or park that landed after the trace was written, so
+/// tasks and parks are checked as at-most-once.
+void expect_one_slice_per_moment(const std::string& trace,
+                                 const Profile& profile, bool same_drain) {
+  EXPECT_EQ(count_of(trace, "{\"name\":\"map\","), 0u);
+  EXPECT_EQ(count_of(trace, "{\"name\":\"chunk\","), 0u);
+  EXPECT_EQ(count_of(trace, "{\"name\":\"merge\",\"cat\":\"sweep\""), 0u);
+  EXPECT_EQ(count_of(trace, "\"park.wait\""), 0u);
+
+  std::size_t sweeps = 0;
+  for (const SweepProfile& sp : profile.sweeps) {
+    if (sp.end_t == 0) continue;
+    ++sweeps;
+    EXPECT_EQ(count_of(trace, "{\"name\":\"sweep " + std::to_string(sp.id) +
+                                  "\",\"cat\":\"sweep\",\"ph\":\"X\""),
+              1u);
+  }
+  std::size_t merges = 0;
+  for (const MergeProfile& m : profile.merges) {
+    if (m.end_t == 0) continue;
+    ++merges;
+    EXPECT_EQ(count_of(trace, "{\"name\":\"merge " + std::to_string(m.sweep) +
+                                  ":" + std::to_string(m.chunk) +
+                                  "\",\"cat\":\"sweep\",\"ph\":\"X\""),
+              1u);
+  }
+  EXPECT_GT(sweeps, 0u);
+  EXPECT_EQ(count_of(trace, "\"cat\":\"sweep\",\"ph\":\"X\""),
+            sweeps + merges);
+
+  std::size_t tasks = 0;
+  for (const TaskProfile& t : profile.tasks) {
+    if (t.begin_t == 0 || t.end_t == 0) continue;
+    ++tasks;
+    const std::size_t slices = count_of(
+        trace, "\"args\":{\"task\":" + std::to_string(t.id) + "}}");
+    if (same_drain) {
+      EXPECT_EQ(slices, 1u) << "task " << t.id;
+    } else {
+      EXPECT_LE(slices, 1u) << "task " << t.id;
+    }
+  }
+  EXPECT_GT(tasks, 0u);
+  const std::size_t task_slices =
+      count_of(trace, "\"cat\":\"task\",\"ph\":\"X\"");
+  const std::size_t park_slices =
+      count_of(trace, "{\"name\":\"park\",\"cat\":\"pool\",\"ph\":\"X\"");
+  if (same_drain) {
+    EXPECT_EQ(task_slices, tasks);
+    EXPECT_EQ(park_slices, profile.parks.size());
+  } else {
+    EXPECT_LE(task_slices, tasks);
+    EXPECT_LE(park_slices, profile.parks.size());
+  }
 }
 
 TEST(EndToEnd, ProfileSidecarKeepsStdoutByteIdenticalAndStitchesFlows) {
@@ -995,7 +1068,6 @@ TEST(EndToEnd, ProfileSidecarKeepsStdoutByteIdenticalAndStitchesFlows) {
       {"rdv_bench", "t1_shrink_families", "--smoke", profile_flag.c_str(),
        trace_flag.c_str()},
       profiled_rc);
-  set_trace_enabled(false);
   set_task_events_enabled(false);
 
   EXPECT_EQ(plain_rc, 0);
@@ -1005,12 +1077,8 @@ TEST(EndToEnd, ProfileSidecarKeepsStdoutByteIdenticalAndStitchesFlows) {
 
   // The profile sidecar parses strictly and reconstructs the smoke
   // run's sweeps with zero ring drops.
-  std::ifstream pin(profile_path, std::ios::binary);
-  ASSERT_TRUE(pin.good());
-  std::ostringstream pbuf;
-  pbuf << pin.rdbuf();
   Profile profile;
-  ASSERT_TRUE(parse_profile_json(pbuf.str(), &profile));
+  ASSERT_TRUE(parse_profile_json(read_file(profile_path), &profile));
   EXPECT_EQ(profile.dropped, 0u);
   EXPECT_GE(profile.sweeps.size(), 1u);
   EXPECT_FALSE(profile.tasks.empty());
@@ -1018,20 +1086,40 @@ TEST(EndToEnd, ProfileSidecarKeepsStdoutByteIdenticalAndStitchesFlows) {
   for (const TaskProfile& t : profile.tasks) chunk_seen |= t.is_chunk;
   EXPECT_TRUE(chunk_seen);
 
-  // With --profile-out active the trace sidecar carries both the span
-  // slices and the task flow arrows on one timeline.
-  std::ifstream tin(trace_path, std::ios::binary);
-  ASSERT_TRUE(tin.good());
-  std::ostringstream tbuf;
-  tbuf << tin.rdbuf();
-  const std::string trace = tbuf.str();
+  // Both sidecars come from one drain: the trace carries the span
+  // slices, the task flow arrows, and exactly one slice per moment of
+  // the profile written next to it.
+  const std::string trace = read_file(trace_path);
   EXPECT_NE(trace.find("\"cat\":\"exp.case\""), std::string::npos);
   EXPECT_NE(trace.find("\"cat\":\"flow\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"s\""), std::string::npos);
+  expect_one_slice_per_moment(trace, profile, /*same_drain=*/true);
 
   ::unlink(profile_path.c_str());
   ::unlink(trace_path.c_str());
-  clear_trace();
+  clear_task_events();
+}
+
+TEST(EndToEnd, TraceOnlyRunCarriesFlowsAndOneSlicePerMoment) {
+  const std::string trace_path = "/tmp/rdv_obs_test_trace_only.json";
+  const std::string trace_flag = "--trace-out=" + trace_path;
+  clear_task_events();
+  int rc = -1;
+  (void)run_capturing_stdout(
+      {"rdv_bench", "t1_shrink_families", "--smoke", trace_flag.c_str()},
+      rc);
+  set_task_events_enabled(false);
+  EXPECT_EQ(rc, 0);
+
+  // --trace-out alone turns the one switch on, so the lifecycle events
+  // behind the flow arrows are recorded without --profile-out.
+  const std::string trace = read_file(trace_path);
+  EXPECT_NE(trace.find("\"cat\":\"flow\",\"ph\":\"s\""), std::string::npos);
+  EXPECT_NE(trace.find("\"ph\":\"f\""), std::string::npos);
+  expect_one_slice_per_moment(trace, build_profile(drain_task_events()),
+                              /*same_drain=*/false);
+
+  ::unlink(trace_path.c_str());
   clear_task_events();
 }
 

@@ -681,6 +681,21 @@ TEST(LogTools, CsvAndJsonRenderingsAreWallStableByDefault) {
   EXPECT_NE(json.find("x,y|z\\\"quoted\\\""), std::string::npos);
 }
 
+TEST(LogTools, JsonExportEscapesControlBytesInRecordFields) {
+  // experiment_id and scale come from a log file on disk, so any byte
+  // may appear; a raw control byte would make the export invalid JSON.
+  ResultRecord record = sample_record(0);
+  record.experiment_id = "exp\x01id";
+  record.scale = "sm\x1foke";
+  const std::string json = render_log_json({record});
+  EXPECT_NE(json.find("\"experiment_id\": \"exp\\u0001id\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"scale\": \"sm\\u001foke\""), std::string::npos);
+  for (const char c : json) {
+    EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20);
+  }
+}
+
 TEST(LogTools, DiffIgnoresWallByDefaultAndCatchesRealDivergence) {
   std::vector<ResultRecord> run_a = {sample_record(0), sample_record(1)};
   std::vector<ResultRecord> run_b = run_a;
