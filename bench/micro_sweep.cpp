@@ -30,8 +30,11 @@
 // on an oriented ring, the symmetric double tree and lazily interned
 // Q-hat, best-of-3 wall per cell over a fixed STIC set, plus T6's
 // dedicated Z runs for k = 6 on a fresh Q-hat(24) per repetition (the
-// cost of interning the theorem-regime graph). Informational: no gate,
-// only the sim_ns_per_move_* trend fields.
+// cost of interning the theorem-regime graph). Each cell also reports
+// coroutine resumes per move (the sim.resumes counter over its moves):
+// walk segments run without resuming the agent, so this names the
+// cause when ns/move changes. Informational: no gate, only the
+// sim_ns_per_move_* and sim_resumes_per_move_* trend fields.
 //
 // Emits one BENCH_sweep.json datapoint (into REPRO_CSV_DIR when set,
 // else the working directory) covering all comparisons for trend
@@ -50,6 +53,7 @@
 #include "analysis/experiments.hpp"
 #include "analysis/steiner.hpp"
 #include "cache/artifact_cache.hpp"
+#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/task_events.hpp"
 #include "core/asymm_rv.hpp"
@@ -594,10 +598,21 @@ int main() {
     }
     arenas.push_back(std::move(qhat));
   }
-  // (algorithm_topology, ns/move) for the JSON trend fields.
+  // (algorithm_topology, ns/move) and (algorithm_topology,
+  // resumes/move) for the JSON trend fields.
   std::vector<std::pair<std::string, double>> sim_ns_per_move;
+  std::vector<std::pair<std::string, double>> sim_resumes_per_move;
+  rdv::obs::Counter& sim_resumes = rdv::obs::counter("sim.resumes");
+  // Resumes per move over `repeats` repetitions of a cell's moves.
+  const auto resumes_per_move = [&](std::uint64_t before,
+                                    std::uint64_t moves) {
+    return moves > 0 ? static_cast<double>(sim_resumes.value() - before) /
+                           repeats / static_cast<double>(moves)
+                     : 0.0;
+  };
   rdv::support::Table sim_table({"program", "topology", "runs", "moves",
-                                 "rounds", "best ms", "ns/move"});
+                                 "rounds", "best ms", "ns/move",
+                                 "resumes/move"});
   rdv::core::UniversalOptions sim_universal;
   sim_universal.max_phases = 40;
   const auto universal_program = rdv::core::universal_rv_program(sim_universal);
@@ -628,6 +643,7 @@ int main() {
       }
       std::uint64_t moves = 0;
       std::uint64_t rounds = 0;
+      const std::uint64_t resumes_before = sim_resumes.value();
       const double ms = best_of_ms(repeats, [&] {
         moves = 0;
         rounds = 0;
@@ -642,12 +658,15 @@ int main() {
       });
       const double ns_per_move =
           moves > 0 ? ms * 1e6 / static_cast<double>(moves) : 0;
+      const double resumes = resumes_per_move(resumes_before, moves);
       sim_ns_per_move.emplace_back(algorithm + "_" + arena.key, ns_per_move);
+      sim_resumes_per_move.emplace_back(algorithm + "_" + arena.key, resumes);
       sim_table.add_row({algorithm, arena.topo->name(),
                          std::to_string(arena.stics.size()),
                          std::to_string(moves), std::to_string(rounds),
                          rdv::support::format_double(ms, 3),
-                         rdv::support::format_double(ns_per_move, 1)});
+                         rdv::support::format_double(ns_per_move, 1),
+                         rdv::support::format_double(resumes, 3)});
     }
   }
   {
@@ -663,6 +682,7 @@ int main() {
     std::size_t runs = 0;
     std::uint64_t moves = 0;
     std::uint64_t rounds = 0;
+    const std::uint64_t resumes_before = sim_resumes.value();
     const double ms = best_of_ms(repeats, [&] {
       const families::QhatImplicitTopology topo(4 * kZ);
       const auto z = families::qhat_z_set(topo, topo.root(), kZ);
@@ -679,11 +699,14 @@ int main() {
     });
     const double ns_per_move =
         moves > 0 ? ms * 1e6 / static_cast<double>(moves) : 0;
+    const double resumes = resumes_per_move(resumes_before, moves);
     sim_ns_per_move.emplace_back("z_qhat24", ns_per_move);
+    sim_resumes_per_move.emplace_back("z_qhat24", resumes);
     sim_table.add_row({"dedicated_z(6)", name, std::to_string(runs),
                        std::to_string(moves), std::to_string(rounds),
                        rdv::support::format_double(ms, 3),
-                       rdv::support::format_double(ns_per_move, 1)});
+                       rdv::support::format_double(ns_per_move, 1),
+                       rdv::support::format_double(resumes, 3)});
   }
   rdv::analysis::emit_table("micro_sweep_sim",
                             "M7: simulator cost per agent move", sim_table);
@@ -722,6 +745,9 @@ int main() {
        << ",\"profile_dropped\":" << profile.dropped;
   for (const auto& [key, ns] : sim_ns_per_move) {
     json << ",\"sim_ns_per_move_" << key << "\":" << ns;
+  }
+  for (const auto& [key, resumes] : sim_resumes_per_move) {
+    json << ",\"sim_resumes_per_move_" << key << "\":" << resumes;
   }
   json << ",\"refine\":[";
   for (std::size_t i = 0; i < refine_points.size(); ++i) {

@@ -1,5 +1,6 @@
 #include "analysis/steiner.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "graph/families/qhat.hpp"
@@ -26,21 +27,14 @@ namespace {
 
 Proc dedicated_z_body(Mailbox& mb, std::uint32_t k) {
   const auto gammas = graph::families::qhat_gamma_strings(k);
-  std::vector<graph::Port> entries;
-  entries.reserve(2 * k);
+  std::vector<graph::Port> path(2 * k);
+  std::vector<graph::Port> entries(2 * k);
   for (const auto& gamma : gammas) {
-    entries.clear();
-    // Traverse gamma gamma.
-    for (int rep = 0; rep < 2; ++rep) {
-      for (const graph::Port p : gamma) {
-        const Observation o = co_await mb.move(p);
-        entries.push_back(*o.entry_port);
-      }
-    }
-    // Walk back home.
-    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-      co_await mb.move(*it);
-    }
+    // Traverse gamma gamma, then walk back home.
+    std::copy(gamma.begin(), gamma.end(), path.begin());
+    std::copy(gamma.begin(), gamma.end(), path.begin() + k);
+    co_await mb.walk_ports(path, entries);
+    co_await mb.retrace(entries);
   }
 }
 

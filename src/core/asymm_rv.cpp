@@ -1,5 +1,8 @@
 #include "core/asymm_rv.hpp"
 
+#include <span>
+#include <vector>
+
 #include "core/bounds.hpp"
 #include "core/explore.hpp"
 #include "core/signature.hpp"
@@ -17,21 +20,12 @@ using support::sat_pow;
 namespace {
 
 /// One explore-and-return: walk the application of Y, backtrack home.
-/// Exactly explore_return_rounds(M) = 2(M+1) rounds.
-Proc uxs_explore_return(Mailbox& mb, const uxs::Uxs& y) {
-  std::vector<graph::Port> entries;
-  entries.reserve(y.length() + 1);
-  Observation o = co_await mb.move(0);
-  entries.push_back(*o.entry_port);
-  for (std::uint64_t a : y.terms()) {
-    const graph::Port port =
-        static_cast<graph::Port>((*o.entry_port + a) % o.degree);
-    o = co_await mb.move(port);
-    entries.push_back(*o.entry_port);
-  }
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    co_await mb.move(*it);
-  }
+/// Exactly explore_return_rounds(M) = 2(M+1) rounds. `entries` holds
+/// M + 1 ports.
+Proc uxs_explore_return(Mailbox& mb, const uxs::Uxs& y,
+                        std::span<graph::Port> entries) {
+  co_await mb.walk_uxs(y.terms(), entries);
+  co_await mb.retrace(entries);
 }
 
 /// Waits out the rest of the budget; the agent must be at its home.
@@ -61,6 +55,8 @@ Proc asymm_rv(Mailbox& mb, std::uint32_t n, const uxs::Uxs& y,
   }
   if (bits.empty()) bits.push_back(true);  // degenerate label: explore
 
+  std::vector<graph::Port> entries(y.length() + 1);
+
   for (std::uint32_t p = 0;; ++p) {
     const std::uint64_t block = sat_mul(E, sat_pow(2, p + 2));
     const std::uint64_t reps = block / E;
@@ -71,7 +67,7 @@ Proc asymm_rv(Mailbox& mb, std::uint32_t n, const uxs::Uxs& y,
             co_await drain(mb, end_clock);
             co_return;
           }
-          co_await uxs_explore_return(mb, y);
+          co_await uxs_explore_return(mb, y, entries);
         }
       } else {
         if (remaining() < block) {

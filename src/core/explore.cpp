@@ -1,11 +1,12 @@
 #include "core/explore.hpp"
 
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 namespace rdv::core {
 
 using sim::Mailbox;
-using sim::Observation;
 using sim::Proc;
 
 Proc explore(Mailbox& mb, std::uint32_t d, std::uint64_t delta,
@@ -25,9 +26,13 @@ Proc explore(Mailbox& mb, std::uint32_t d, std::uint64_t delta,
     co_return;
   }
 
-  std::vector<graph::Port> path(d, 0);      // current port sequence
-  std::vector<graph::Port> degrees(d, 0);   // degree before step i
-  std::vector<graph::Port> entries(d, 0);   // entry ports of traversal
+  // The current port sequence, the degree before each step (for the
+  // lexicographic successor) and the entry ports (for the reverse
+  // path), in one allocation per call.
+  std::vector<graph::Port> buffer(3 * static_cast<std::size_t>(d), 0);
+  const std::span<graph::Port> path(buffer.data(), d);
+  const std::span<graph::Port> degrees(buffer.data() + d, d);
+  const std::span<graph::Port> entries(buffer.data() + 2 * d, d);
   const std::uint64_t iteration_cost = static_cast<std::uint64_t>(d) + delta;
 
   for (;;) {
@@ -35,16 +40,16 @@ Proc explore(Mailbox& mb, std::uint32_t d, std::uint64_t delta,
         mb.clock() + iteration_cost + reserve > end_clock) {
       co_return;  // would overrun; agent is at u
     }
-    // Traverse the path, recording degrees (for the lexicographic
-    // successor) and entry ports (for the reverse path).
-    for (std::uint32_t i = 0; i < d; ++i) {
-      degrees[i] = mb.last().degree;
-      const Observation o = co_await mb.move(path[i]);
-      entries[i] = *o.entry_port;
-    }
-    // Reverse path back to u.
-    for (std::uint32_t i = d; i-- > 0;) {
-      co_await mb.move(entries[i]);
+    // Traverse the path, then take the reverse path back to u. A
+    // one-move path stays a plain move: there a segment's setup costs
+    // more than the resume it saves.
+    if (d == 1) {
+      degrees[0] = mb.last().degree;
+      entries[0] = *(co_await mb.move(path[0])).entry_port;
+      co_await mb.move(entries[0]);
+    } else {
+      co_await mb.walk_ports(path, entries, degrees);
+      co_await mb.retrace(entries);
     }
     if (delta > d) co_await mb.wait(delta - d);
 

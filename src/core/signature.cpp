@@ -5,7 +5,6 @@
 namespace rdv::core {
 
 using sim::Mailbox;
-using sim::Observation;
 using sim::Proc;
 
 namespace {
@@ -22,25 +21,20 @@ void append_fixed_width(std::vector<bool>* bits, std::uint64_t value,
 Proc signature_walk(Mailbox& mb, std::uint32_t n, const uxs::Uxs& y,
                     std::vector<bool>* bits_out) {
   const unsigned width = support::bits_for(n == 0 ? 1 : n);
-  std::vector<graph::Port> entries;
-  entries.reserve(y.length() + 1);
+  const std::size_t steps = y.length() + 1;
+  std::vector<graph::Port> entries(steps);
+  std::vector<graph::Port> degrees(steps);
 
-  Observation o = co_await mb.move(0);
-  entries.push_back(*o.entry_port);
-  append_fixed_width(bits_out, *o.entry_port & ((1ull << width) - 1), width);
-  append_fixed_width(bits_out, o.degree & ((1ull << width) - 1), width);
-  for (std::uint64_t a : y.terms()) {
-    const graph::Port port =
-        static_cast<graph::Port>((*o.entry_port + a) % o.degree);
-    o = co_await mb.move(port);
-    entries.push_back(*o.entry_port);
-    append_fixed_width(bits_out, *o.entry_port & ((1ull << width) - 1),
-                       width);
-    append_fixed_width(bits_out, o.degree & ((1ull << width) - 1), width);
+  // Step i enters node u_{i+1}; its degree is the degree before step
+  // i + 1, or the arrival observation's after the last step.
+  const graph::Port last_degree =
+      (co_await mb.walk_uxs(y.terms(), entries, degrees)).degree;
+  for (std::size_t i = 0; i < steps; ++i) {
+    const graph::Port degree = i + 1 < steps ? degrees[i + 1] : last_degree;
+    append_fixed_width(bits_out, entries[i] & ((1ull << width) - 1), width);
+    append_fixed_width(bits_out, degree & ((1ull << width) - 1), width);
   }
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    co_await mb.move(*it);
-  }
+  co_await mb.retrace(entries);
 }
 
 std::vector<bool> signature_offline(const graph::ITopology& g,

@@ -17,9 +17,7 @@ namespace {
 /// waits out the remaining budget there.
 Proc go_home_and_level(Mailbox& mb, std::vector<graph::Port> home_entries,
                        std::uint64_t end_clock) {
-  for (auto it = home_entries.rbegin(); it != home_entries.rend(); ++it) {
-    co_await mb.move(*it);
-  }
+  if (!home_entries.empty()) co_await mb.retrace(home_entries);
   if (end_clock != kNoDeadline && mb.clock() < end_clock) {
     co_await mb.wait(end_clock - mb.clock());
   }
@@ -83,9 +81,7 @@ Proc symm_rv(Mailbox& mb, std::uint32_t n, std::uint32_t d,
   }
 
   // Go back to u_0 along the traversed path.
-  for (auto it = home_entries.rbegin(); it != home_entries.rend(); ++it) {
-    co_await mb.move(*it);
-  }
+  co_await mb.retrace(home_entries);
   *completed = true;
 }
 

@@ -6,6 +6,7 @@
 #include <exception>
 #include <functional>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "graph/topology.hpp"
@@ -16,15 +17,28 @@
 /// the paper's pseudocode:
 ///
 ///   Proc my_algorithm(Mailbox& mb, Observation start) {
-///     Observation o = co_await mb.move(0);   // take port 0
-///     o = co_await mb.wait(5);               // stay put 5 rounds
-///     co_await some_subprocedure(mb, o);     // procedures compose
+///     Observation o = co_await mb.move(0);       // take port 0
+///     o = co_await mb.wait(5);                   // stay put 5 rounds
+///     co_await mb.walk_uxs(y.terms(), entries);  // apply Y from here
+///     co_await mb.retrace(entries);              // and walk back
+///     co_await some_subprocedure(mb, o);         // procedures compose
 ///   }
 ///
 /// The engine resumes the coroutine chain once per completed action and
 /// delivers the resulting Observation — exactly the model of Section 1:
 /// per round an agent either stays or moves by a chosen port, and on
 /// arrival sees the degree and the entry port.
+///
+/// Besides single moves and waits, an agent may hand the engine a walk
+/// segment: a run of moves whose every port follows a rule fixed before
+/// the walk starts (apply Y, follow a port list, retrace recorded entry
+/// ports). A segment of L moves takes L rounds and is the same as L
+/// `move`s — the same per-step port check, trace events and meetings —
+/// but the engine runs it itself and resumes the coroutine once, when
+/// it ends, with the last move's observation. The entry port of every
+/// step (and optionally the degree before it) is written into buffers
+/// the awaiting frame owns; they must stay alive and unresized until the
+/// co_await returns. An empty segment is a zero-length wait.
 namespace rdv::sim {
 
 /// What an agent perceives at a node (Section 1). Agents never see node
@@ -38,10 +52,11 @@ struct Observation {
   std::uint64_t clock = 0;
 };
 
-/// One decision: move through a port, or stay put for `rounds` rounds
-/// (the engine fast-forwards multi-round waits).
+/// One decision: move through a port, stay put for `rounds` rounds
+/// (the engine fast-forwards multi-round waits), or walk the mailbox's
+/// pending Segment.
 struct Action {
-  enum class Kind : std::uint8_t { kMove, kWait };
+  enum class Kind : std::uint8_t { kMove, kWait, kSegment };
   Kind kind = Kind::kWait;
   graph::Port port = 0;          ///< For kMove.
   std::uint64_t wait_rounds = 0; ///< For kWait; may be huge (saturating).
@@ -52,6 +67,28 @@ struct Action {
   static Action wait(std::uint64_t rounds) {
     return Action{Kind::kWait, 0, rounds};
   }
+};
+
+/// A walk of `length` moves whose ports follow one fixed rule. Step i
+/// writes its entry port to entries[i] and the degree of the node it
+/// leaves to degrees[i] (either pointer may be null).
+struct Segment {
+  enum class Kind : std::uint8_t {
+    /// Apply Y (Section 2): port 0, then (entry + terms[i - 1]) mod
+    /// degree; length = number of terms + 1.
+    kUxs,
+    /// ports[0], ports[1], ..., ports[length - 1].
+    kPorts,
+    /// ports[length - 1], ..., ports[0]: back along recorded entry ports
+    /// (Section 2's reverse path).
+    kRetrace,
+  };
+  Kind kind = Kind::kPorts;
+  std::uint32_t length = 0;
+  const std::uint64_t* terms = nullptr;  ///< For kUxs.
+  const graph::Port* ports = nullptr;    ///< For kPorts and kRetrace.
+  graph::Port* entries = nullptr;
+  graph::Port* degrees = nullptr;
 };
 
 class Mailbox;
@@ -149,6 +186,40 @@ class Mailbox {
     return ActionAwaiter{this, Action::wait(rounds)};
   }
 
+  /// co_await mb.walk_uxs(terms, entries[, degrees]): apply Y from here,
+  /// terms.size() + 1 moves; entries (and degrees, if given) must hold
+  /// that many ports.
+  [[nodiscard]] auto walk_uxs(std::span<const std::uint64_t> terms,
+                              std::span<graph::Port> entries,
+                              std::span<graph::Port> degrees = {}) {
+    assert(entries.size() > terms.size());
+    assert(degrees.empty() || degrees.size() > terms.size());
+    set_segment(Segment::Kind::kUxs, terms.size() + 1, entries.data(),
+                degrees.empty() ? nullptr : degrees.data());
+    segment_.terms = terms.data();
+    return SegmentAwaiter{this};
+  }
+  /// co_await mb.walk_ports(ports, entries[, degrees]): take the given
+  /// ports in order; entries (and degrees, if given) must hold
+  /// ports.size() ports.
+  [[nodiscard]] auto walk_ports(std::span<const graph::Port> ports,
+                                std::span<graph::Port> entries,
+                                std::span<graph::Port> degrees = {}) {
+    assert(entries.size() >= ports.size());
+    assert(degrees.empty() || degrees.size() >= ports.size());
+    set_segment(Segment::Kind::kPorts, ports.size(), entries.data(),
+                degrees.empty() ? nullptr : degrees.data());
+    segment_.ports = ports.data();
+    return SegmentAwaiter{this};
+  }
+  /// co_await mb.retrace(entries): walk back along a traversal whose
+  /// entry ports were recorded, last one first.
+  [[nodiscard]] auto retrace(std::span<const graph::Port> entries) {
+    set_segment(Segment::Kind::kRetrace, entries.size(), nullptr, nullptr);
+    segment_.ports = entries.data();
+    return SegmentAwaiter{this};
+  }
+
   /// Last delivered observation (also the initial one).
   [[nodiscard]] const Observation& last() const noexcept { return last_; }
   /// Agent-local clock of the last observation.
@@ -161,6 +232,9 @@ class Mailbox {
     has_pending_ = false;
     return pending_;
   }
+  /// The segment of the last taken kSegment action; valid until the
+  /// engine resumes the agent.
+  [[nodiscard]] const Segment& segment() const noexcept { return segment_; }
   // The engine writes the observation and the coroutine writes its
   // action field by field: whole-struct copies of these small,
   // mixed-width structs compile to wide loads of values just stored
@@ -194,7 +268,35 @@ class Mailbox {
     }
   };
 
+  // The segment is written field by field straight into the mailbox
+  // (see deliver_and_resume); the engine reads it once the agent
+  // suspends, and the agent cannot act again before the engine resumes
+  // it, so the segment in flight is never overwritten.
+  void set_segment(Segment::Kind kind, std::size_t length,
+                   graph::Port* entries, graph::Port* degrees) noexcept {
+    segment_.kind = kind;
+    segment_.length = static_cast<std::uint32_t>(length);
+    segment_.entries = entries;
+    segment_.degrees = degrees;
+  }
+
+  struct SegmentAwaiter {
+    Mailbox* mailbox;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      mailbox->pending_.kind = Action::Kind::kSegment;
+      mailbox->has_pending_ = true;
+      mailbox->leaf_ = h;
+    }
+    /// The last move's arrival observation (a zero-length wait's for an
+    /// empty segment).
+    const Observation& await_resume() const noexcept {
+      return mailbox->last_;
+    }
+  };
+
   Action pending_{};
+  Segment segment_{};
   bool has_pending_ = false;
   Observation last_{};
   std::coroutine_handle<> leaf_;

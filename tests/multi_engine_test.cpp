@@ -76,11 +76,13 @@ TEST(MultiEngine, RotatingRingNeverGathers) {
 
 TEST(MultiEngine, WaitingForMommy) {
   // The paper's reduction (Section 1): with roles assigned, non-leaders
-  // wait and the leader explores — the leader meets every waiter.
+  // wait and the leader explores — the leader meets every waiter. The
+  // leader walks Y one move at a time, then as one engine-run segment;
+  // both must meet every waiter at the same rounds.
   const Graph g = families::random_connected(9, 4, 13);
   const auto y_handle = cache::cached_uxs(9);
   const uxs::Uxs& y = *y_handle;
-  AgentProgram leader = [&y](Mailbox& mb, Observation) -> Proc {
+  AgentProgram per_move = [&y](Mailbox& mb, Observation) -> Proc {
     return [](Mailbox& mb2, uxs::Uxs seq) -> Proc {
       // Walk the UXS application (covers all nodes), then halt.
       Observation o = co_await mb2.move(0);
@@ -91,26 +93,44 @@ TEST(MultiEngine, WaitingForMommy) {
       co_await mb2.wait(support::kRoundInfinity);
     }(mb, y);
   };
-  std::vector<AgentSpec> specs;
-  specs.push_back({leader, 0, 0});
-  specs.push_back({sleeper(), 3, 0});
-  specs.push_back({sleeper(), 5, 0});
-  specs.push_back({sleeper(), 8, 0});
+  AgentProgram segment = [&y](Mailbox& mb, Observation) -> Proc {
+    return [](Mailbox& mb2, uxs::Uxs seq) -> Proc {
+      std::vector<graph::Port> entries(seq.length() + 1);
+      co_await mb2.walk_uxs(seq.terms(), entries);
+      co_await mb2.wait(support::kRoundInfinity);
+    }(mb, y);
+  };
   MultiRunConfig config;
   config.max_rounds = 8 * (y.length() + 2);
-  const MultiRunResult r = run_multi(g, specs, config);
-  ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_FALSE(r.gathered);  // waiters sit at distinct nodes forever
-  for (std::size_t w = 1; w < specs.size(); ++w) {
-    EXPECT_NE(r.meeting_of(0, w, specs.size()), kNever)
-        << "leader never reached waiter " << w;
-  }
-  // Waiters at distinct nodes never meet each other.
-  for (std::size_t i = 1; i < specs.size(); ++i) {
-    for (std::size_t j = i + 1; j < specs.size(); ++j) {
-      EXPECT_EQ(r.meeting_of(i, j, specs.size()), kNever);
+  config.record_trace = true;
+  std::vector<MultiRunResult> results;
+  for (const AgentProgram& leader : {per_move, segment}) {
+    std::vector<AgentSpec> specs;
+    specs.push_back({leader, 0, 0});
+    specs.push_back({sleeper(), 3, 0});
+    specs.push_back({sleeper(), 5, 0});
+    specs.push_back({sleeper(), 8, 0});
+    const MultiRunResult r = run_multi(g, specs, config);
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_FALSE(r.gathered);  // waiters sit at distinct nodes forever
+    for (std::size_t w = 1; w < specs.size(); ++w) {
+      EXPECT_NE(r.meeting_of(0, w, specs.size()), kNever)
+          << "leader never reached waiter " << w;
     }
+    // Waiters at distinct nodes never meet each other.
+    for (std::size_t i = 1; i < specs.size(); ++i) {
+      for (std::size_t j = i + 1; j < specs.size(); ++j) {
+        EXPECT_EQ(r.meeting_of(i, j, specs.size()), kNever);
+      }
+    }
+    results.push_back(r);
   }
+  EXPECT_EQ(results[0].first_meeting, results[1].first_meeting);
+  EXPECT_EQ(results[0].moves, results[1].moves);
+  EXPECT_EQ(results[0].final_pos, results[1].final_pos);
+  EXPECT_EQ(results[0].rounds_simulated, results[1].rounds_simulated);
+  EXPECT_EQ(results[0].trace.events().size(),
+            results[1].trace.events().size());
 }
 
 TEST(MultiEngine, SingleAgentGathersTrivially) {

@@ -3,15 +3,20 @@
 // topology through the virtual ITopology interface, and two-agent runs
 // use fixed-size storage. A forwarding wrapper around a Graph forces
 // the virtual path on the same graph, so the two paths must agree on
-// every result field, trace event and first-meeting cell. The k = 2
-// (run_anonymous) and k = 3, 4 (run_multi) cases below exercise all
-// four (topology, agent-count) instantiations.
+// every result field, trace event and first-meeting cell, for plain
+// moves and for walk segments (including an out-of-range port inside
+// one). The k = 2 (run_anonymous) and k = 3, 4 (run_multi) cases below
+// exercise all four (topology, agent-count) instantiations.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "analysis/stics.hpp"
+#include "cache/artifact_cache.hpp"
+#include "core/asymm_rv.hpp"
+#include "core/bounds.hpp"
+#include "core/symm_rv.hpp"
 #include "core/universal_rv.hpp"
 #include "graph/families/families.hpp"
 #include "sim/engine.hpp"
@@ -148,6 +153,56 @@ TEST(SimDispatch, ErrorsMatchThroughVirtualTopology) {
   const RunResult a = run_anonymous(g, bad_port, 0, 2, 1, config);
   EXPECT_FALSE(a.ok());
   expect_same(a, run_anonymous(forwarded, bad_port, 0, 2, 1, config));
+}
+
+TEST(SimDispatch, SegmentProgramsMatchThroughVirtualTopology) {
+  // AsymmRV applies Y and walks back in segments; SymmRV with d = 2
+  // explores by port-list segments and goes home by retrace.
+  RunConfig config;
+  config.max_rounds = 1u << 16;
+  config.record_trace = true;
+  config.trace_limit = 1u << 14;
+  for (const Graph& g :
+       {families::oriented_ring(4), families::symmetric_double_tree(1, 1),
+        families::path_graph(3)}) {
+    const ForwardingTopology forwarded(g);
+    const auto y = cache::cached_uxs(g.size());
+    const AgentProgram symm = core::symm_rv_program(g.size(), 2, 3, *y);
+    for (const analysis::Stic& s : analysis::enumerate_stics(g, 2)) {
+      SCOPED_TRACE(g.name() + " u=" + std::to_string(s.u) +
+                   " v=" + std::to_string(s.v) +
+                   " delay=" + std::to_string(s.delay));
+      const AgentProgram asymm = core::asymm_rv_program(
+          g.size(), *y,
+          core::asymm_rv_time_bound(g.size(), s.delay, y->length()));
+      for (const AgentProgram* program : {&asymm, &symm}) {
+        const RunResult a =
+            run_anonymous(g, *program, s.u, s.v, s.delay, config);
+        ASSERT_TRUE(a.ok()) << a.error;
+        expect_same(a, run_anonymous(forwarded, *program, s.u, s.v, s.delay,
+                                     config));
+      }
+    }
+  }
+}
+
+TEST(SimDispatch, SegmentErrorsMatchThroughVirtualTopology) {
+  const AgentProgram bad_port = [](Mailbox& mb, Observation) -> Proc {
+    return [](Mailbox& mb2) -> Proc {
+      const std::vector<graph::Port> ports{0, 0, 7};
+      std::vector<graph::Port> entries(ports.size());
+      co_await mb2.walk_ports(ports, entries);
+    }(mb);
+  };
+  const Graph g = families::oriented_ring(6);
+  const ForwardingTopology forwarded(g);
+  RunConfig config;
+  config.record_trace = true;
+  for (std::uint64_t delay = 0; delay <= 3; ++delay) {
+    const RunResult a = run_anonymous(g, bad_port, 0, 3, delay, config);
+    EXPECT_FALSE(a.ok());
+    expect_same(a, run_anonymous(forwarded, bad_port, 0, 3, delay, config));
+  }
 }
 
 }  // namespace

@@ -3,10 +3,13 @@
 // crossings, final positions) is folded into one FNV-1a digest per
 // workload. The constants were computed with the engine before it was
 // specialized on topology and agent count; any change to scheduling,
-// meeting detection or move accounting moves a digest.
+// meeting detection or move accounting moves a digest. The trace and
+// sleeper pins at the end were computed with the engine that resumed a
+// coroutine once per move, before walk segments existed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "analysis/steiner.hpp"
@@ -14,6 +17,7 @@
 #include "cache/artifact_cache.hpp"
 #include "core/asymm_rv.hpp"
 #include "core/bounds.hpp"
+#include "core/explore.hpp"
 #include "core/symm_rv.hpp"
 #include "core/universal_rv.hpp"
 #include "graph/families/families.hpp"
@@ -22,6 +26,7 @@
 #include "sim/engine.hpp"
 #include "sim/multi_engine.hpp"
 #include "support/saturating.hpp"
+#include "uxs/uxs.hpp"
 
 namespace rdv::sim {
 namespace {
@@ -55,6 +60,15 @@ class Digest {
     add(r.rounds_simulated);
     add(r.edge_crossings);
     for (const graph::Node v : r.final_pos) add(v);
+  }
+  void add(const Trace& t) {
+    add(t.events().size());
+    for (const TraceEvent& e : t.events()) {
+      add(e.round);
+      add(e.agent);
+      add(e.node);
+      add(e.via_port);
+    }
   }
   [[nodiscard]] std::uint64_t value() const { return h_; }
 
@@ -188,6 +202,166 @@ TEST(SimGolden, UniversalRvGatheringOnRing4) {
   }
   EXPECT_EQ(digest.value(), 0xb92c94cf6f3ea0e9ull)
       << std::hex << digest.value();
+}
+
+TEST(SimGolden, TracesOfT2SticsAndZRuns) {
+  // Every trace event (round, agent, node, port) of the T2 STICs under
+  // UniversalRV and of the T6 Z runs, untruncated.
+  RunConfig config;
+  config.record_trace = true;
+  config.trace_limit = std::numeric_limits<std::size_t>::max();
+  Digest digest;
+  std::uint64_t events = 0;
+  auto fold = [&](const RunResult& r) {
+    ASSERT_TRUE(r.ok()) << r.error;
+    ASSERT_FALSE(r.trace.truncated());
+    digest.add(r);
+    digest.add(r.trace);
+    events += r.trace.events().size();
+  };
+
+  core::UniversalOptions options;
+  options.max_phases = 60;
+  const AgentProgram universal = core::universal_rv_program(options);
+  config.max_rounds = 1u << 20;
+  for (const Graph& g : t2_graphs()) {
+    for (const analysis::Stic& s : analysis::enumerate_stics(g, 2)) {
+      fold(run_anonymous(g, universal, s.u, s.v, s.delay, config));
+    }
+  }
+  for (std::uint32_t k = 1; k <= 6; ++k) {
+    const families::QhatImplicitTopology topo(4 * k);
+    const AgentProgram z = analysis::dedicated_z_program(k);
+    config.max_rounds = 64ull * k * (std::uint64_t{2} << k);
+    for (const graph::Node v : families::qhat_z_set(topo, topo.root(), k)) {
+      fold(run_anonymous(topo, z, topo.root(), v, 2 * k, config));
+    }
+  }
+  EXPECT_EQ(events, 1585876u);
+  EXPECT_EQ(digest.value(), 0xa82eeb0a5e6a09d5ull)
+      << std::hex << digest.value();
+}
+
+// Meetings on the last move of a walk. The walker appears first at
+// `start`; a sleeper appears at every node at every round the walker's
+// program lasts, so the first meeting lands on every round the walker
+// occupies a node — in particular on the last move of each Explore
+// path, of each application of Y and of each walk home.
+
+AgentProgram sleeper() {
+  return [](Mailbox& mb, Observation) -> Proc {
+    return [](Mailbox& mb2) -> Proc {
+      co_await mb2.wait(support::kRoundInfinity);
+    }(mb);
+  };
+}
+
+struct SleeperSweep {
+  std::uint64_t runs = 0;
+  std::uint64_t met = 0;
+  Digest digest;
+};
+
+void sweep_sleepers(const Graph& g, const AgentProgram& walker,
+                    graph::Node start, std::uint64_t max_delay,
+                    SleeperSweep* out) {
+  RunConfig config;
+  config.max_rounds = 4 * max_delay + 64;
+  for (graph::Node v = 0; v < g.size(); ++v) {
+    for (std::uint64_t delay = 0; delay <= max_delay; ++delay) {
+      const RunResult r = run_pair(g, walker, sleeper(), start, v, delay,
+                                   config);
+      ASSERT_TRUE(r.ok()) << r.error;
+      out->digest.add(r);
+      ++out->runs;
+      if (r.met) ++out->met;
+    }
+  }
+}
+
+/// Y = (1, 1): on an oriented ring (port 0 clockwise, entered by port
+/// 1) its application from u is u, u+1, u+2, u+3 — the last node is
+/// new on the last move.
+uxs::Uxs clockwise_y() { return uxs::Uxs({1, 1}, "clockwise"); }
+
+TEST(SimGolden, ExploreMeetsSleeperOnLastMoveOfPath) {
+  const Graph g = families::balanced_tree(2, 2);
+  const AgentProgram walker = [](Mailbox& mb, Observation) -> Proc {
+    return core::explore_full(mb, 2, 2);
+  };
+  // With the sleeper already present every node within distance 2 is
+  // met; the leaves only on the last move of a length-2 path.
+  for (graph::Node v = 1; v < g.size(); ++v) {
+    const RunResult r = run_pair(g, walker, sleeper(), 0, v, 0);
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_TRUE(r.met) << "node " << v;
+  }
+  SleeperSweep sweep;
+  sweep_sleepers(g, walker, 0, 30, &sweep);
+  EXPECT_EQ(sweep.runs, 217u);
+  EXPECT_EQ(sweep.met, 127u);
+  EXPECT_EQ(sweep.digest.value(), 0x6ae67755d4bca688ull)
+      << std::hex << sweep.digest.value();
+}
+
+TEST(SimGolden, AsymmRvMeetsSleeperOnLastNodeOfY) {
+  const Graph g = families::oriented_ring(6);
+  // The signature walk applies Y from node 0 and reaches node 3 on its
+  // last move, at round 3.
+  const RunResult first =
+      run_pair(g, core::asymm_rv_program(6, clockwise_y(), 200), sleeper(),
+               0, 3, 0);
+  ASSERT_TRUE(first.ok()) << first.error;
+  EXPECT_TRUE(first.met);
+  EXPECT_EQ(first.meet_round_absolute, 3u);
+  SleeperSweep sweep;
+  sweep_sleepers(g, core::asymm_rv_program(6, clockwise_y(), 200), 0, 60,
+                 &sweep);
+  // With a fixed label the walk skips the signature and repeats
+  // explore-and-return.
+  sweep_sleepers(g,
+                 core::asymm_rv_program(6, clockwise_y(), 200,
+                                        std::vector<bool>{true, false}),
+                 0, 60, &sweep);
+  EXPECT_EQ(sweep.runs, 732u);
+  EXPECT_EQ(sweep.met, 488u);
+  EXPECT_EQ(sweep.digest.value(), 0x9a8e4e304f3c3be5ull)
+      << std::hex << sweep.digest.value();
+}
+
+TEST(SimGolden, SymmRvMeetsSleeperDuringGoHome) {
+  const Graph g = families::oriented_ring(6);
+  // d = 0, delta = 2: wait 2, step, wait 2, step, wait 2, step, wait 2
+  // (node 3 at round 11), then home 3 -> 2 -> 1 -> 0 at rounds 12-14.
+  const AgentProgram plain = core::symm_rv_program(6, 0, 2, clockwise_y());
+  const RunResult at_home = run_pair(g, plain, sleeper(), 0, 0, 5);
+  ASSERT_TRUE(at_home.ok()) << at_home.error;
+  EXPECT_TRUE(at_home.met);
+  EXPECT_EQ(at_home.meet_round_absolute, 14u);
+  const RunResult midway = run_pair(g, plain, sleeper(), 0, 1, 6);
+  ASSERT_TRUE(midway.ok()) << midway.error;
+  EXPECT_TRUE(midway.met);
+  EXPECT_EQ(midway.meet_round_absolute, 13u);
+
+  SleeperSweep sweep;
+  sweep_sleepers(g, plain, 0, 20, &sweep);
+  sweep_sleepers(g, core::symm_rv_program(6, 1, 2, clockwise_y()), 0, 60,
+                 &sweep);
+  // Budgets that cut the procedure mid-way send the agent home early.
+  for (const std::uint64_t end_clock : {9u, 17u, 26u, 33u}) {
+    const AgentProgram cut = [end_clock](Mailbox& mb, Observation) -> Proc {
+      return [](Mailbox& mb2, std::uint64_t end) -> Proc {
+        const uxs::Uxs y = clockwise_y();
+        bool completed = false;
+        co_await core::symm_rv(mb2, 6, 1, 2, y, end, &completed);
+      }(mb, end_clock);
+    };
+    sweep_sleepers(g, cut, 0, 40, &sweep);
+  }
+  EXPECT_EQ(sweep.runs, 1476u);
+  EXPECT_EQ(sweep.met, 638u);
+  EXPECT_EQ(sweep.digest.value(), 0x567542a47194d115ull)
+      << std::hex << sweep.digest.value();
 }
 
 }  // namespace

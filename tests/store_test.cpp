@@ -4,8 +4,10 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,7 +19,9 @@
 #include "store/disk_store.hpp"
 #include "store/log_tools.hpp"
 #include "store/result_log.hpp"
+#include "support/splitmix.hpp"
 #include "uxs/corpus.hpp"
+#include "uxs/uxs.hpp"
 #include "views/quotient.hpp"
 #include "views/refinement.hpp"
 #include "views/shrink.hpp"
@@ -718,6 +722,197 @@ TEST(LogTools, DiffIgnoresWallByDefaultAndCatchesRealDivergence) {
   const LogDiff len = diff_logs(run_a, run_b);
   EXPECT_FALSE(len.identical);
   EXPECT_FALSE(len.report.empty());
+}
+
+// ---- hostile bytes --------------------------------------------------
+//
+// Seeded mutations of valid encodings — bit flips, truncations,
+// insertions and overwritten length fields — fed to every decoder, the
+// result-log reader and the disk store. A decoder may only throw
+// CodecError or accept bytes that are themselves the canonical encoding
+// of some value; a mutated disk store file is always a miss, and a
+// mutated result log is rejected unless it was cut between records.
+// Anything else — another exception, a crash, a sanitizer report —
+// fails the suite, which the ASan and UBSan jobs run unchanged.
+
+constexpr int kMutationsPerInput = 1500;
+
+/// Values written over 4- or 8-byte windows: counts just past the
+/// data, counts that overflow size arithmetic, zero.
+constexpr std::uint64_t kHostileLengths[] = {
+    0,           1,          7,           8,
+    255,         65'536,     0xFFFF'FFFFu, 0x1'0000'0000ull,
+    1ull << 61,  1ull << 63, ~0ull,        ~0ull - 7};
+
+/// One seeded mutation of `bytes`; `focus` bytes from the front are
+/// hit half the time (headers and leading length fields live there).
+std::string mutate(const std::string& bytes, std::size_t focus,
+                   support::SplitMix64& rng) {
+  std::string out = bytes;
+  const auto offset = [&](std::size_t size) -> std::size_t {
+    if (size == 0) return 0;
+    const std::size_t window =
+        rng.next_below(2) == 0 && focus > 0 ? std::min(focus, size) : size;
+    return static_cast<std::size_t>(rng.next_below(window));
+  };
+  switch (rng.next_below(4)) {
+    case 0: {  // flip one bit
+      if (out.empty()) break;
+      const std::size_t at = offset(out.size());
+      out[at] = static_cast<char>(out[at] ^ (1 << rng.next_below(8)));
+      break;
+    }
+    case 1:  // truncate
+      out.resize(static_cast<std::size_t>(rng.next_below(out.size() + 1)));
+      break;
+    case 2: {  // insert 1..8 bytes
+      const std::size_t at =
+          static_cast<std::size_t>(rng.next_below(out.size() + 1));
+      std::string junk(1 + rng.next_below(8), '\0');
+      for (char& c : junk) c = static_cast<char>(rng.next());
+      out.insert(at, junk);
+      break;
+    }
+    default: {  // overwrite a little-endian length-sized window
+      const std::size_t width = rng.next_below(2) == 0 ? 4 : 8;
+      if (out.size() < width) break;
+      const std::size_t at = offset(out.size() - width + 1);
+      const std::uint64_t value =
+          kHostileLengths[rng.next_below(std::size(kHostileLengths))];
+      for (std::size_t b = 0; b < width; ++b) {
+        out[at + b] = static_cast<char>((value >> (8 * b)) & 0xFF);
+      }
+      break;
+    }
+  }
+  return out;
+}
+
+/// Decodes every mutation of `valid`; an accepted mutation must be the
+/// canonical encoding of what it decoded to.
+template <class T>
+void fuzz_decoder(const std::string& valid,
+                  const std::function<T(std::string_view)>& decode,
+                  const std::function<std::string(const T&)>& encode,
+                  std::uint64_t seed) {
+  ASSERT_EQ(encode(decode(valid)), valid);
+  support::SplitMix64 rng(seed);
+  int rejected = 0;
+  for (int i = 0; i < kMutationsPerInput; ++i) {
+    const std::string bytes = mutate(valid, 24, rng);
+    try {
+      const T value = decode(bytes);
+      EXPECT_EQ(encode(value), bytes) << "mutation " << i;
+    } catch (const CodecError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutation " << i << " threw " << e.what();
+    }
+  }
+  EXPECT_GT(rejected, kMutationsPerInput / 2);
+}
+
+TEST(CodecFuzz, UxsDecoder) {
+  for (const std::size_t length : {0u, 3u, 40u}) {
+    fuzz_decoder<uxs::Uxs>(
+        encode_uxs(uxs::Uxs::pseudo_random(length, 7 + length)), decode_uxs,
+        encode_uxs, 0xF00D + length);
+  }
+}
+
+TEST(CodecFuzz, ViewClassAndQuotientDecoders) {
+  for (const graph::Graph& g :
+       {families::oriented_ring(6), families::random_connected(9, 4, 13),
+        families::symmetric_double_tree(1, 1)}) {
+    const views::ViewClasses classes = views::compute_view_classes(g);
+    fuzz_decoder<views::ViewClasses>(encode_view_classes(classes),
+                                     decode_view_classes, encode_view_classes,
+                                     0xC1A55 + g.size());
+    fuzz_decoder<views::QuotientGraph>(
+        encode_quotient(views::build_quotient(g, classes)), decode_quotient,
+        encode_quotient, 0x0B0E + g.size());
+  }
+}
+
+TEST(CodecFuzz, AllPairsShrinkDecoder) {
+  for (const graph::Graph& g :
+       {families::path_graph(3), families::random_connected(8, 9, 61)}) {
+    fuzz_decoder<views::AllPairsShrink>(
+        encode_all_pairs_shrink(views::shrink_all_pairs(g)),
+        decode_all_pairs_shrink, encode_all_pairs_shrink, 0x5A + g.size());
+  }
+}
+
+TEST(CodecFuzz, ResultRecordDecoder) {
+  fuzz_decoder<ResultRecord>(encode_result_record(sample_record(3)),
+                             decode_result_record, encode_result_record,
+                             0x12E5);
+}
+
+TEST(CodecFuzz, ResultLogReaderRejectsEveryMutation) {
+  const std::string path = fresh_dir("fuzz_log") + "/results.rdvl";
+  {
+    ResultLogWriter writer(path);
+    ASSERT_TRUE(writer.ok());
+    for (int i = 0; i < 3; ++i) writer.append(sample_record(i));
+  }
+  const std::string valid = read_file(path);
+  support::SplitMix64 rng(0x106);
+  for (int i = 0; i < kMutationsPerInput; ++i) {
+    const std::string bytes = mutate(valid, 8, rng);
+    write_file(path, bytes);
+    try {
+      // Only a cut exactly between records leaves a valid (shorter)
+      // log: its records are the first ones written.
+      const std::vector<ResultRecord> records = read_result_log(path);
+      EXPECT_TRUE(valid.compare(0, bytes.size(), bytes) == 0)
+          << "mutation " << i;
+      ASSERT_LE(records.size(), 3u);
+      for (std::size_t r = 0; r < records.size(); ++r) {
+        EXPECT_EQ(encode_result_record(records[r]),
+                  encode_result_record(sample_record(static_cast<int>(r))));
+      }
+    } catch (const CodecError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutation " << i << " threw " << e.what();
+    }
+  }
+}
+
+TEST(CodecFuzz, DiskStoreMissesOnEveryMutatedFile) {
+  DiskConfig config;
+  config.root = fresh_dir("fuzz_disk");
+  DiskStore store(config);
+  const std::string payload =
+      encode_uxs(uxs::Uxs::pseudo_random(12, 0xD15C));
+  ASSERT_TRUE(store.save(Kind::kUxs, "n6", payload));
+  const std::string path = store.path_for(Kind::kUxs, "n6");
+  const std::string valid = read_file(path);
+  // Magic, version, salt, kind and key echo, payload size and checksum.
+  const std::size_t header = valid.size() - payload.size();
+  support::SplitMix64 rng(0xD15C);
+  int mutated = 0;
+  for (int i = 0; i < kMutationsPerInput; ++i) {
+    const std::string bytes = mutate(valid, header, rng);
+    if (bytes == valid) continue;
+    ++mutated;
+    write_file(path, bytes);
+    try {
+      EXPECT_FALSE(store.load(Kind::kUxs, "n6").has_value())
+          << "mutation " << i;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutation " << i << " threw " << e.what();
+    }
+  }
+  const DiskStats stats = store.stats(Kind::kUxs);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.corrupt + stats.version_mismatch,
+            static_cast<std::uint64_t>(mutated));
+  // The untouched file still loads.
+  write_file(path, valid);
+  const auto loaded = store.load(Kind::kUxs, "n6");
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(*loaded, payload);
 }
 
 }  // namespace
