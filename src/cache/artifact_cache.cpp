@@ -102,36 +102,6 @@ std::shared_ptr<const views::ViewClasses> ArtifactCache::view_classes(
       view_classes_bytes);
 }
 
-std::vector<std::shared_ptr<const views::ViewClasses>>
-ArtifactCache::view_classes_batch(
-    std::span<const graph::Graph* const> graphs,
-    support::ThreadPool* pool) {
-  std::vector<std::shared_ptr<const views::ViewClasses>> out(graphs.size());
-  if (graphs.empty()) return out;
-  support::ThreadPool& p =
-      pool != nullptr ? *pool : support::default_pool();
-  // Same chunking rationale as views::view_classes_batch: small chunks
-  // load-balance censuses mixing tiny and n>=1024 graphs.
-  constexpr std::size_t kChunk = 4;
-  if (graphs.size() <= kChunk || p.thread_count() <= 1) {
-    for (std::size_t i = 0; i < graphs.size(); ++i) {
-      out[i] = view_classes(*graphs[i]);
-    }
-    return out;
-  }
-  support::TaskGroup group(p);
-  for (std::size_t begin = 0; begin < graphs.size(); begin += kChunk) {
-    const std::size_t end = std::min(begin + kChunk, graphs.size());
-    group.submit([this, &graphs, &out, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) {
-        out[i] = view_classes(*graphs[i]);
-      }
-    });
-  }
-  group.wait();
-  return out;
-}
-
 std::shared_ptr<const views::QuotientGraph> ArtifactCache::quotient(
     const graph::Graph& g) {
   return quotient(g, fingerprint(g));
@@ -155,8 +125,10 @@ std::shared_ptr<const uxs::Uxs> ArtifactCache::uxs(std::uint32_t n) {
   return uxs_.get_or_compute(
       n,
       [this, n] {
+        std::string key = "n";
+        key += std::to_string(n);
         return through_disk<uxs::Uxs>(
-            disk(), store::Kind::kUxs, "n" + std::to_string(n),
+            disk(), store::Kind::kUxs, key,
             store::encode_uxs, store::decode_uxs,
             [n] { return uxs::corpus_verified_uxs(n); });
       },

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -11,7 +10,6 @@
 #include "cache/sharded_store.hpp"
 #include "graph/graph.hpp"
 #include "store/disk_store.hpp"
-#include "support/thread_pool.hpp"
 #include "uxs/uxs.hpp"
 #include "views/quotient.hpp"
 #include "views/refinement.hpp"
@@ -92,18 +90,6 @@ class ArtifactCache {
       const graph::Graph& g);
   [[nodiscard]] std::shared_ptr<const views::ViewClasses> view_classes(
       const graph::Graph& g, const GraphFingerprint& fp);
-
-  /// Cache-aware face of views::view_classes_batch (ISSUE 8): refines
-  /// many graphs at once, fanning contiguous chunks onto `pool`
-  /// (nullptr: the process default) while every graph still resolves
-  /// through both tiers — memory hits and disk read-throughs skip the
-  /// refiner entirely, so a warm store keeps its zero-recompute
-  /// invariant, and actual computes land on the pool workers' reusable
-  /// worklist arenas. Results come back in input order; deterministic
-  /// regardless of schedule or cache state.
-  [[nodiscard]] std::vector<std::shared_ptr<const views::ViewClasses>>
-  view_classes_batch(std::span<const graph::Graph* const> graphs,
-                     support::ThreadPool* pool = nullptr);
 
   /// Quotient of g by view equivalence; resolves the partition through
   /// the view-classes store (reusing one fingerprint for both), so a

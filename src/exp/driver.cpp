@@ -41,7 +41,6 @@ options:
   --census         census scale (full + big random-graph STIC censuses;
                    default comes from REPRO_CENSUS)
   --threads N      run on a dedicated pool of N threads
-  --chunk N        chunk size for the experiments' inner sweeps
   --csv-dir DIR    write <dir>/<id>.csv   (default: REPRO_CSV_DIR)
   --json-dir DIR   write <dir>/<id>.json  (default: REPRO_JSON_DIR)
   --json           also print each table as JSON to stdout
@@ -82,7 +81,6 @@ struct Args {
   Scale scale = Scale::kQuick;
   bool scale_forced = false;
   std::size_t threads = 0;
-  std::size_t chunk = 0;
   std::string csv_dir;
   std::string json_dir;
   std::string store_dir;
@@ -127,10 +125,10 @@ int parse_args(int argc, const char* const* argv, Args& args) {
       return true;
     };
     const bool takes_value =
-        arg == "--threads" || arg == "--chunk" || arg == "--csv-dir" ||
-        arg == "--json-dir" || arg == "--store-dir" ||
-        arg == "--result-log" || arg == "--metrics-out" ||
-        arg == "--trace-out" || arg == "--profile-out";
+        arg == "--threads" || arg == "--csv-dir" || arg == "--json-dir" ||
+        arg == "--store-dir" || arg == "--result-log" ||
+        arg == "--metrics-out" || arg == "--trace-out" ||
+        arg == "--profile-out";
     if (has_inline && !takes_value) {
       std::fprintf(stderr, "rdv_bench: option %s does not take a value\n",
                    std::string(arg).c_str());
@@ -158,12 +156,10 @@ int parse_args(int argc, const char* const* argv, Args& args) {
       args.json_stdout = true;
     } else if (arg == "--check") {
       args.check = true;
-    } else if (arg == "--threads" || arg == "--chunk") {
+    } else if (arg == "--threads") {
       std::string_view v;
-      std::size_t& slot = arg == "--threads" ? args.threads : args.chunk;
-      if (!value(v) || !parse_size(v, slot)) {
-        std::fprintf(stderr, "rdv_bench: %s needs a positive count\n",
-                     std::string(arg).c_str());
+      if (!value(v) || !parse_size(v, args.threads)) {
+        std::fputs("rdv_bench: --threads needs a positive count\n", stderr);
         return 2;
       }
     } else if (arg == "--csv-dir" || arg == "--json-dir" ||
@@ -499,7 +495,6 @@ int run_main(int argc, const char* const* argv) {
 
   ExpContext ctx;
   ctx.scale = args.scale;
-  if (args.chunk != 0) ctx.sweep.chunk_size = args.chunk;
   std::unique_ptr<support::ThreadPool> pool;
   if (args.threads != 0) {
     pool = std::make_unique<support::ThreadPool>(args.threads);

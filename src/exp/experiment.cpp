@@ -30,15 +30,11 @@ ExpOutput run_experiment(const Experiment& experiment,
   const std::vector<CaseFn> cases = experiment.cases(ctx);
   exp_span.arg("cases", cases.size());
   ExpOutput output{support::Table(experiment.headers), {}, {}};
-  // One case per chunk: cases are heavyweight (each renders a whole
-  // row of simulations/searches), so per-case scheduling is the right
-  // granularity no matter what chunk size the caller tuned for the
-  // kernels' own inner sweeps. Kernels that sweep on the pool
-  // themselves (t1/t2) fan out here too: TaskGroup::wait is
+  // Cases run at the sweep's derived grain: one case per chunk until an
+  // experiment has more than 16 cases per pool thread. Kernels that
+  // sweep on the pool themselves (t1/t2) fan out here too: waits are
   // work-assisting, so a nested sweep blocking inside a pool task
   // executes its own chunks instead of deadlocking the worker.
-  sweep::SweepConfig per_case = ctx.sweep;
-  per_case.chunk_size = 1;
   std::vector<std::vector<std::string>> rows =
       sweep::sweep_map<std::vector<std::string>>(
           cases.size(),
@@ -47,7 +43,7 @@ ExpOutput run_experiment(const Experiment& experiment,
             case_span.arg("case", i);
             return cases[i](ctx);
           },
-          per_case, {}, &output.stats);
+          ctx.sweep, {}, &output.stats);
   for (std::vector<std::string>& row : rows) {
     if (!row.empty()) output.table.add_row(std::move(row));
   }

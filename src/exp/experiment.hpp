@@ -41,8 +41,9 @@ enum class Scale {
 [[nodiscard]] const char* scale_name(Scale scale) noexcept;
 
 /// Everything a case kernel may depend on besides its own parameters.
-/// The sweep config carries the pool, the artifact cache, and the
-/// chunking; kernels resolve shared artifacts through `cache()` so a
+/// The sweep config carries the pool and the artifact cache (the sweep
+/// layer derives its own chunking from each sweep's size and the pool
+/// width); kernels resolve shared artifacts through `cache()` so a
 /// disabled cache degrades to recomputation without changing output.
 struct ExpContext {
   Scale scale = Scale::kQuick;
@@ -117,7 +118,7 @@ struct ExpOutput {
 };
 
 /// Instantiates the experiment's cases and executes them on the sweep
-/// substrate (sweep_map, one case per chunk), merging rows in case
+/// substrate (sweep_map at its derived grain), merging rows in case
 /// order. Output is byte-identical for any pool size and any cache
 /// configuration (tests/exp_test.cpp pins this for every registered
 /// experiment).

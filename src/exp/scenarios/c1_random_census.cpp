@@ -72,18 +72,6 @@ void register_c1(Registry& registry) {
       graphs->push_back(families::random_connected(512, 900, 34));
       graphs->push_back(families::random_connected(1024, 1792, 35));
     }
-    // Prewarm the view partitions through the cache's batched entry:
-    // chunks fan out on the sweep pool while each graph still resolves
-    // through both tiers, so per-case cached_view_classes lookups below
-    // are pure hits. Skipped when caching is off — the batch would
-    // compute partitions that nothing retains (per-case output is
-    // byte-identical either way; only WHEN refinement runs changes).
-    if (ctx.cache() != nullptr && ctx.cache()->config().enabled) {
-      std::vector<const Graph*> ptrs;
-      ptrs.reserve(graphs->size());
-      for (const Graph& g : *graphs) ptrs.push_back(&g);
-      (void)ctx.cache()->view_classes_batch(ptrs, ctx.sweep.pool);
-    }
     const std::uint64_t max_delay =
         ctx.smoke() ? 1 : (ctx.census() ? 3 : 2);
     std::vector<CaseFn> fns;

@@ -31,7 +31,12 @@ std::string render_witness(
   std::string out;
   for (const auto a : witness) {
     if (!out.empty()) out += ' ';
-    out += (a == 0) ? "w" : "p" + std::to_string(a - 1);
+    if (a == 0) {
+      out += 'w';
+    } else {
+      out += 'p';
+      out += std::to_string(a - 1);
+    }
   }
   return out.empty() ? "(empty)" : out;
 }

@@ -300,25 +300,6 @@ void TaskGroup::wait() {
   pool_.assist_until([this] { return pending() == 0; }, tag());
 }
 
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn) {
-  if (begin >= end) return;
-  const std::size_t total = end - begin;
-  const std::size_t chunks =
-      std::min(total, std::max<std::size_t>(1, pool.thread_count() * 4));
-  const std::size_t chunk = (total + chunks - 1) / chunks;
-  TaskGroup group(pool);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    group.submit([lo, hi, &fn] {
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    });
-  }
-  group.wait();
-}
-
 ThreadPool& default_pool() {
   static ThreadPool pool;
   return pool;

@@ -12,8 +12,9 @@
 
 #include "support/check.hpp"
 
-/// Work-stealing thread pool + parallel_for used by the experiment
-/// sweeps (STIC enumeration, feasibility cross-checks).
+/// Work-stealing thread pool used by the experiment sweeps (STIC
+/// enumeration, feasibility cross-checks); sweep::sweep_map is the one
+/// caller that splits work into chunks for it.
 ///
 /// Topology: one deque per worker plus one shared queue for external
 /// submitters. A worker pushes its own submissions onto its own deque
@@ -205,14 +206,6 @@ class TaskGroup {
   ThreadPool& pool_;
   std::atomic<std::size_t> pending_{0};
 };
-
-/// Runs fn(i) for i in [begin, end) across the pool with contiguous
-/// chunking. Blocks until all iterations complete (via a TaskGroup, so
-/// unrelated tasks on the same pool are not waited on). With a 1-thread
-/// pool this degrades to a serial loop (our CI box has one core; the
-/// structure still matches the HPC-sweep idiom).
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn);
 
 /// Process-wide default pool (lazily constructed).
 ThreadPool& default_pool();

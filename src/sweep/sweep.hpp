@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -38,9 +39,13 @@
 namespace rdv::sweep {
 
 struct SweepConfig {
-  /// Items per chunk; 0 falls back to the default. Small chunks load-
-  /// balance better, large chunks amortize scheduling.
-  std::size_t chunk_size = 64;
+  /// Items per chunk. 0 (the default) derives the grain from the work:
+  /// max(1, ceil(n / (16 * pool threads))), about 16 chunks per worker,
+  /// so a sweep of a few dozen expensive items still spreads over the
+  /// whole pool. A nonzero value is an explicit override for callers
+  /// that measure the scheduler at a fixed grain. The grain only moves
+  /// chunk boundaries; output is merged by index either way.
+  std::size_t chunk_size = 0;
   /// Pool to run on; nullptr uses support::default_pool(). The runner
   /// tracks its own chunks with a support::TaskGroup, so independent
   /// sweeps may share one pool without waiting on each other; kernels
@@ -57,10 +62,12 @@ struct SweepConfig {
 
 struct SweepStats {
   std::size_t items_total = 0;
+  /// Chunks the index space was split into. With the derived grain this
+  /// depends on the pool width, like chunks_scheduled; the merged
+  /// output never does.
   std::size_t chunks_total = 0;
   /// Chunks actually handed to the pool. Scheduling-dependent (wave
-  /// width scales with the pool); everything else in a sweep result is
-  /// thread-count-invariant.
+  /// width scales with the pool).
   std::size_t chunks_scheduled = 0;
   std::size_t items_produced = 0;
   bool stopped_early = false;
@@ -70,8 +77,16 @@ struct SweepStats {
 };
 
 namespace detail {
-inline std::size_t effective_chunk_size(const SweepConfig& config) {
-  return config.chunk_size == 0 ? 64 : config.chunk_size;
+/// Chunks per pool thread for the derived grain: enough that one slow
+/// chunk cannot leave the other workers parked, few enough that chunk
+/// dispatch stays a small share of an item's cost.
+inline constexpr std::size_t kChunksPerThread = 16;
+
+inline std::size_t grain(std::size_t n, const SweepConfig& config,
+                         const support::ThreadPool& pool) {
+  if (config.chunk_size != 0) return config.chunk_size;
+  const std::size_t target = kChunksPerThread * pool.thread_count();
+  return std::max<std::size_t>(1, (n + target - 1) / target);
 }
 inline support::ThreadPool& effective_pool(const SweepConfig& config) {
   return config.pool != nullptr ? *config.pool : support::default_pool();
@@ -107,8 +122,8 @@ std::vector<R> sweep_map(std::size_t n,
                          const SweepConfig& config = {},
                          const std::function<bool(const R&)>& stop_when = {},
                          SweepStats* stats = nullptr) {
-  const std::size_t chunk_size = detail::effective_chunk_size(config);
   support::ThreadPool& pool = detail::effective_pool(config);
+  const std::size_t chunk_size = detail::grain(n, config, pool);
   const std::size_t chunks =
       n == 0 ? 0 : (n + chunk_size - 1) / chunk_size;
   // Profiler markers (ISSUE 9): the sweep id joins this sweep's chunk

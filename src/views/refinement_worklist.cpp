@@ -203,37 +203,10 @@ ViewClasses WorklistRefiner::refine(const Graph& g) {
 
 ViewClasses compute_view_classes_worklist(const Graph& g) {
   // One refiner per thread: the pool's workers (and any caller thread)
-  // keep their scratch arenas warm across cache computes and batch
+  // keep their scratch arenas warm across cache computes and sweep
   // chunks alike.
   thread_local WorklistRefiner refiner;
   return refiner.refine(g);
-}
-
-std::vector<ViewClasses> view_classes_batch(
-    std::span<const graph::Graph* const> graphs,
-    const ViewClassesBatchOptions& options) {
-  std::vector<ViewClasses> out(graphs.size());
-  if (graphs.empty()) return out;
-  support::ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : support::default_pool();
-  const std::size_t chunk = options.chunk_size == 0 ? 1 : options.chunk_size;
-  if (graphs.size() <= chunk || pool.thread_count() <= 1) {
-    for (std::size_t i = 0; i < graphs.size(); ++i) {
-      out[i] = compute_view_classes_worklist(*graphs[i]);
-    }
-    return out;
-  }
-  support::TaskGroup group(pool);
-  for (std::size_t begin = 0; begin < graphs.size(); begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, graphs.size());
-    group.submit([&graphs, &out, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) {
-        out[i] = compute_view_classes_worklist(*graphs[i]);
-      }
-    });
-  }
-  group.wait();
-  return out;
 }
 
 }  // namespace rdv::views

@@ -1,11 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "support/thread_pool.hpp"
 #include "views/refinement.hpp"
 
 /// Splitter-worklist partition refinement (ISSUE 8 tentpole).
@@ -37,8 +35,8 @@ namespace rdv::views {
 /// buffers live in the instance and are recycled across refine() calls,
 /// so batch workloads (census sweeps, fuzz loops) do no per-graph
 /// allocation churn once the high-water graph size has been seen.
-/// Not thread-safe; use one instance per thread (view_classes_batch
-/// keeps one per pool worker).
+/// Not thread-safe; use one instance per thread
+/// (compute_view_classes_worklist keeps one per thread).
 class WorklistRefiner {
  public:
   /// Computes the stable view-equivalence partition of g.
@@ -82,23 +80,6 @@ class WorklistRefiner {
 /// Worklist refinement through a per-thread reusable WorklistRefiner
 /// (the production engine behind compute_view_classes).
 [[nodiscard]] ViewClasses compute_view_classes_worklist(const graph::Graph& g);
-
-/// Batched refinement: refines every graph in `graphs` and returns the
-/// partitions in input order. Fans out on `pool` (nullptr: the process
-/// default pool) in contiguous chunks through a TaskGroup, one reused
-/// per-worker scratch arena serving each chunk — the entry point for
-/// census pipelines that refine many graphs before streaming rows.
-/// Deterministic: output depends only on the graphs, never on the
-/// schedule.
-struct ViewClassesBatchOptions {
-  support::ThreadPool* pool = nullptr;
-  /// Graphs per task; small enough to load-balance a census mixing
-  /// n=6 and n=1024 graphs, large enough to amortize task dispatch.
-  std::size_t chunk_size = 4;
-};
-[[nodiscard]] std::vector<ViewClasses> view_classes_batch(
-    std::span<const graph::Graph* const> graphs,
-    const ViewClassesBatchOptions& options = {});
 
 /// Process counters (cumulative, monotone), shrink.cpp style: the
 /// driver bridges them into metrics snapshots as views.refine_* and the

@@ -128,7 +128,7 @@ TEST(ExpDeterminism, ByteIdenticalAcrossThreadsChunksAndCacheConfigs) {
   tiny.capacity_per_shard = 1;
   struct Schedule {
     std::size_t threads;
-    std::size_t chunk;  // 0 = the default chunk size
+    std::size_t chunk;  // 0 = the derived grain
   };
   const Schedule schedules[] = {{1, 0}, {4, 0}, {16, 2}};
   for (const Experiment& e : builtin_registry().all()) {

@@ -1,18 +1,20 @@
 // ISSUE 8: the worklist refinement engine must be byte-identical to the
 // naive oracle on class_of/class_count (the canonical contract) on
-// every family, deterministic across thread counts and cache modes, and
-// exercised through the batched entry point. `rounds` is an
+// every family, and deterministic across thread counts and cache modes
+// when refined on the pool through the sweep layer. `rounds` is an
 // engine-specific diagnostic and is deliberately NOT compared between
 // engines.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/artifact_cache.hpp"
 #include "graph/families/families.hpp"
 #include "store/codec.hpp"
 #include "support/thread_pool.hpp"
+#include "sweep/sweep.hpp"
 #include "views/refinement.hpp"
 #include "views/refinement_worklist.hpp"
 
@@ -145,27 +147,14 @@ TEST(WorklistRefinement, CodecRoundTripsWorklistOutput) {
   }
 }
 
-TEST(WorklistRefinement, BatchMatchesSerialComputation) {
+// Refining a corpus on the pool is sweep_map over the graphs: each
+// worker refines its chunks on its own thread-local refiner arena, so
+// the arenas are reused across graphs of very different sizes. Codec
+// bytes (ids, count, and the engine's `rounds` diagnostic) must match
+// the serial baseline at every pool width, straight from the refiner
+// and through the cache with caching on and off.
+TEST(WorklistRefinement, DeterministicOnPoolAcrossThreadCountsAndCacheModes) {
   const std::vector<Graph> graphs = family_corpus();
-  std::vector<const Graph*> ptrs;
-  for (const Graph& g : graphs) ptrs.push_back(&g);
-  const std::vector<ViewClasses> batched = view_classes_batch(ptrs);
-  ASSERT_EQ(batched.size(), graphs.size());
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const ViewClasses direct = compute_view_classes_worklist(graphs[i]);
-    EXPECT_EQ(batched[i].class_of, direct.class_of) << graphs[i].name();
-    EXPECT_EQ(batched[i].class_count, direct.class_count);
-    // Same engine on both paths, so even the diagnostic agrees.
-    EXPECT_EQ(batched[i].rounds, direct.rounds);
-  }
-}
-
-TEST(WorklistRefinement, DeterministicAcrossThreadCountsAndCacheModes) {
-  const std::vector<Graph> graphs = family_corpus();
-  std::vector<const Graph*> ptrs;
-  for (const Graph& g : graphs) ptrs.push_back(&g);
-  // Baseline: serial worklist, encoded through the codec so the
-  // comparison covers every byte (ids, count, diagnostic).
   std::vector<std::string> baseline;
   for (const Graph& g : graphs) {
     baseline.push_back(
@@ -173,22 +162,28 @@ TEST(WorklistRefinement, DeterministicAcrossThreadCountsAndCacheModes) {
   }
   for (const std::size_t threads : {1u, 4u, 16u}) {
     support::ThreadPool pool(threads);
-    ViewClassesBatchOptions options;
-    options.pool = &pool;
-    const std::vector<ViewClasses> batched = view_classes_batch(ptrs, options);
-    for (std::size_t i = 0; i < graphs.size(); ++i) {
-      EXPECT_EQ(store::encode_view_classes(batched[i]), baseline[i])
-          << graphs[i].name() << " at " << threads << " threads";
-    }
+    sweep::SweepConfig config;
+    config.pool = &pool;
+    const std::vector<std::string> refined = sweep::sweep_map<std::string>(
+        graphs.size(),
+        [&graphs](std::size_t i) {
+          return store::encode_view_classes(
+              compute_view_classes_worklist(graphs[i]));
+        },
+        config);
+    EXPECT_EQ(refined, baseline) << threads << " threads";
     for (const bool enabled : {true, false}) {
-      cache::CacheConfig config;
-      config.enabled = enabled;
-      cache::ArtifactCache cache(config);
-      for (std::size_t i = 0; i < graphs.size(); ++i) {
-        EXPECT_EQ(store::encode_view_classes(*cache.view_classes(graphs[i])),
-                  baseline[i])
-            << graphs[i].name() << " cache enabled=" << enabled;
-      }
+      cache::CacheConfig cache_config;
+      cache_config.enabled = enabled;
+      cache::ArtifactCache cache(cache_config);
+      const std::vector<std::string> cached = sweep::sweep_map<std::string>(
+          graphs.size(),
+          [&graphs, &cache](std::size_t i) {
+            return store::encode_view_classes(*cache.view_classes(graphs[i]));
+          },
+          config);
+      EXPECT_EQ(cached, baseline)
+          << threads << " threads, cache enabled=" << enabled;
     }
   }
 }

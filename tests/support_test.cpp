@@ -98,21 +98,6 @@ TEST(ThreadPool, RunsAllTasks) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, 0, hits.size(),
-               [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  bool ran = false;
-  parallel_for(pool, 5, 5, [&](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
 TEST(TaskGroup, RunsAllTasksAndWaits) {
   ThreadPool pool(3);
   TaskGroup group(pool);
@@ -239,24 +224,6 @@ TEST(TaskGroup, OversubscribedNestedGroupsStress) {
   outer.wait();
   EXPECT_EQ(inner_total.load(), 16 * 16);
   EXPECT_EQ(outer.pending(), 0u);
-}
-
-// parallel_for from inside a pool task is the nested shape
-// exp::run_experiment now relies on (outer cases fan out, inner sweeps
-// fan out on the same pool).
-TEST(TaskGroup, NestedParallelForInsidePoolTask) {
-  ThreadPool pool(2);
-  std::vector<std::atomic<int>> hits(64);
-  TaskGroup outer(pool);
-  for (int o = 0; o < 4; ++o) {
-    outer.submit([&pool, &hits, o] {
-      parallel_for(pool, 0, 16, [&hits, o](std::size_t i) {
-        hits[static_cast<std::size_t>(o) * 16 + i].fetch_add(1);
-      });
-    });
-  }
-  outer.wait();
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 // Work stealing: tasks submitted from one worker land on its own

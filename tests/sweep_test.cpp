@@ -77,15 +77,41 @@ TEST(SweepMap, SingleItemAndOversizedChunk) {
   EXPECT_EQ(stats.chunks_total, 1u);
 }
 
-TEST(SweepMap, ChunkSizeZeroFallsBackToDefault) {
-  const std::function<int(std::size_t)> id = [](std::size_t i) {
-    return static_cast<int>(i);
+// The default grain comes from the work: about 16 chunks per pool
+// thread, never below one item per chunk. T2's ring(4) sweep (48
+// STICs) must spread over a 4-thread pool instead of landing in one
+// chunk, and the merged output must not depend on the pool width.
+TEST(SweepMap, DefaultGrainSpreadsSmallSweepsOverThePool) {
+  const std::function<int(std::size_t)> square = [](std::size_t i) {
+    return static_cast<int>(i * i);
   };
-  SweepConfig config;
-  config.chunk_size = 0;
-  const std::vector<int> out = sweep_map<int>(5, id, config);
-  ASSERT_EQ(out.size(), 5u);
-  EXPECT_EQ(out[4], 4);
+  const auto chunks_for = [&](std::size_t n, std::size_t threads) {
+    support::ThreadPool pool(threads);
+    SweepConfig config;
+    config.pool = &pool;
+    SweepStats stats;
+    const std::vector<int> out = sweep_map<int>(n, square, config, {}, &stats);
+    EXPECT_EQ(out.size(), n);
+    EXPECT_EQ(stats.items_produced, n);
+    return stats.chunks_total;
+  };
+  EXPECT_GE(chunks_for(48, 4), 4u);
+  EXPECT_EQ(chunks_for(0, 4), 0u);
+  EXPECT_EQ(chunks_for(1, 4), 1u);
+  const std::size_t big = chunks_for(10000, 4);
+  EXPECT_GE(big, 4u);
+  EXPECT_LE(big, 16u * 4u);
+
+  std::vector<int> expected(48);
+  for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = square(i);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
+                                    std::size_t{16}}) {
+    support::ThreadPool pool(threads);
+    SweepConfig config;
+    config.pool = &pool;
+    EXPECT_EQ(sweep_map<int>(expected.size(), square, config), expected)
+        << threads << " threads";
+  }
 }
 
 TEST(SweepMap, ChunkSizeOne) {

@@ -25,6 +25,11 @@ fixtures):
                     cache < core < analysis < sweep < exp). The CMake
                     link graph enforces this at link time for .cpp
                     files; this rule catches header-only leaks too.
+  pool-fanout       support::TaskGroup, or an assignment to
+                    SweepConfig::chunk_size, in src/ outside
+                    src/support and src/sweep — sweep::sweep_map is the
+                    one code path that splits work into pool tasks, and
+                    it derives the grain from the work.
 
 Usage:
   tools/lint_invariants.py              lint the repo (exit 1 on findings)
@@ -214,6 +219,23 @@ def check_layer_dag(relpath, lineno, raw, stripped):
     return None
 
 
+TASK_GROUP_RE = re.compile(r"\bTaskGroup\b")
+CHUNK_ASSIGN_RE = re.compile(r"\bchunk_size\s*=(?!=)")
+
+
+def check_pool_fanout(relpath, lineno, raw, stripped):
+    if not applies_lib(relpath) or \
+       in_dirs(relpath, ("src/support", "src/sweep")):
+        return None
+    if TASK_GROUP_RE.search(stripped):
+        return "TaskGroup outside support/sweep (fan out through " \
+               "sweep::sweep_map)"
+    if CHUNK_ASSIGN_RE.search(stripped):
+        return "chunk_size set in library code (sweep_map derives the " \
+               "grain from the work)"
+    return None
+
+
 RULES = [
     Rule("env-access", "environment access outside support/env",
          applies_code, check_env),
@@ -225,6 +247,8 @@ RULES = [
          applies_lib, check_cout),
     Rule("layer-dag", "include pointing up the layer DAG",
          applies_lib, check_layer_dag),
+    Rule("pool-fanout", "pool fan-out outside sweep_map",
+         applies_lib, check_pool_fanout),
 ]
 
 
