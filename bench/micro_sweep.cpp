@@ -11,7 +11,8 @@
 // M4 — batched-Shrink micro-benchmark: every ordered pair of the n=40
 // census graph through the per-pair product BFS vs one
 // views::shrink_all_pairs sweep, values cross-checked (the >= 10x
-// acceptance bar of the batched census engine).
+// acceptance bar of the batched census engine); then the kernel alone
+// per family at n ~ 1024 with its distance-row and pull-layer counters.
 //
 // M5 — refinement-engine micro-benchmark: the naive fixpoint oracle vs
 // the splitter-worklist partition refinement on census-density random
@@ -391,6 +392,40 @@ int main() {
       "micro_sweep_shrink",
       "M4: all-pairs Shrink, per-pair product BFS vs batched sweep",
       shrink_cmp);
+
+  // Per-family rows at n ~ 1024: census_cold's four large graphs (c1's
+  // n = 1024 random graph stands in for its seed-drawn one), a ring and
+  // a path. Each row reports the kernel's counters for one call: BFS
+  // distance rows run (0 when level 0 closes every pair) and closure
+  // layers that pulled, so a before/after names the layer that moved.
+  rdv::support::Table shrink_families({"graph", "n", "best ms", "ns/pair",
+                                       "distance rows", "pull layers"});
+  for (const auto& g :
+       {families::random_connected(1024, 1792, 35),
+        families::oriented_torus(32, 32), families::hypercube(10),
+        families::symmetric_double_tree(2, 8), families::oriented_ring(1024),
+        families::path_graph(1024)}) {
+    std::uint64_t rows = 0;
+    std::uint64_t pulls = 0;
+    const double ms = best_of_ms(5, [&] {
+      const std::uint64_t rows_before =
+          rdv::views::shrink_distance_row_count();
+      const std::uint64_t pulls_before = rdv::views::shrink_pull_layer_count();
+      (void)rdv::views::shrink_all_pairs(g);
+      rows = rdv::views::shrink_distance_row_count() - rows_before;
+      pulls = rdv::views::shrink_pull_layer_count() - pulls_before;
+    });
+    const std::uint64_t n = g.size();
+    shrink_families.add_row(
+        {g.name(), std::to_string(n), rdv::support::format_double(ms, 3),
+         rdv::support::format_double(ms * 1e6 / (n * (n + 1) / 2), 1),
+         std::to_string(rows), std::to_string(pulls)});
+  }
+  rdv::analysis::emit_table(
+      "micro_sweep_shrink_families",
+      "M4: all-pairs Shrink per family at n ~ 1024 (best of 5, ns per "
+      "unordered pair)",
+      shrink_families);
 
   // ---- M5: naive fixpoint vs splitter-worklist refinement ------------
   // Two families through both engines at n = 64..2048, every size

@@ -344,6 +344,12 @@ void register_metric_sources() {
             views::shrink_pair_bfs_count();
         snap.counters["views.shrink_all_pairs_computes"] =
             views::shrink_all_pairs_compute_count();
+        // Why a census got cheaper: distance rows are skipped wherever
+        // level 0 already closed a source's row.
+        snap.counters["views.shrink_distance_rows"] =
+            views::shrink_distance_row_count();
+        snap.counters["views.shrink_pull_layers"] =
+            views::shrink_pull_layer_count();
         // Worklist refinement effort (ISSUE 8). refine_naive counts
         // oracle runs — CI asserts it stays zero on the census path
         // (production refinement never falls back to O(n^2 m)).
@@ -368,10 +374,14 @@ void print_run_stats() {
   // at zero too.
   std::fprintf(stderr,
                "rdv_bench: shrink_pair_bfs=%llu shrink_all_pairs_computes="
-               "%llu\n",
+               "%llu shrink_distance_rows=%llu shrink_pull_layers=%llu\n",
                static_cast<unsigned long long>(views::shrink_pair_bfs_count()),
                static_cast<unsigned long long>(
-                   views::shrink_all_pairs_compute_count()));
+                   views::shrink_all_pairs_compute_count()),
+               static_cast<unsigned long long>(
+                   views::shrink_distance_row_count()),
+               static_cast<unsigned long long>(
+                   views::shrink_pull_layer_count()));
   // Worklist refinement effort; refine_naive must read 0 on the census
   // (the naive engine survives only as a test oracle), and a warm store
   // leaves refine_worklist_computes at zero.

@@ -3,8 +3,8 @@
 // connected graphs via Corollary 3.1 — no simulation, so the census
 // scales to far larger graphs than the T-series sweeps: feasibility
 // needs only the view partition (once per graph) and the BATCHED
-// all-pairs Shrink table (views::shrink_all_pairs — one BFS sweep per
-// source, never a per-pair product BFS), both resolved through the
+// all-pairs Shrink table (views::shrink_all_pairs — one closure over
+// the pair space, never a per-pair product BFS), both resolved through the
 // artifact cache and therefore persisted by the disk store (a warm
 // census run recomputes nothing). One graph is one case; cases
 // parallelize on the pool, and each case streams its Shrink histogram

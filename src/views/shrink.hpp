@@ -50,8 +50,9 @@ struct AllPairsShrink {
   /// walks and dist is symmetric); diagonal is 0; cross-component pairs
   /// hold graph::kUnreachable.
   std::vector<std::uint32_t> values;
-  /// Unordered pairs visited by the level sweep (cost metric, the
-  /// batched analog of ShrinkResult::pairs_explored).
+  /// Unordered pairs the level sweep assigns, diagonal included: every
+  /// pair within one component (cost metric, the batched analog of
+  /// ShrinkResult::pairs_explored).
   std::uint64_t pairs_explored = 0;
 
   [[nodiscard]] std::uint32_t at(graph::Node u, graph::Node v) const {
@@ -59,15 +60,24 @@ struct AllPairsShrink {
   }
 };
 
-/// Batched all-pairs Shrink: one flat-array BFS sweep per source fills
-/// the distance rows (each row serves both (u,v) and (v,u)), then a
-/// single level-ordered backward propagation over the unordered pair
-/// space assigns Shrink(u, v) = d to every pair first reached at level
-/// d. Each product edge is traversed once, so the whole table costs
-/// O(n^2 * max_degree) — the price of ONE per-pair product BFS — with
-/// flat vectors and a bitset instead of hash maps on the hot path.
-/// shrink_with_witness remains the witness-reconstruction fallback and
-/// the oracle this kernel is verified against.
+/// Batched all-pairs Shrink as a level-ordered backward closure over
+/// the unordered pair space: level d assigns Shrink(u, v) = d to every
+/// unassigned pair that reaches a pair at distance d.
+///  1. Level 0 closes from the diagonal first and needs no distances.
+///  2. Only sources whose row still holds an unassigned pair run a BFS
+///     row; those pairs are counting-sorted by distance to seed levels
+///     d >= 1. On a graph where level 0 closes every pair, no BFS runs.
+///  3. Each level closes one BFS layer at a time, marking assigned
+///     pairs in a bitset: the seed layer pushes through the reverse
+///     product adjacency, a later layer that is a large share of the
+///     unassigned pairs pulls instead (each unassigned pair checks its
+///     successors), as in direction-optimizing BFS.
+/// Pushing traverses each product edge once, and a pull layer checks at
+/// most max_degree successors per unassigned pair only while its
+/// frontier is a fixed share of those pairs, so the successor checks
+/// also total O(n^2 * max_degree): the price of ONE per-pair product
+/// BFS. shrink_with_witness remains the witness-reconstruction fallback
+/// and the oracle this kernel is verified against.
 [[nodiscard]] AllPairsShrink shrink_all_pairs(const graph::Graph& g);
 
 /// Process-wide counters (monotone, thread-safe) so tests and CI can
@@ -75,5 +85,9 @@ struct AllPairsShrink {
 /// that warm store runs recompute nothing.
 [[nodiscard]] std::uint64_t shrink_pair_bfs_count() noexcept;
 [[nodiscard]] std::uint64_t shrink_all_pairs_compute_count() noexcept;
+/// shrink_all_pairs effort: BFS distance rows run, and closure layers
+/// that pulled instead of pushing.
+[[nodiscard]] std::uint64_t shrink_distance_row_count() noexcept;
+[[nodiscard]] std::uint64_t shrink_pull_layer_count() noexcept;
 
 }  // namespace rdv::views

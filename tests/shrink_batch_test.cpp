@@ -6,6 +6,7 @@
 // under.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -16,6 +17,7 @@
 #include "graph/families/families.hpp"
 #include "graph/families/implicit.hpp"
 #include "graph/graph.hpp"
+#include "store/codec.hpp"
 #include "store/disk_store.hpp"
 #include "views/shrink.hpp"
 
@@ -25,6 +27,49 @@ namespace {
 using graph::Graph;
 using graph::Node;
 namespace families = rdv::graph::families;
+
+/// Two disjoint 2-cycles, built through the public Graph constructor
+/// (GraphBuilder would reject the disconnectivity).
+Graph two_edges() {
+  std::vector<std::vector<graph::HalfEdge>> adj(4);
+  adj[0] = {{1, 0}};
+  adj[1] = {{0, 0}};
+  adj[2] = {{3, 0}};
+  adj[3] = {{2, 0}};
+  return Graph(std::move(adj), "two-edges");
+}
+
+/// Seeded graphs that drive every path of the kernel: random graphs on
+/// which the level-0 closure of the diagonal assigns every pair, graphs
+/// on which it assigns only the diagonal, and graphs that mix both and
+/// pull some closure layers.
+std::vector<Graph> seeded_corpus() {
+  std::vector<Graph> corpus;
+  std::uint64_t seed = 100;
+  for (const std::uint32_t n : {3u, 4u, 5u, 7u, 9u, 12u, 16u, 23u, 31u, 45u,
+                                64u}) {
+    const std::uint32_t max_extra = n * (n - 1) / 2 - (n - 1);
+    for (const std::uint32_t extra : {0u, n / 2, 2 * n}) {
+      corpus.push_back(
+          families::random_connected(n, std::min(extra, max_extra), ++seed));
+    }
+  }
+  // A tree at n = 70: its bitset rows span two 64-bit words, and level
+  // 0 leaves pairs open there.
+  corpus.push_back(families::random_connected(70, 0, ++seed));
+  for (const std::uint32_t n : {5u, 8u, 13u, 32u}) {
+    corpus.push_back(families::scrambled_ring(n, ++seed));
+  }
+  for (const std::uint32_t n : {6u, 12u, 24u}) {
+    corpus.push_back(families::ring_with_chord(n));
+  }
+  corpus.push_back(families::symmetric_double_tree(2, 3));
+  for (const std::uint32_t n : {2u, 7u, 20u, 33u}) {
+    corpus.push_back(families::path_graph(n));
+  }
+  corpus.push_back(two_edges());
+  return corpus;
+}
 
 std::vector<Graph> equivalence_corpus() {
   std::vector<Graph> corpus;
@@ -63,6 +108,48 @@ TEST(ShrinkAllPairs, MatchesPerPairOracleOnEveryFamily) {
   }
 }
 
+TEST(ShrinkAllPairs, SeededCorpusMatchesOracleOnEveryPath) {
+  int level0_closes_all = 0;
+  int diagonal_only = 0;
+  int mixed = 0;
+  std::uint64_t pull_layers = 0;
+  for (const Graph& g : seeded_corpus()) {
+    SCOPED_TRACE(g.name());
+    const std::uint64_t rows_before = shrink_distance_row_count();
+    const std::uint64_t pulls_before = shrink_pull_layer_count();
+    const AllPairsShrink all = shrink_all_pairs(g);
+    const std::uint64_t rows = shrink_distance_row_count() - rows_before;
+    pull_layers += shrink_pull_layer_count() - pulls_before;
+    std::uint64_t finite_upper = 0;
+    bool zero_off_diagonal = false;
+    // The oracle runs on the upper triangle; the lower one must mirror
+    // it.
+    for (Node u = 0; u < g.size(); ++u) {
+      for (Node v = u; v < g.size(); ++v) {
+        const std::uint32_t oracle = shrink_with_witness(g, u, v).shrink;
+        EXPECT_EQ(all.at(u, v), oracle) << "pair " << u << "," << v;
+        EXPECT_EQ(all.at(v, u), oracle) << "pair " << v << "," << u;
+        if (oracle != graph::kUnreachable) ++finite_upper;
+        if (u != v && oracle == 0) zero_off_diagonal = true;
+      }
+    }
+    // pairs_explored counts the assigned unordered pairs, diagonal
+    // included: exactly the finite upper-triangle cells.
+    EXPECT_EQ(all.pairs_explored, finite_upper);
+    if (rows == 0) {
+      ++level0_closes_all;
+    } else if (!zero_off_diagonal) {
+      ++diagonal_only;
+    } else {
+      ++mixed;
+    }
+  }
+  EXPECT_GT(level0_closes_all, 0);
+  EXPECT_GT(diagonal_only, 0);
+  EXPECT_GT(mixed, 0);
+  EXPECT_GT(pull_layers, 0u);
+}
+
 TEST(ShrinkAllPairs, SymmetricWithZeroDiagonal) {
   for (const Graph& g : equivalence_corpus()) {
     SCOPED_TRACE(g.name());
@@ -87,14 +174,7 @@ TEST(ShrinkAllPairs, ExploresAtLeastReachablePairCount) {
 }
 
 TEST(ShrinkAllPairs, DisconnectedCrossComponentPairsAreUnreachable) {
-  // Two disjoint 2-cycles, built through the public Graph constructor
-  // (GraphBuilder would reject the disconnectivity).
-  std::vector<std::vector<graph::HalfEdge>> adj(4);
-  adj[0] = {{1, 0}};
-  adj[1] = {{0, 0}};
-  adj[2] = {{3, 0}};
-  adj[3] = {{2, 0}};
-  const Graph g(std::move(adj), "two-edges");
+  const Graph g = two_edges();
   const AllPairsShrink all = shrink_all_pairs(g);
   for (Node u = 0; u < 4; ++u) {
     for (Node v = 0; v < 4; ++v) {
@@ -224,6 +304,25 @@ TEST(ShrinkAllPairs, PairBfsCounterOnlyCountsPerPairCalls) {
   EXPECT_EQ(shrink_all_pairs_compute_count(), batch_before + 1);
   (void)shrink(g, 0, 3);
   EXPECT_EQ(shrink_pair_bfs_count(), pair_before + 1);
+}
+
+/// Store artifacts must stay byte-identical across kernel rewrites: one
+/// FNV-1a digest over the encoded tables of a random graph, the three
+/// symmetric families the census classifies and a path. The constant
+/// was computed with the kernel that bucketed every pair by distance
+/// before any closure ran.
+TEST(ShrinkAllPairs, EncodedTablesMatchGoldenDigest) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const Graph& g :
+       {families::random_connected(512, 900, 34),
+        families::oriented_torus(16, 16), families::hypercube(8),
+        families::symmetric_double_tree(2, 7), families::path_graph(300)}) {
+    for (const char c : store::encode_all_pairs_shrink(shrink_all_pairs(g))) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ull;
+    }
+  }
+  EXPECT_EQ(h, 0xfeca469030a45efaull) << std::hex << h;
 }
 
 }  // namespace
