@@ -37,6 +37,18 @@
 // cause when ns/move changes. Informational: no gate, only the
 // sim_ns_per_move_* and sim_resumes_per_move_* trend fields.
 //
+// M8 — store layer cost per artifact: encode, save (header and payload
+// to a temp file, fsync, rename), load (exact-size read, header and
+// checksum validation) and decode, as MB/s of payload over the best of
+// 5, for the all-pairs Shrink table, view classes and quotient of the
+// n = 1024 census graph M4 times. Each round trip is checked byte for
+// byte. Informational: no gate, only the JSON "store" rows.
+//
+// `micro_sweep --smoke` runs every section at tiny sizes with one
+// repetition and a single M6 triple with no overhead gate (the dropped-
+// event and critical-path checks still apply): a fast check that every
+// section still builds, runs and cross-checks, not a measurement.
+//
 // Emits one BENCH_sweep.json datapoint (into REPRO_CSV_DIR when set,
 // else the working directory) covering all comparisons for trend
 // tracking.
@@ -45,9 +57,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -65,6 +79,8 @@
 #include "graph/families/qhat.hpp"
 #include "graph/families/qhat_implicit.hpp"
 #include "sim/engine.hpp"
+#include "store/codec.hpp"
+#include "store/disk_store.hpp"
 #include "support/bench_json.hpp"
 #include "support/env.hpp"
 #include "support/saturating.hpp"
@@ -109,9 +125,18 @@ struct CacheCase {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   namespace families = rdv::graph::families;
   using rdv::analysis::Stic;
+
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) != "--smoke") {
+      std::fprintf(stderr, "usage: micro_sweep [--smoke]\n");
+      return 2;
+    }
+    smoke = true;
+  }
 
   // ---- M2: sequential vs pooled feasibility kernel -------------------
   const auto g = families::oriented_ring(rdv::analysis::full_mode() ? 8 : 6);
@@ -132,7 +157,8 @@ int main() {
     return rdv::sweep::SticRecord{stic, check.cls, check.run, {}};
   };
 
-  const int repeats = 3;
+  const int repeats = smoke ? 1 : 3;
+  const int best_of = smoke ? 1 : 5;
   rdv::support::ThreadPool sequential(1);
   rdv::sweep::SweepConfig seq_config;
   seq_config.pool = &sequential;
@@ -186,7 +212,10 @@ int main() {
   rdv::support::Table scale_table({"threads", "flat best ms",
                                    "flat STICs/s", "nested best ms",
                                    "steals", "parks", "wakeups"});
-  for (const std::size_t threads : {1u, 2u, 4u, 8u, 16u}) {
+  const std::vector<std::size_t> thread_counts =
+      smoke ? std::vector<std::size_t>{1, 4}
+            : std::vector<std::size_t>{1, 2, 4, 8, 16};
+  for (const std::size_t threads : thread_counts) {
     rdv::support::ThreadPool pool(threads);
     rdv::sweep::SweepConfig config;
     config.pool = &pool;
@@ -393,21 +422,25 @@ int main() {
       "M4: all-pairs Shrink, per-pair product BFS vs batched sweep",
       shrink_cmp);
 
-  // Per-family rows at n ~ 1024: census_cold's four large graphs (c1's
-  // n = 1024 random graph stands in for its seed-drawn one), a ring and
-  // a path. Each row reports the kernel's counters for one call: BFS
-  // distance rows run (0 when level 0 closes every pair) and closure
-  // layers that pulled, so a before/after names the layer that moved.
+  // Per-family rows at n ~ 1024 (n ~ 64 under --smoke): census_cold's
+  // four large graphs (c1's n = 1024 random graph stands in for its
+  // seed-drawn one), a ring and a path. Each row reports the kernel's
+  // counters for one call: BFS distance rows run (0 when level 0 closes
+  // every pair) and closure layers that pulled, so a before/after names
+  // the layer that moved.
   rdv::support::Table shrink_families({"graph", "n", "best ms", "ns/pair",
                                        "distance rows", "pull layers"});
+  const std::uint32_t family_n = smoke ? 64 : 1024;
+  const std::uint32_t family_side = smoke ? 8 : 32;
   for (const auto& g :
-       {families::random_connected(1024, 1792, 35),
-        families::oriented_torus(32, 32), families::hypercube(10),
-        families::symmetric_double_tree(2, 8), families::oriented_ring(1024),
-        families::path_graph(1024)}) {
+       {families::random_connected(family_n, (family_n * 7) / 4, 35),
+        families::oriented_torus(family_side, family_side),
+        families::hypercube(smoke ? 6 : 10),
+        families::symmetric_double_tree(2, smoke ? 4 : 8),
+        families::oriented_ring(family_n), families::path_graph(family_n)}) {
     std::uint64_t rows = 0;
     std::uint64_t pulls = 0;
-    const double ms = best_of_ms(5, [&] {
+    const double ms = best_of_ms(best_of, [&] {
       const std::uint64_t rows_before =
           rdv::views::shrink_distance_row_count();
       const std::uint64_t pulls_before = rdv::views::shrink_pull_layer_count();
@@ -423,8 +456,9 @@ int main() {
   }
   rdv::analysis::emit_table(
       "micro_sweep_shrink_families",
-      "M4: all-pairs Shrink per family at n ~ 1024 (best of 5, ns per "
-      "unordered pair)",
+      "M4: all-pairs Shrink per family at n ~ " + std::to_string(family_n) +
+          " (best of " + std::to_string(best_of) +
+          ", ns per unordered pair)",
       shrink_families);
 
   // ---- M5: naive fixpoint vs splitter-worklist refinement ------------
@@ -454,7 +488,9 @@ int main() {
                                   "naive ms", "worklist ms", "speedup"});
   for (const char* family : {"random", "path"}) {
     const bool is_path = std::string("path") == family;
-    for (const std::uint32_t rn : {64u, 128u, 256u, 512u, 1024u, 2048u}) {
+    for (const std::uint32_t rn :
+         smoke ? std::vector<std::uint32_t>{64, 128}
+               : std::vector<std::uint32_t>{64, 128, 256, 512, 1024, 2048}) {
       const auto rg =
           is_path ? families::path_graph(rn)
                   : families::random_connected(rn, (rn * 7) / 4,
@@ -523,12 +559,13 @@ int main() {
     const std::size_t mid = v.size() / 2;
     return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2;
   };
-  constexpr int kTriples = 41;
+  // One triple under --smoke: too few ratios for a band, so no gate.
+  const int triples = smoke ? 1 : 41;
   std::vector<double> on_ratios;
   std::vector<double> null_ratios;
   std::vector<double> off_runs;
   std::vector<double> on_runs;
-  for (int i = 0; i < kTriples; ++i) {
+  for (int i = 0; i < triples; ++i) {
     const double off_a = timed_sweep_ms(false);
     const double on = timed_sweep_ms(true);
     const double off_b = timed_sweep_ms(false);
@@ -542,11 +579,11 @@ int main() {
       rdv::obs::build_profile(rdv::obs::drain_task_events());
   double null_mu = 0;
   for (const double r : null_ratios) null_mu += r;
-  null_mu /= kTriples;
+  null_mu /= triples;
   double null_var = 0;
   for (const double r : null_ratios) null_var += (r - null_mu) * (r - null_mu);
-  null_var /= kTriples;
-  const double median_se = 1.2533 * std::sqrt(null_var / kTriples);
+  null_var /= triples;
+  const double median_se = 1.2533 * std::sqrt(null_var / triples);
   const double band = null_mu + std::max(3 * median_se, 0.05 * null_mu);
   const double on_ratio = median(on_ratios);
 
@@ -561,13 +598,13 @@ int main() {
                  static_cast<unsigned long long>(profile.dropped));
     return 1;
   }
-  if (on_ratio > band && profile_overhead_pct > 2.0 &&
+  if (!smoke && on_ratio > band && profile_overhead_pct > 2.0 &&
       (on_ratio - 1.0) * profile_off_ms > 0.5) {
     std::fprintf(stderr,
                  "error: event-recording overhead %.2f%% (median of %d "
                  "on/off ratios) exceeds the 2%% gate and the off/off "
                  "noise band %.2f%% (off %.3f ms, on %.3f ms)\n",
-                 profile_overhead_pct, kTriples, profile_band_pct,
+                 profile_overhead_pct, triples, profile_band_pct,
                  profile_off_ms, profile_on_ms);
     return 1;
   }
@@ -746,6 +783,92 @@ int main() {
   rdv::analysis::emit_table("micro_sweep_sim",
                             "M7: simulator cost per agent move", sim_table);
 
+  // ---- M8: store layer per artifact ---------------------------------
+  // One payload of each census artifact of M4's random graph through
+  // the four store steps. save() is measured as it runs in production,
+  // fsync included, so its MB/s is bounded by the device under the
+  // temp directory.
+  struct StorePoint {
+    const char* artifact;
+    std::size_t bytes;
+    double encode_ms;
+    double save_ms;
+    double load_ms;
+    double decode_ms;
+  };
+  std::vector<StorePoint> store_points;
+  const std::filesystem::path store_root =
+      std::filesystem::temp_directory_path() / "rdv_micro_sweep_store";
+  std::filesystem::remove_all(store_root);
+  {
+    rdv::store::DiskConfig disk_config;
+    disk_config.root = store_root.string();
+    rdv::store::DiskStore disk(disk_config);
+    const auto store_g = families::random_connected(
+        family_n, (family_n * 7) / 4, 35);
+    const auto store_classes = rdv::views::compute_view_classes(store_g);
+    const auto store_quotient =
+        rdv::views::build_quotient(store_g, store_classes);
+    const auto store_shrink = rdv::views::shrink_all_pairs(store_g);
+    // Encodes, saves, loads and decodes `value`; false when a step
+    // fails or the round trip changes a byte.
+    const auto measure = [&](const char* artifact, rdv::store::Kind kind,
+                             const auto& value, auto encode, auto decode) {
+      std::string payload;
+      StorePoint point{artifact, 0, 0, 0, 0, 0};
+      point.encode_ms = best_of_ms(best_of, [&] { payload = encode(value); });
+      point.bytes = payload.size();
+      bool ok = true;
+      point.save_ms = best_of_ms(best_of, [&] {
+        ok = disk.save(kind, store_g.name(), payload) && ok;
+      });
+      std::optional<std::string> loaded;
+      point.load_ms = best_of_ms(best_of, [&] {
+        loaded = disk.load(kind, store_g.name());
+      });
+      if (!ok || !loaded.has_value() || *loaded != payload) return false;
+      std::decay_t<decltype(value)> decoded;
+      point.decode_ms =
+          best_of_ms(best_of, [&] { decoded = decode(*loaded); });
+      store_points.push_back(point);
+      return encode(decoded) == payload;
+    };
+    const bool stored =
+        measure("shrink_all_pairs", rdv::store::Kind::kShrinkAllPairs,
+                store_shrink, rdv::store::encode_all_pairs_shrink,
+                rdv::store::decode_all_pairs_shrink) &&
+        measure("view_classes", rdv::store::Kind::kViewClasses,
+                store_classes, rdv::store::encode_view_classes,
+                rdv::store::decode_view_classes) &&
+        measure("quotients", rdv::store::Kind::kQuotients, store_quotient,
+                rdv::store::encode_quotient, rdv::store::decode_quotient);
+    if (!stored) {
+      std::fprintf(stderr,
+                   "error: store round trip failed or changed a byte\n");
+      return 1;
+    }
+  }
+  std::filesystem::remove_all(store_root);
+  const auto mb_per_s = [](std::size_t bytes, double ms) {
+    return ms > 0 ? static_cast<double>(bytes) / (ms * 1000.0) : 0;
+  };
+  rdv::support::Table store_table({"artifact", "n", "payload bytes",
+                                   "encode MB/s", "save MB/s", "load MB/s",
+                                   "decode MB/s"});
+  for (const StorePoint& p : store_points) {
+    store_table.add_row(
+        {p.artifact, std::to_string(family_n), std::to_string(p.bytes),
+         rdv::support::format_double(mb_per_s(p.bytes, p.encode_ms), 1),
+         rdv::support::format_double(mb_per_s(p.bytes, p.save_ms), 1),
+         rdv::support::format_double(mb_per_s(p.bytes, p.load_ms), 1),
+         rdv::support::format_double(mb_per_s(p.bytes, p.decode_ms), 1)});
+  }
+  rdv::analysis::emit_table(
+      "micro_sweep_store",
+      "M8: store layer per artifact (best of " + std::to_string(best_of) +
+          ", MB/s of payload)",
+      store_table);
+
   // Through support/env like every other binary (the invariant
   // linter's first catch was a naked getenv here).
   const std::string dir = rdv::support::repro_csv_dir();
@@ -794,6 +917,17 @@ int main() {
          << ",\"naive_ms\":" << refine_points[i].naive_ms
          << ",\"worklist_ms\":" << refine_points[i].worklist_ms
          << ",\"speedup\":" << refine_points[i].speedup << "}";
+  }
+  json << "],\"store\":[";
+  for (std::size_t i = 0; i < store_points.size(); ++i) {
+    const StorePoint& p = store_points[i];
+    if (i != 0) json << ",";
+    json << "{\"artifact\":\"" << p.artifact << "\",\"n\":" << family_n
+         << ",\"bytes\":" << p.bytes
+         << ",\"encode_mb_s\":" << mb_per_s(p.bytes, p.encode_ms)
+         << ",\"save_mb_s\":" << mb_per_s(p.bytes, p.save_ms)
+         << ",\"load_mb_s\":" << mb_per_s(p.bytes, p.load_ms)
+         << ",\"decode_mb_s\":" << mb_per_s(p.bytes, p.decode_ms) << "}";
   }
   json << "],\"scaling\":[";
   for (std::size_t i = 0; i < scaling.size(); ++i) {

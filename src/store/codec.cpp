@@ -1,5 +1,7 @@
 #include "store/codec.hpp"
 
+#include <cstring>
+
 namespace rdv::store {
 
 namespace {
@@ -19,14 +21,15 @@ std::uint64_t checksum(std::string_view bytes) noexcept {
   // permuted byte blocks hash differently.
   std::uint64_t state = 0xC0DEC0DE5EED0003ULL;
   std::uint64_t position = 0;
-  std::size_t i = 0;
-  while (i < bytes.size()) {
-    std::uint64_t word = 0;
-    for (int b = 0; b < 8 && i < bytes.size(); ++b, ++i) {
-      word |= static_cast<std::uint64_t>(
-                  static_cast<unsigned char>(bytes[i]))
-              << (8 * b);
-    }
+  const std::size_t full = bytes.size() - bytes.size() % 8;
+  for (std::size_t i = 0; i < full; i += 8) {
+    const auto word = le::load<std::uint64_t>(bytes.data() + i);
+    state = scramble(state ^ (word + kGamma * ++position));
+  }
+  if (full < bytes.size()) {
+    char tail[8] = {};
+    std::memcpy(tail, bytes.data() + full, bytes.size() - full);
+    const auto word = le::load<std::uint64_t>(tail);
     state = scramble(state ^ (word + kGamma * ++position));
   }
   return scramble(state ^ bytes.size());
@@ -43,8 +46,8 @@ const char* kind_name(Kind kind) noexcept {
 }
 
 std::string encode_uxs(const uxs::Uxs& y) {
-  Encoder e;
-  e.u64_vec(std::vector<std::uint64_t>(y.terms().begin(), y.terms().end()));
+  Encoder e(8 + 8 * y.terms().size() + 8 + y.provenance().size());
+  e.u64_vec(y.terms());
   e.str(y.provenance());
   return e.take();
 }
@@ -58,7 +61,7 @@ uxs::Uxs decode_uxs(std::string_view bytes) {
 }
 
 std::string encode_view_classes(const views::ViewClasses& c) {
-  Encoder e;
+  Encoder e(8 + 4 * c.class_of.size() + 4 + 4);
   e.u32_vec(c.class_of);
   e.u32(c.class_count);
   e.u32(c.rounds);
@@ -76,7 +79,11 @@ views::ViewClasses decode_view_classes(std::string_view bytes) {
 }
 
 std::string encode_quotient(const views::QuotientGraph& q) {
-  Encoder e;
+  std::size_t size = 8 + 8 + 4 * q.multiplicity.size();
+  for (const std::vector<views::QuotientArc>& arcs : q.arcs) {
+    size += 8 + 8 * arcs.size();
+  }
+  Encoder e(size);
   e.u64(q.arcs.size());
   for (const std::vector<views::QuotientArc>& arcs : q.arcs) {
     e.u64(arcs.size());
@@ -114,7 +121,7 @@ views::QuotientGraph decode_quotient(std::string_view bytes) {
 }
 
 std::string encode_all_pairs_shrink(const views::AllPairsShrink& a) {
-  Encoder e;
+  Encoder e(4 + 8 + 4 * a.values.size() + 8);
   e.u32(a.n);
   e.u32_vec(a.values);
   e.u64(a.pairs_explored);

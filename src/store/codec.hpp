@@ -1,6 +1,9 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -29,35 +32,82 @@ class CodecError : public std::runtime_error {
   explicit CodecError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Fixed-width little-endian loads and stores. On little-endian hosts
+/// the in-memory representation already is the wire format, so one
+/// memcpy moves a value (or a whole vector); other hosts assemble the
+/// bytes one at a time. `src` and `dst` need no alignment.
+namespace le {
+
+inline constexpr bool kNative = std::endian::native == std::endian::little;
+
+template <typename T>
+[[nodiscard]] T load(const char* src) noexcept {
+  T v = 0;
+  if constexpr (kNative) {
+    std::memcpy(&v, src, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      v |= static_cast<T>(static_cast<unsigned char>(src[i])) << (8 * i);
+    }
+  }
+  return v;
+}
+
+template <typename T>
+void store(T v, char* dst) noexcept {
+  if constexpr (kNative) {
+    std::memcpy(dst, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      dst[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    }
+  }
+}
+
+}  // namespace le
+
 /// Appends fixed-width little-endian primitives to a byte string.
 class Encoder {
  public:
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(byte_of(v, i));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(byte_of(v, i));
-  }
+  Encoder() = default;
+  /// Reserves `size` bytes: an encoder told its exact output size
+  /// allocates once and never regrows.
+  explicit Encoder(std::size_t size) { out_.reserve(size); }
+
+  void u32(std::uint32_t v) { fixed(v); }
+  void u64(std::uint64_t v) { fixed(v); }
+  /// Bytes as they are, without a length prefix.
+  void raw(std::string_view s) { out_.append(s.data(), s.size()); }
   void str(std::string_view s) {
     u64(s.size());
-    out_.append(s.data(), s.size());
+    raw(s);
   }
   void u32_vec(const std::vector<std::uint32_t>& v) {
-    u64(v.size());
-    for (std::uint32_t x : v) u32(x);
+    array(std::span<const std::uint32_t>(v));
   }
-  void u64_vec(const std::vector<std::uint64_t>& v) {
-    u64(v.size());
-    for (std::uint64_t x : v) u64(x);
-  }
+  void u64_vec(std::span<const std::uint64_t> v) { array(v); }
 
   [[nodiscard]] const std::string& bytes() const noexcept { return out_; }
   [[nodiscard]] std::string take() noexcept { return std::move(out_); }
 
  private:
-  static char byte_of(std::uint64_t v, int i) noexcept {
-    return static_cast<char>((v >> (8 * i)) & 0xFF);
+  template <typename T>
+  void fixed(T v) {
+    char b[sizeof v];
+    le::store(v, b);
+    out_.append(b, sizeof b);
   }
+
+  template <typename T>
+  void array(std::span<const T> v) {
+    u64(v.size());
+    if constexpr (le::kNative) {
+      out_.append(reinterpret_cast<const char*>(v.data()), v.size_bytes());
+    } else {
+      for (const T x : v) fixed(x);
+    }
+  }
+
   std::string out_;
 };
 
@@ -68,46 +118,27 @@ class Decoder {
  public:
   explicit Decoder(std::string_view in) : in_(in) {}
 
-  std::uint32_t u32() { return static_cast<std::uint32_t>(fixed(4)); }
-  std::uint64_t u64() { return fixed(8); }
+  std::uint32_t u32() { return fixed<std::uint32_t>(); }
+  std::uint64_t u64() { return fixed<std::uint64_t>(); }
 
-  std::string str() {
-    const std::uint64_t size = u64();
-    if (size > remaining()) throw CodecError("string length past end");
-    std::string s(in_.substr(pos_, size));
-    pos_ += size;
-    return s;
-  }
+  std::string str() { return std::string(str_view()); }
+  /// A length-prefixed string as a view into the input.
+  std::string_view str_view() { return view(u64()); }
 
-  std::vector<std::uint32_t> u32_vec() {
-    const std::uint64_t size = u64();
-    if (size > remaining() / 4) throw CodecError("u32 vector length past end");
-    std::vector<std::uint32_t> v(size);
-    for (std::uint64_t i = 0; i < size; ++i) v[i] = u32();
-    return v;
-  }
-
-  std::vector<std::uint64_t> u64_vec() {
-    const std::uint64_t size = u64();
-    if (size > remaining() / 8) throw CodecError("u64 vector length past end");
-    std::vector<std::uint64_t> v(size);
-    for (std::uint64_t i = 0; i < size; ++i) v[i] = u64();
-    return v;
-  }
-
-  /// Consumes exactly n raw bytes (length-framed payloads).
-  std::string bytes(std::size_t n) {
-    if (n > remaining()) throw CodecError("raw span past end");
-    std::string s(in_.substr(pos_, n));
+  /// Exactly n raw bytes (length-framed payloads), as a view into the
+  /// input.
+  std::string_view view(std::uint64_t n) {
+    if (n > remaining()) throw CodecError("span past end");
+    const std::string_view s = in_.substr(pos_, n);
     pos_ += n;
     return s;
   }
 
-  /// Consumes and returns everything left (raw trailing payloads).
-  std::string rest() {
-    std::string s(in_.substr(pos_));
-    pos_ = in_.size();
-    return s;
+  std::vector<std::uint32_t> u32_vec() {
+    return array<std::uint32_t>("u32 vector length past end");
+  }
+  std::vector<std::uint64_t> u64_vec() {
+    return array<std::uint64_t>("u64 vector length past end");
   }
 
   [[nodiscard]] std::size_t remaining() const noexcept {
@@ -118,17 +149,25 @@ class Decoder {
   }
 
  private:
-  std::uint64_t fixed(int width) {
-    if (remaining() < static_cast<std::size_t>(width)) {
-      throw CodecError("truncated integer");
+  template <typename T>
+  T fixed() {
+    if (remaining() < sizeof(T)) throw CodecError("truncated integer");
+    const T v = le::load<T>(in_.data() + pos_);
+    pos_ += sizeof(T);
+    return v;
+  }
+
+  template <typename T>
+  std::vector<T> array(const char* past_end) {
+    const std::uint64_t size = u64();
+    if (size > remaining() / sizeof(T)) throw CodecError(past_end);
+    std::vector<T> v(size);
+    if constexpr (le::kNative) {
+      const std::string_view bytes = view(size * sizeof(T));
+      if (size != 0) std::memcpy(v.data(), bytes.data(), bytes.size());
+    } else {
+      for (T& x : v) x = fixed<T>();
     }
-    std::uint64_t v = 0;
-    for (int i = 0; i < width; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(in_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += width;
     return v;
   }
 
@@ -137,7 +176,8 @@ class Decoder {
 };
 
 /// SplitMix-scrambled position-salted checksum over a byte string; the
-/// integrity check of the disk store and the result log.
+/// integrity check of the disk store and the result log. Each full
+/// 8-byte word is one little-endian load; a short tail is zero-padded.
 [[nodiscard]] std::uint64_t checksum(std::string_view bytes) noexcept;
 
 /// The artifact kinds the store persists; each gets its own

@@ -1,8 +1,9 @@
 #include "store/result_log.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
+#include <optional>
+
+#include "store/input_file.hpp"
 
 namespace rdv::store {
 
@@ -109,17 +110,13 @@ std::size_t OrderedResultStream::pending() const {
 }
 
 std::vector<ResultRecord> read_result_log(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw CodecError("result log unreadable: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string bytes = std::move(buffer).str();
-
-  if (bytes.size() < 4 ||
-      !std::equal(kLogMagic, kLogMagic + 4, bytes.data())) {
+  const std::optional<std::string> bytes = read_file(path);
+  if (!bytes.has_value()) throw CodecError("result log unreadable: " + path);
+  if (bytes->size() < 4 ||
+      !std::equal(kLogMagic, kLogMagic + 4, bytes->data())) {
     throw CodecError("result log: bad magic");
   }
-  Decoder d(std::string_view(bytes).substr(4));
+  Decoder d(std::string_view(*bytes).substr(4));
   const std::uint32_t version = d.u32();
   if (version != kResultLogVersion) {
     throw CodecError("result log: format version mismatch");
@@ -129,7 +126,7 @@ std::vector<ResultRecord> read_result_log(const std::string& path) {
     const std::uint64_t size = d.u64();
     const std::uint64_t sum = d.u64();
     if (size > d.remaining()) throw CodecError("result log: torn record");
-    const std::string payload = d.bytes(size);
+    const std::string_view payload = d.view(size);
     if (checksum(payload) != sum) {
       throw CodecError("result log: record checksum mismatch");
     }

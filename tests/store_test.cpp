@@ -135,6 +135,195 @@ TEST(Codec, DecodersRejectGarbage) {
   EXPECT_THROW(decode_view_classes(ok + "z"), CodecError);
 }
 
+// ---- pinned bytes ---------------------------------------------------
+//
+// Store files must stay byte-identical across codec and I/O rewrites:
+// every constant below was computed with the byte-at-a-time codec and
+// the concatenating writer, before the bulk little-endian paths landed.
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// `length` seeded bytes, every value 0..255 represented.
+std::string seeded_bytes(std::size_t length, std::uint64_t seed) {
+  support::SplitMix64 rng(seed);
+  std::string bytes(length, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.next());
+  return bytes;
+}
+
+TEST(PinnedBytes, ChecksumOfLengthsZeroToSeventeen) {
+  constexpr std::uint64_t kExpected[18] = {
+      0xe32b1c23057afb33ull, 0x5e6785a21f0c3095ull, 0x8d6d916f10024c14ull,
+      0xa4760830e40e99e6ull, 0x142fd2d19cc71435ull, 0xacc96b2332a7c130ull,
+      0x1244b30df1623bb6ull, 0x8aa6802e511446afull, 0x2d18f405ec8c64ebull,
+      0xe9b6f497d0ceeabaull, 0xb84f74c10d238ec0ull, 0x3013d03638a7cd2aull,
+      0x708ee75a872fb8e1ull, 0x70767c39960ae13bull, 0xf33e93786650edfcull,
+      0x146bf696571e7edeull, 0xb6ee825e3adead6bull, 0x31fd0783cb3eb40bull};
+  const std::string bytes = seeded_bytes(17, 0xC5);
+  for (std::size_t length = 0; length <= 17; ++length) {
+    const std::uint64_t sum =
+        checksum(std::string_view(bytes).substr(0, length));
+    EXPECT_EQ(sum, kExpected[length])
+        << "length " << length << ": 0x" << std::hex << sum;
+  }
+}
+
+TEST(PinnedBytes, DiskStoreFilesOfEveryKind) {
+  DiskConfig config;
+  config.root = fresh_dir("pinned");
+  DiskStore store(config);
+  const graph::Graph g = families::random_connected(1024, 1792, 35);
+  const views::ViewClasses classes = views::compute_view_classes(g);
+  const graph::Graph torus = families::oriented_torus(4, 6);
+  const views::ViewClasses torus_classes = views::compute_view_classes(torus);
+  struct File {
+    Kind kind;
+    std::string key;
+    std::string payload;
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  const File files[] = {
+      {Kind::kViewClasses, "random1024", encode_view_classes(classes), 4198,
+       0x4c1dda757ae0f15bull},
+      {Kind::kViewClasses, "torus4x6", encode_view_classes(torus_classes),
+       196, 0x696f6f5f2ed24cafull},
+      {Kind::kQuotients, "random1024",
+       encode_quotient(views::build_quotient(g, classes)), 57427,
+       0xeb914dd0f65f5ed3ull},
+      {Kind::kQuotients, "torus4x6",
+       encode_quotient(views::build_quotient(torus, torus_classes)), 141,
+       0xf0c5b65fcde317e2ull},
+      {Kind::kUxs, "n9", encode_uxs(uxs::Uxs::pseudo_random(41, 9)), 438,
+       0x96a31732ed85903cull},
+      {Kind::kShrinkAllPairs, "random1024",
+       encode_all_pairs_shrink(views::shrink_all_pairs(g)), 4194414,
+       0x883ee39fe86e7747ull},
+  };
+  for (const File& f : files) {
+    SCOPED_TRACE(std::string(kind_name(f.kind)) + "/" + f.key);
+    ASSERT_TRUE(store.save(f.kind, f.key, f.payload));
+    const std::string bytes = read_file(store.path_for(f.kind, f.key));
+    EXPECT_EQ(bytes.size(), f.size);
+    EXPECT_EQ(fnv1a(bytes), f.digest) << "0x" << std::hex << fnv1a(bytes);
+    const auto loaded = store.load(f.kind, f.key);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(*loaded, f.payload);
+  }
+}
+
+// ---- bulk paths against the byte-wise codec -------------------------
+//
+// The byte-at-a-time checksum and vector codec the store shipped with,
+// kept as oracles: the word-wise checksum and the memcpy vector paths
+// must agree with them on every length and on views that start at any
+// offset from an 8-byte boundary.
+
+std::uint64_t reference_scramble(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+std::uint64_t reference_checksum(std::string_view bytes) {
+  std::uint64_t state = 0xC0DEC0DE5EED0003ULL;
+  std::uint64_t position = 0;
+  std::size_t i = 0;
+  while (i < bytes.size()) {
+    std::uint64_t word = 0;
+    for (int b = 0; b < 8 && i < bytes.size(); ++b, ++i) {
+      word |= static_cast<std::uint64_t>(
+                  static_cast<unsigned char>(bytes[i]))
+              << (8 * b);
+    }
+    state = reference_scramble(state ^ (word + 0x9E3779B97F4A7C15ULL *
+                                                   ++position));
+  }
+  return reference_scramble(state ^ bytes.size());
+}
+
+template <typename T>
+void reference_put(std::string& out, T v) {
+  for (std::size_t i = 0; i < sizeof v; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+template <typename T>
+T reference_get(std::string_view in, std::size_t& pos) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof v; ++i) {
+    v |= static_cast<T>(static_cast<unsigned char>(in.at(pos + i)))
+         << (8 * i);
+  }
+  pos += sizeof v;
+  return v;
+}
+
+template <typename T>
+std::string reference_encode_vec(const std::vector<T>& v) {
+  std::string out;
+  reference_put<std::uint64_t>(out, v.size());
+  for (const T x : v) reference_put(out, x);
+  return out;
+}
+
+template <typename T>
+std::vector<T> reference_decode_vec(std::string_view in, std::size_t& pos) {
+  std::vector<T> v(reference_get<std::uint64_t>(in, pos));
+  for (T& x : v) x = reference_get<T>(in, pos);
+  return v;
+}
+
+TEST(CodecOracle, ChecksumMatchesByteWiseReferenceAtEveryOffset) {
+  const std::string buffer = seeded_bytes(64 + 7, 0x0AC1E);
+  for (std::size_t offset = 0; offset <= 7; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::string_view view =
+          std::string_view(buffer).substr(offset, length);
+      EXPECT_EQ(checksum(view), reference_checksum(view))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(CodecOracle, VectorCodecMatchesByteWiseReferenceAtEveryOffset) {
+  support::SplitMix64 rng(0x0AC1E);
+  for (std::size_t length = 0; length <= 64; ++length) {
+    std::vector<std::uint32_t> v32(length);
+    std::vector<std::uint64_t> v64(length);
+    for (std::uint32_t& x : v32) x = static_cast<std::uint32_t>(rng.next());
+    for (std::uint64_t& x : v64) x = rng.next();
+    Encoder e;
+    e.u32_vec(v32);
+    e.u64_vec(v64);
+    const std::string expected =
+        reference_encode_vec(v32) + reference_encode_vec(v64);
+    ASSERT_EQ(e.bytes(), expected) << "length " << length;
+    for (std::size_t offset = 0; offset <= 7; ++offset) {
+      SCOPED_TRACE("length " + std::to_string(length) + " offset " +
+                   std::to_string(offset));
+      const std::string buffer = std::string(offset, '\x5A') + expected;
+      const std::string_view view = std::string_view(buffer).substr(offset);
+      Decoder d(view);
+      EXPECT_EQ(d.u32_vec(), v32);
+      EXPECT_EQ(d.u64_vec(), v64);
+      EXPECT_NO_THROW(d.finish());
+      std::size_t pos = 0;
+      EXPECT_EQ(reference_decode_vec<std::uint32_t>(view, pos), v32);
+      EXPECT_EQ(reference_decode_vec<std::uint64_t>(view, pos), v64);
+      EXPECT_EQ(pos, view.size());
+    }
+  }
+}
+
 // ---- DiskStore ------------------------------------------------------
 
 TEST(DiskStore, SaveLoadRoundTripWithStats) {
@@ -230,6 +419,44 @@ TEST(DiskStore, VersionAndSaltMismatchAreMissesNotCorruption) {
   write_file(writer.path_for(Kind::kUxs, "n5"), bytes);
   EXPECT_FALSE(same.load(Kind::kUxs, "n5").has_value());
   EXPECT_EQ(same.stats(Kind::kUxs).version_mismatch, 1u);
+}
+
+// load() reads the header length save() writes for its own salt and
+// key first; a file whose header is longer or shorter must still be
+// classified as the whole file says.
+TEST(DiskStore, SaltsAndKeysOfOtherLengthsAreClassifiedLikeTheFile) {
+  const std::string root = fresh_dir("salt_lengths");
+  const std::string long_salt = "a-build-salt-much-longer-than-the-payload";
+  for (const auto& [written, read] :
+       {std::pair<std::string, std::string>{"s", long_salt},
+        std::pair<std::string, std::string>{long_salt, "s"}}) {
+    SCOPED_TRACE(written + " -> " + read);
+    DiskConfig writer_config;
+    writer_config.root = root;
+    writer_config.build_salt = written;
+    DiskStore writer(writer_config);
+    ASSERT_TRUE(writer.save(Kind::kUxs, "n5", "p"));
+    DiskConfig reader_config = writer_config;
+    reader_config.build_salt = read;
+    DiskStore reader(reader_config);
+    EXPECT_FALSE(reader.load(Kind::kUxs, "n5").has_value());
+    EXPECT_EQ(reader.stats(Kind::kUxs).version_mismatch, 1u);
+    EXPECT_EQ(reader.stats(Kind::kUxs).corrupt, 0u);
+  }
+
+  DiskConfig config;
+  config.root = root;
+  DiskStore store(config);
+  ASSERT_TRUE(store.save(Kind::kUxs, "n5", "five"));
+  ASSERT_TRUE(store.save(Kind::kUxs, "n5-long-key", "five"));
+  fs::copy_file(store.path_for(Kind::kUxs, "n5"),
+                store.path_for(Kind::kUxs, "n5-long"));
+  fs::copy_file(store.path_for(Kind::kUxs, "n5-long-key"),
+                store.path_for(Kind::kUxs, "n6"));
+  EXPECT_FALSE(store.load(Kind::kUxs, "n5-long").has_value());
+  EXPECT_FALSE(store.load(Kind::kUxs, "n6").has_value());
+  EXPECT_EQ(store.stats(Kind::kUxs).corrupt, 2u);
+  EXPECT_EQ(store.stats(Kind::kUxs).version_mismatch, 0u);
 }
 
 TEST(DiskStore, KeyEchoRejectsRenamedFiles) {
