@@ -39,10 +39,14 @@
 //
 // M8 — store layer cost per artifact: encode, save (header and payload
 // to a temp file, fsync, rename), load (exact-size read, header and
-// checksum validation) and decode, as MB/s of payload over the best of
-// 5, for the all-pairs Shrink table, view classes and quotient of the
-// n = 1024 census graph M4 times. Each round trip is checked byte for
-// byte. Informational: no gate, only the JSON "store" rows.
+// checksum validation) and decode, as milliseconds and MB/s of payload
+// over the best of 5, for the all-pairs Shrink table, view classes and
+// quotient of the n = 1024 census graph M4 times. Each row also gives
+// the bytes of the decoded arrays (n*n*4 for the Shrink table, whose
+// payload stores narrowed cells): compare milliseconds across format
+// changes, since MB/s of a smaller payload reads as a slowdown. Each
+// round trip is checked byte for byte. Informational: no gate, only the
+// JSON "store" rows.
 //
 // `micro_sweep --smoke` runs every section at tiny sizes with one
 // repetition and a single M6 triple with no overhead gate (the dropped-
@@ -791,6 +795,7 @@ int main(int argc, char** argv) {
   struct StorePoint {
     const char* artifact;
     std::size_t bytes;
+    std::size_t table_bytes;
     double encode_ms;
     double save_ms;
     double load_ms;
@@ -810,12 +815,14 @@ int main(int argc, char** argv) {
     const auto store_quotient =
         rdv::views::build_quotient(store_g, store_classes);
     const auto store_shrink = rdv::views::shrink_all_pairs(store_g);
-    // Encodes, saves, loads and decodes `value`; false when a step
-    // fails or the round trip changes a byte.
+    // Encodes, saves, loads and decodes `value`, whose arrays take
+    // `table_bytes`; false when a step fails or the round trip changes
+    // a byte.
     const auto measure = [&](const char* artifact, rdv::store::Kind kind,
-                             const auto& value, auto encode, auto decode) {
+                             const auto& value, std::size_t table_bytes,
+                             auto encode, auto decode) {
       std::string payload;
-      StorePoint point{artifact, 0, 0, 0, 0, 0};
+      StorePoint point{artifact, 0, table_bytes, 0, 0, 0, 0};
       point.encode_ms = best_of_ms(best_of, [&] { payload = encode(value); });
       point.bytes = payload.size();
       bool ok = true;
@@ -833,15 +840,22 @@ int main(int argc, char** argv) {
       store_points.push_back(point);
       return encode(decoded) == payload;
     };
+    std::size_t quotient_bytes = 4 * store_quotient.multiplicity.size();
+    for (const auto& arcs : store_quotient.arcs) {
+      quotient_bytes += sizeof(rdv::views::QuotientArc) * arcs.size();
+    }
     const bool stored =
         measure("shrink_all_pairs", rdv::store::Kind::kShrinkAllPairs,
-                store_shrink, rdv::store::encode_all_pairs_shrink,
+                store_shrink, 4 * store_shrink.values.size(),
+                rdv::store::encode_all_pairs_shrink,
                 rdv::store::decode_all_pairs_shrink) &&
         measure("view_classes", rdv::store::Kind::kViewClasses,
-                store_classes, rdv::store::encode_view_classes,
+                store_classes, 4 * store_classes.class_of.size(),
+                rdv::store::encode_view_classes,
                 rdv::store::decode_view_classes) &&
         measure("quotients", rdv::store::Kind::kQuotients, store_quotient,
-                rdv::store::encode_quotient, rdv::store::decode_quotient);
+                quotient_bytes, rdv::store::encode_quotient,
+                rdv::store::decode_quotient);
     if (!stored) {
       std::fprintf(stderr,
                    "error: store round trip failed or changed a byte\n");
@@ -852,12 +866,18 @@ int main(int argc, char** argv) {
   const auto mb_per_s = [](std::size_t bytes, double ms) {
     return ms > 0 ? static_cast<double>(bytes) / (ms * 1000.0) : 0;
   };
-  rdv::support::Table store_table({"artifact", "n", "payload bytes",
-                                   "encode MB/s", "save MB/s", "load MB/s",
-                                   "decode MB/s"});
+  rdv::support::Table store_table(
+      {"artifact", "n", "payload bytes", "table bytes", "encode ms",
+       "save ms", "load ms", "decode ms", "encode MB/s", "save MB/s",
+       "load MB/s", "decode MB/s"});
   for (const StorePoint& p : store_points) {
     store_table.add_row(
         {p.artifact, std::to_string(family_n), std::to_string(p.bytes),
+         std::to_string(p.table_bytes),
+         rdv::support::format_double(p.encode_ms, 3),
+         rdv::support::format_double(p.save_ms, 3),
+         rdv::support::format_double(p.load_ms, 3),
+         rdv::support::format_double(p.decode_ms, 3),
          rdv::support::format_double(mb_per_s(p.bytes, p.encode_ms), 1),
          rdv::support::format_double(mb_per_s(p.bytes, p.save_ms), 1),
          rdv::support::format_double(mb_per_s(p.bytes, p.load_ms), 1),
@@ -866,7 +886,7 @@ int main(int argc, char** argv) {
   rdv::analysis::emit_table(
       "micro_sweep_store",
       "M8: store layer per artifact (best of " + std::to_string(best_of) +
-          ", MB/s of payload)",
+          "; ms per step, MB/s of payload)",
       store_table);
 
   // Through support/env like every other binary (the invariant
@@ -924,6 +944,10 @@ int main(int argc, char** argv) {
     if (i != 0) json << ",";
     json << "{\"artifact\":\"" << p.artifact << "\",\"n\":" << family_n
          << ",\"bytes\":" << p.bytes
+         << ",\"table_bytes\":" << p.table_bytes
+         << ",\"encode_ms\":" << p.encode_ms
+         << ",\"save_ms\":" << p.save_ms << ",\"load_ms\":" << p.load_ms
+         << ",\"decode_ms\":" << p.decode_ms
          << ",\"encode_mb_s\":" << mb_per_s(p.bytes, p.encode_ms)
          << ",\"save_mb_s\":" << mb_per_s(p.bytes, p.save_ms)
          << ",\"load_mb_s\":" << mb_per_s(p.bytes, p.load_ms)

@@ -1,5 +1,6 @@
 #include "store/codec.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace rdv::store {
@@ -120,10 +121,47 @@ views::QuotientGraph decode_quotient(std::string_view bytes) {
   return q;
 }
 
+namespace {
+
+/// Bytes per Shrink cell: the narrowest width whose all-ones value (the
+/// unreachable sentinel) lies above every finite cell. `top` is one
+/// more than the largest finite cell, 0 when there is none.
+std::uint32_t shrink_cell_width(std::uint32_t top) noexcept {
+  if (top <= 0xFFu) return 1;
+  if (top <= 0xFFFFu) return 2;
+  return 4;
+}
+
+/// Widens `out.size()` little-endian T cells to u32, all-ones to
+/// graph::kUnreachable, and returns `top` of the cells. Adding 1 wraps
+/// all-ones to 0, so the max needs no branch and the loop vectorizes.
+template <typename T>
+std::uint32_t widen_cells(const char* cells, std::span<std::uint32_t> out) {
+  constexpr T kAllOnes = static_cast<T>(~T{0});
+  T top = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const T c = le::load<T>(cells + i * sizeof(T));
+    out[i] = c == kAllOnes ? graph::kUnreachable : c;
+    const T next = static_cast<T>(c + 1);
+    top = next > top ? next : top;
+  }
+  return top;
+}
+
+}  // namespace
+
 std::string encode_all_pairs_shrink(const views::AllPairsShrink& a) {
-  Encoder e(4 + 8 + 4 * a.values.size() + 8);
+  std::uint32_t top = 0;
+  for (const std::uint32_t v : a.values) top = std::max(top, v + 1);
+  const std::uint32_t width = shrink_cell_width(top);
+  Encoder e(4 + 4 + width * a.values.size() + 8);
   e.u32(a.n);
-  e.u32_vec(a.values);
+  e.u32(width);
+  switch (width) {
+    case 1: e.narrow<std::uint8_t>(a.values); break;
+    case 2: e.narrow<std::uint16_t>(a.values); break;
+    default: e.narrow<std::uint32_t>(a.values); break;
+  }
   e.u64(a.pairs_explored);
   return e.take();
 }
@@ -132,12 +170,31 @@ views::AllPairsShrink decode_all_pairs_shrink(std::string_view bytes) {
   Decoder d(bytes);
   views::AllPairsShrink a;
   a.n = d.u32();
-  a.values = d.u32_vec();
+  const std::uint32_t width = d.u32();
+  if (width != 1 && width != 2 && width != 4) {
+    throw CodecError("all-pairs shrink cell width not 1, 2 or 4");
+  }
+  const std::uint64_t count = static_cast<std::uint64_t>(a.n) * a.n;
+  if (count > d.remaining() / width) {
+    throw CodecError("all-pairs shrink table past end");
+  }
+  const char* cells = d.view(count * width).data();
   a.pairs_explored = d.u64();
   d.finish();
-  if (a.values.size() !=
-      static_cast<std::size_t>(a.n) * static_cast<std::size_t>(a.n)) {
-    throw CodecError("all-pairs shrink table is not n x n");
+  a.values.resize(count);
+  std::uint32_t top = 0;
+  switch (width) {
+    case 1: top = widen_cells<std::uint8_t>(cells, a.values); break;
+    case 2: top = widen_cells<std::uint16_t>(cells, a.values); break;
+    default: top = widen_cells<std::uint32_t>(cells, a.values); break;
+  }
+  if (shrink_cell_width(top) != width) {
+    throw CodecError("all-pairs shrink cell width is not the narrowest");
+  }
+  for (std::uint64_t u = 0; u < a.n; ++u) {
+    if (a.values[u * a.n + u] != 0) {
+      throw CodecError("all-pairs shrink diagonal cell is not 0");
+    }
   }
   return a;
 }

@@ -18,12 +18,13 @@
 /// (ISSUE 4 tentpole).
 ///
 /// Every integer is encoded little-endian at a fixed width and every
-/// container is length-prefixed, so the byte stream for a given
-/// artifact is identical across platforms, runs, and process images —
-/// the property the disk store's content checksums and the warm-run
-/// byte-identity CI job rely on. Decoding is strict: trailing bytes,
-/// truncation, and out-of-range lengths all raise CodecError, which the
-/// disk store maps to "corrupt, fall back to recompute".
+/// container is length-prefixed (the Shrink table by its n), so the
+/// byte stream for a given artifact is identical across platforms,
+/// runs, and process images — the property the disk store's content
+/// checksums and the warm-run byte-identity CI job rely on. Decoding is
+/// strict: trailing bytes, truncation, and out-of-range lengths all
+/// raise CodecError, which the disk store maps to "corrupt, fall back
+/// to recompute".
 namespace rdv::store {
 
 /// Decode-side failure (truncation, bad length, trailing garbage).
@@ -86,6 +87,17 @@ class Encoder {
     array(std::span<const std::uint32_t>(v));
   }
   void u64_vec(std::span<const std::uint64_t> v) { array(v); }
+  /// Each value truncated to T, little-endian, without a length
+  /// prefix, written in place at the end of the buffer.
+  template <typename T>
+  void narrow(std::span<const std::uint32_t> v) {
+    const std::size_t at = out_.size();
+    out_.resize(at + v.size() * sizeof(T));
+    char* dst = out_.data() + at;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      le::store(static_cast<T>(v[i]), dst + i * sizeof(T));
+    }
+  }
 
   [[nodiscard]] const std::string& bytes() const noexcept { return out_; }
   [[nodiscard]] std::string take() noexcept { return std::move(out_); }
@@ -207,6 +219,11 @@ inline constexpr std::size_t kKindCount = 4;
 [[nodiscard]] std::string encode_quotient(const views::QuotientGraph& q);
 [[nodiscard]] views::QuotientGraph decode_quotient(std::string_view bytes);
 
+/// The Shrink table is stored at the narrowest cell width w in {1, 2,
+/// 4} bytes whose all-ones value lies above every finite entry; all-ones
+/// stands for graph::kUnreachable. Payload: u32 n, u32 w, n*n cells of
+/// w bytes, u64 pairs_explored. The decoder widens back to u32 and
+/// rejects any other width, so an accepted payload is canonical.
 [[nodiscard]] std::string encode_all_pairs_shrink(
     const views::AllPairsShrink& a);
 [[nodiscard]] views::AllPairsShrink decode_all_pairs_shrink(

@@ -31,7 +31,10 @@
 namespace rdv::store {
 
 /// On-disk format version; bump when the header or any codec changes.
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Version 2 stores the all-pairs Shrink table at 1, 2 or 4 bytes per
+/// cell; a version 1 file is a version mismatch, recomputed and
+/// rewritten.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Ties stored artifacts to the generation of the code that produced
 /// them: bump when artifact SEMANTICS change (corpus definition, UXS

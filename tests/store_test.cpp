@@ -138,8 +138,10 @@ TEST(Codec, DecodersRejectGarbage) {
 // ---- pinned bytes ---------------------------------------------------
 //
 // Store files must stay byte-identical across codec and I/O rewrites:
-// every constant below was computed with the byte-at-a-time codec and
-// the concatenating writer, before the bulk little-endian paths landed.
+// the checksum constants were computed with the byte-at-a-time codec,
+// before the bulk little-endian paths landed. The store files are
+// pinned in format version 2, and the version 1 files they replaced
+// are rebuilt from the test-local v1 layout below and pinned too.
 
 std::uint64_t fnv1a(std::string_view bytes) {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -156,6 +158,44 @@ std::string seeded_bytes(std::size_t length, std::uint64_t seed) {
   std::string bytes(length, '\0');
   for (char& c : bytes) c = static_cast<char>(rng.next());
   return bytes;
+}
+
+template <typename T>
+void reference_put(std::string& out, T v) {
+  for (std::size_t i = 0; i < sizeof v; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+void reference_put_str(std::string& out, std::string_view s) {
+  reference_put<std::uint64_t>(out, s.size());
+  out.append(s);
+}
+
+/// A complete store file in format version 1: magic, version 1, salt,
+/// kind and key echo, payload size and checksum, then the payload.
+std::string version1_file(std::string_view salt, Kind kind,
+                          std::string_view key, std::string_view payload) {
+  std::string out = "RDVS";
+  reference_put<std::uint32_t>(out, 1);
+  reference_put_str(out, salt);
+  reference_put_str(out, kind_name(kind));
+  reference_put_str(out, key);
+  reference_put<std::uint64_t>(out, payload.size());
+  reference_put<std::uint64_t>(out, checksum(payload));
+  out.append(payload);
+  return out;
+}
+
+/// The all-pairs Shrink payload in format version 1: u32 n, u64 cell
+/// count, n*n little-endian u32 cells, u64 pairs_explored.
+std::string version1_shrink_payload(const views::AllPairsShrink& a) {
+  std::string out;
+  reference_put<std::uint32_t>(out, a.n);
+  reference_put<std::uint64_t>(out, a.values.size());
+  for (const std::uint32_t v : a.values) reference_put(out, v);
+  reference_put<std::uint64_t>(out, a.pairs_explored);
+  return out;
 }
 
 TEST(PinnedBytes, ChecksumOfLengthsZeroToSeventeen) {
@@ -183,29 +223,33 @@ TEST(PinnedBytes, DiskStoreFilesOfEveryKind) {
   const views::ViewClasses classes = views::compute_view_classes(g);
   const graph::Graph torus = families::oriented_torus(4, 6);
   const views::ViewClasses torus_classes = views::compute_view_classes(torus);
+  const views::AllPairsShrink shrink = views::shrink_all_pairs(g);
+  // Size and digest in format version 2, and the digest of the same
+  // file in version 1. Only the Shrink payload changed between the two:
+  // every other file differs in the version field alone.
   struct File {
     Kind kind;
     std::string key;
     std::string payload;
     std::size_t size;
     std::uint64_t digest;
+    std::uint64_t v1_digest;
   };
   const File files[] = {
       {Kind::kViewClasses, "random1024", encode_view_classes(classes), 4198,
-       0x4c1dda757ae0f15bull},
+       0xa3e4516f8f1b8584ull, 0x4c1dda757ae0f15bull},
       {Kind::kViewClasses, "torus4x6", encode_view_classes(torus_classes),
-       196, 0x696f6f5f2ed24cafull},
+       196, 0x8bcef4d551e29064ull, 0x696f6f5f2ed24cafull},
       {Kind::kQuotients, "random1024",
        encode_quotient(views::build_quotient(g, classes)), 57427,
-       0xeb914dd0f65f5ed3ull},
+       0x5dccf459523ff8c6ull, 0xeb914dd0f65f5ed3ull},
       {Kind::kQuotients, "torus4x6",
        encode_quotient(views::build_quotient(torus, torus_classes)), 141,
-       0xf0c5b65fcde317e2ull},
+       0x090982f81e8bfe7bull, 0xf0c5b65fcde317e2ull},
       {Kind::kUxs, "n9", encode_uxs(uxs::Uxs::pseudo_random(41, 9)), 438,
-       0x96a31732ed85903cull},
-      {Kind::kShrinkAllPairs, "random1024",
-       encode_all_pairs_shrink(views::shrink_all_pairs(g)), 4194414,
-       0x883ee39fe86e7747ull},
+       0x3bbfafb4cc856e4bull, 0x96a31732ed85903cull},
+      {Kind::kShrinkAllPairs, "random1024", encode_all_pairs_shrink(shrink),
+       1048682, 0xabf1e92ee51153e6ull, 0x883ee39fe86e7747ull},
   };
   for (const File& f : files) {
     SCOPED_TRACE(std::string(kind_name(f.kind)) + "/" + f.key);
@@ -216,6 +260,13 @@ TEST(PinnedBytes, DiskStoreFilesOfEveryKind) {
     const auto loaded = store.load(f.kind, f.key);
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(*loaded, f.payload);
+
+    const std::string v1 =
+        f.kind == Kind::kShrinkAllPairs
+            ? version1_file(kDefaultBuildSalt, f.kind, f.key,
+                            version1_shrink_payload(shrink))
+            : version1_file(kDefaultBuildSalt, f.kind, f.key, f.payload);
+    EXPECT_EQ(fnv1a(v1), f.v1_digest) << "0x" << std::hex << fnv1a(v1);
   }
 }
 
@@ -247,13 +298,6 @@ std::uint64_t reference_checksum(std::string_view bytes) {
                                                    ++position));
   }
   return reference_scramble(state ^ bytes.size());
-}
-
-template <typename T>
-void reference_put(std::string& out, T v) {
-  for (std::size_t i = 0; i < sizeof v; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
 }
 
 template <typename T>
@@ -646,6 +690,41 @@ TEST(DiskStore, TwoProcessesWritingOneStoreDir) {
 
 // ---- ArtifactCache two-tier integration -----------------------------
 
+// A Shrink table stored by format version 1 (u32 cells) is a version
+// mismatch, not corruption: the cache recomputes it and rewrites the
+// file in the current format.
+TEST(CacheStoreIntegration, Version1ShrinkFileIsRecomputedAndRewritten) {
+  auto disk = std::make_shared<DiskStore>(
+      DiskConfig{fresh_dir("version1"), kDefaultBuildSalt, false, {}});
+  const graph::Graph g = families::path_graph(7);
+  const views::AllPairsShrink expected = views::shrink_all_pairs(g);
+  const std::string key = cache::ArtifactCache::disk_key(cache::fingerprint(g));
+  write_file(disk->path_for(Kind::kShrinkAllPairs, key),
+             version1_file(kDefaultBuildSalt, Kind::kShrinkAllPairs, key,
+                           version1_shrink_payload(expected)));
+  EXPECT_FALSE(disk->load(Kind::kShrinkAllPairs, key).has_value());
+  EXPECT_EQ(disk->stats(Kind::kShrinkAllPairs).version_mismatch, 1u);
+  EXPECT_EQ(disk->stats(Kind::kShrinkAllPairs).corrupt, 0u);
+
+  cache::CacheConfig config;
+  config.disk = disk;
+  cache::ArtifactCache cache(config);
+  const auto table = cache.all_pairs_shrink(g);
+  EXPECT_EQ(table->n, expected.n);
+  EXPECT_EQ(table->values, expected.values);
+  EXPECT_EQ(table->pairs_explored, expected.pairs_explored);
+  const DiskStats stats = disk->stats(Kind::kShrinkAllPairs);
+  EXPECT_EQ(stats.version_mismatch, 2u);
+  EXPECT_EQ(stats.corrupt, 0u);
+  EXPECT_EQ(stats.writes, 1u);
+
+  const auto rewritten = disk->load(Kind::kShrinkAllPairs, key);
+  ASSERT_TRUE(rewritten.has_value());
+  EXPECT_EQ(*rewritten, encode_all_pairs_shrink(expected));
+  EXPECT_EQ(decode_all_pairs_shrink(*rewritten).values,
+            views::shrink_all_pairs(g).values);
+}
+
 TEST(CacheStoreIntegration, WarmCacheSkipsEveryRecomputeIncludingUxs) {
   auto disk = std::make_shared<DiskStore>(
       DiskConfig{fresh_dir("twotier"), kDefaultBuildSalt, false, {}});
@@ -830,6 +909,126 @@ TEST(Codec, AllPairsShrinkRoundTripsAndRejectsBadShape) {
   skewed.values.pop_back();
   EXPECT_THROW(decode_all_pairs_shrink(encode_all_pairs_shrink(skewed)),
                CodecError);
+}
+
+/// A symmetric 3 x 3 table: zero diagonal, Shrink(0, 1) = max_finite,
+/// Shrink(1, 2) = max_finite / 2 and (0, 2) unreachable.
+views::AllPairsShrink boundary_table(std::uint32_t max_finite) {
+  constexpr std::uint32_t x = graph::kUnreachable;
+  const std::uint32_t m = max_finite;
+  const std::uint32_t h = max_finite / 2;
+  views::AllPairsShrink a;
+  a.n = 3;
+  a.values = {0, m, x, m, 0, h, x, h, 0};
+  a.pairs_explored = 5;
+  return a;
+}
+
+/// path(3) plus an isolated node: every pair with node 3 is unreachable.
+graph::Graph path3_and_isolated_node() {
+  const graph::Graph path = families::path_graph(3);
+  std::vector<std::vector<graph::HalfEdge>> adj(4);
+  for (graph::Node v = 0; v < 3; ++v) {
+    adj[v].assign(path.edges(v).begin(), path.edges(v).end());
+  }
+  return graph::Graph(std::move(adj), "path(3)+isolated");
+}
+
+/// A Shrink payload from its raw fields: u32 n, u32 width, the cells
+/// given as bytes, u64 pairs_explored.
+std::string shrink_payload(std::uint32_t n, std::uint32_t width,
+                           std::string_view cells) {
+  std::string out;
+  reference_put(out, n);
+  reference_put(out, width);
+  out.append(cells);
+  reference_put<std::uint64_t>(out, 0);
+  return out;
+}
+
+TEST(Codec, AllPairsShrinkNarrowsToTheLeastWidthAtEveryBoundary) {
+  struct Case {
+    views::AllPairsShrink table;
+    std::uint32_t width;
+  };
+  const Case cases[] = {
+      {boundary_table(0), 1},
+      {boundary_table(254), 1},
+      {boundary_table(255), 2},
+      {boundary_table(65534), 2},
+      {boundary_table(65535), 4},
+      {views::shrink_all_pairs(path3_and_isolated_node()), 1},
+  };
+  for (const Case& c : cases) {
+    const views::AllPairsShrink& a = c.table;
+    SCOPED_TRACE("width " + std::to_string(c.width) + ", Shrink(0,1) " +
+                 std::to_string(a.at(0, 1)));
+    const std::string bytes = encode_all_pairs_shrink(a);
+    EXPECT_EQ(bytes.size(), 16 + std::size_t{a.n} * a.n * c.width);
+    Decoder header(bytes);
+    EXPECT_EQ(header.u32(), a.n);
+    EXPECT_EQ(header.u32(), c.width);
+    const views::AllPairsShrink back = decode_all_pairs_shrink(bytes);
+    EXPECT_EQ(back.n, a.n);
+    EXPECT_EQ(back.values, a.values);
+    EXPECT_EQ(back.pairs_explored, a.pairs_explored);
+    for (graph::Node u = 0; u < a.n; ++u) {
+      for (graph::Node v = 0; v < a.n; ++v) {
+        EXPECT_EQ(back.at(u, v), a.at(u, v)) << u << "," << v;
+      }
+    }
+    EXPECT_EQ(encode_all_pairs_shrink(back), bytes);
+  }
+  const views::AllPairsShrink isolated =
+      views::shrink_all_pairs(path3_and_isolated_node());
+  EXPECT_EQ(isolated.at(0, 3), graph::kUnreachable);
+  EXPECT_EQ(isolated.at(3, 3), 0u);
+}
+
+TEST(Codec, AllPairsShrinkDecoderRejectsNonCanonicalTables) {
+  const std::string ok = encode_all_pairs_shrink(boundary_table(7));
+  ASSERT_NO_THROW(decode_all_pairs_shrink(ok));
+  // Unknown widths, with a table the right size for each.
+  for (const std::uint32_t width : {0u, 3u, 8u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    EXPECT_THROW(
+        decode_all_pairs_shrink(shrink_payload(3, width,
+                                               std::string(9 * width, '\0'))),
+        CodecError);
+  }
+  // Wider than the largest finite value needs: 10 at width 2, 300 at
+  // width 4, and a table with no finite value above 0 at width 2.
+  std::string cells2;
+  for (const std::uint16_t v : {0, 10, 10, 0}) reference_put(cells2, v);
+  EXPECT_THROW(decode_all_pairs_shrink(shrink_payload(2, 2, cells2)),
+               CodecError);
+  std::string cells4;
+  for (const std::uint32_t v : {0u, 300u, 300u, 0u}) {
+    reference_put(cells4, v);
+  }
+  EXPECT_THROW(decode_all_pairs_shrink(shrink_payload(2, 4, cells4)),
+               CodecError);
+  std::string zero_unreachable;
+  for (const std::uint16_t v : {0, 0xFFFF, 0xFFFF, 0}) {
+    reference_put(zero_unreachable, v);
+  }
+  EXPECT_THROW(decode_all_pairs_shrink(shrink_payload(2, 2, zero_unreachable)),
+               CodecError);
+  // n * n * width overflows 64 bits: to 0 for n = 2^31 at width 4, and
+  // past any input for n = 2^32 - 1.
+  EXPECT_THROW(decode_all_pairs_shrink(shrink_payload(0x8000'0000u, 4, "")),
+               CodecError);
+  EXPECT_THROW(decode_all_pairs_shrink(
+                   shrink_payload(0xFFFF'FFFFu, 4, std::string(64, '\0'))),
+               CodecError);
+  // A nonzero diagonal cell.
+  for (const std::size_t diagonal : {0u, 4u, 8u}) {
+    views::AllPairsShrink bad = boundary_table(7);
+    bad.values[diagonal] = 1;
+    EXPECT_THROW(decode_all_pairs_shrink(encode_all_pairs_shrink(bad)),
+                 CodecError)
+        << "cell " << diagonal;
+  }
 }
 
 TEST(OrderedResultStream, FlushesContiguousPrefixInIndexOrder) {
@@ -1068,6 +1267,10 @@ TEST(CodecFuzz, AllPairsShrinkDecoder) {
         encode_all_pairs_shrink(views::shrink_all_pairs(g)),
         decode_all_pairs_shrink, encode_all_pairs_shrink, 0x5A + g.size());
   }
+  // Two bytes per cell.
+  fuzz_decoder<views::AllPairsShrink>(
+      encode_all_pairs_shrink(boundary_table(300)), decode_all_pairs_shrink,
+      encode_all_pairs_shrink, 0x5A2);
 }
 
 TEST(CodecFuzz, ResultRecordDecoder) {
