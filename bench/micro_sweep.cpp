@@ -69,7 +69,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/experiments.hpp"
 #include "analysis/steiner.hpp"
 #include "cache/artifact_cache.hpp"
 #include "obs/metrics.hpp"
@@ -79,6 +78,7 @@
 #include "core/bounds.hpp"
 #include "core/symm_rv.hpp"
 #include "core/universal_rv.hpp"
+#include "exp/experiment.hpp"
 #include "graph/families/families.hpp"
 #include "graph/families/qhat.hpp"
 #include "graph/families/qhat_implicit.hpp"
@@ -109,6 +109,17 @@ double best_of_ms(int repeats, const std::function<void()>& fn) {
     if (i == 0 || ms < best) best = ms;
   }
   return best;
+}
+
+/// Prints the table under its heading and, when REPRO_CSV_DIR is set,
+/// also writes `<dir>/<id>.csv`.
+void emit_table(const std::string& id, const std::string& heading,
+                const rdv::support::Table& table) {
+  std::printf("%s\n%s", heading.c_str(), table.to_markdown().c_str());
+  const std::string dir = rdv::support::repro_csv_dir();
+  if (!dir.empty()) {
+    rdv::exp::write_file(dir + "/" + id + ".csv", table.to_csv());
+  }
 }
 
 /// One M7 topology: the STICs simulated on it and the size n the
@@ -143,8 +154,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- M2: sequential vs pooled feasibility kernel -------------------
-  const auto g = families::oriented_ring(rdv::analysis::full_mode() ? 8 : 6);
-  const std::uint64_t max_delay = rdv::analysis::full_mode() ? 6 : 4;
+  const auto g = families::oriented_ring(rdv::support::repro_full() ? 8 : 6);
+  const std::uint64_t max_delay = rdv::support::repro_full() ? 6 : 4;
   const auto classes = rdv::views::compute_view_classes(g);
   const std::vector<Stic> stics =
       rdv::analysis::enumerate_stics(g, max_delay);
@@ -192,7 +203,7 @@ int main(int argc, char** argv) {
                  std::to_string(stics.size()),
                  rdv::support::format_double(pool_ms, 3),
                  rate(pool_ms, stics.size())});
-  rdv::analysis::emit_table(
+  emit_table(
       "micro_sweep", "M2: sweep runner, sequential vs pooled", table);
 
   // ---- M2b: pool scaling of the work-stealing scheduler --------------
@@ -263,7 +274,7 @@ int main(int argc, char** argv) {
                          std::to_string(pool.park_count()),
                          std::to_string(pool.wakeup_count())});
   }
-  rdv::analysis::emit_table(
+  emit_table(
       "micro_sweep_scaling",
       "M2b: work-stealing pool scaling, flat and nested sweeps",
       scale_table);
@@ -273,7 +284,7 @@ int main(int argc, char** argv) {
   // shape of every T-series sweep. The kernel resolves the graph's view
   // partition and quotient PER CASE; uncached that is O(n^2 m) each
   // time, cached it is one compute per distinct graph.
-  const std::uint32_t cache_n = rdv::analysis::full_mode() ? 10 : 8;
+  const std::uint32_t cache_n = rdv::support::repro_full() ? 10 : 8;
   std::vector<rdv::graph::Graph> cache_graphs;
   cache_graphs.push_back(families::oriented_ring(cache_n));
   cache_graphs.push_back(families::scrambled_ring(cache_n, /*seed=*/11));
@@ -371,7 +382,7 @@ int main(int argc, char** argv) {
                      rate(cached_ms, cases.size()),
                      std::to_string(cache_stats.total_hits()),
                      std::to_string(cache_stats.total_misses())});
-  rdv::analysis::emit_table(
+  emit_table(
       "micro_sweep_cache",
       "M3: repeated-graph artifact sweep, uncached vs cached", cache_cmp);
 
@@ -421,7 +432,7 @@ int main(int argc, char** argv) {
   shrink_cmp.add_row({"batched all-pairs", std::to_string(shrink_pairs),
                       rdv::support::format_double(batched_ms, 3),
                       rdv::support::format_double(batched_speedup, 1)});
-  rdv::analysis::emit_table(
+  emit_table(
       "micro_sweep_shrink",
       "M4: all-pairs Shrink, per-pair product BFS vs batched sweep",
       shrink_cmp);
@@ -458,7 +469,7 @@ int main(int argc, char** argv) {
          rdv::support::format_double(ms * 1e6 / (n * (n + 1) / 2), 1),
          std::to_string(rows), std::to_string(pulls)});
   }
-  rdv::analysis::emit_table(
+  emit_table(
       "micro_sweep_shrink_families",
       "M4: all-pairs Shrink per family at n ~ " + std::to_string(family_n) +
           " (best of " + std::to_string(best_of) +
@@ -528,7 +539,7 @@ int main(int argc, char** argv) {
                           rdv::support::format_double(speedup, 1)});
     }
   }
-  rdv::analysis::emit_table(
+  emit_table(
       "micro_sweep_refine",
       "M5: view refinement, naive fixpoint vs splitter worklist",
       refine_cmp);
@@ -644,7 +655,7 @@ int main(int argc, char** argv) {
                        rdv::support::format_double(profile_band_pct, 2),
                        std::to_string(profile.events),
                        std::to_string(profile.dropped)});
-  rdv::analysis::emit_table(
+  emit_table(
       "micro_sweep_profile",
       "M6: event-recording overhead, off vs on (median of interleaved "
       "triples)",
@@ -784,8 +795,8 @@ int main(int argc, char** argv) {
                        rdv::support::format_double(ns_per_move, 1),
                        rdv::support::format_double(resumes, 3)});
   }
-  rdv::analysis::emit_table("micro_sweep_sim",
-                            "M7: simulator cost per agent move", sim_table);
+  emit_table("micro_sweep_sim", "M7: simulator cost per agent move",
+             sim_table);
 
   // ---- M8: store layer per artifact ---------------------------------
   // One payload of each census artifact of M4's random graph through
@@ -883,7 +894,7 @@ int main(int argc, char** argv) {
          rdv::support::format_double(mb_per_s(p.bytes, p.load_ms), 1),
          rdv::support::format_double(mb_per_s(p.bytes, p.decode_ms), 1)});
   }
-  rdv::analysis::emit_table(
+  emit_table(
       "micro_sweep_store",
       "M8: store layer per artifact (best of " + std::to_string(best_of) +
           "; ms per step, MB/s of payload)",

@@ -1,6 +1,5 @@
 #include "cache/artifact_cache.hpp"
 
-#include <algorithm>
 #include <string>
 
 #include "store/codec.hpp"
@@ -172,17 +171,6 @@ void ArtifactCache::clear() {
 ArtifactCache& global_cache() {
   static ArtifactCache* cache = [] {
     CacheConfig config;
-    config.shards = support::env_size_t("RDV_CACHE_SHARDS", config.shards);
-    config.capacity_per_shard = support::env_size_t(
-        "RDV_CACHE_CAPACITY", config.capacity_per_shard);
-    // RDV_CACHE_BYTES is the per-store budget; split it across shards
-    // (each shard gets at least 1 byte, i.e. "keep only the newest").
-    const std::size_t total_bytes = support::env_size_t("RDV_CACHE_BYTES", 0);
-    if (total_bytes != 0) {
-      config.bytes_per_shard =
-          std::max<std::uint64_t>(1, total_bytes / config.shards);
-    }
-    config.enabled = !support::env_flag("RDV_CACHE_DISABLE");
     const std::string store_dir = support::rdv_store_dir();
     if (!store_dir.empty()) {
       store::DiskConfig disk_config;

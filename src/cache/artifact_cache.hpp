@@ -142,12 +142,10 @@ class ArtifactCache {
 };
 
 /// Process-global cache used when no explicit cache is supplied.
-/// Knobs (read once, at first use): RDV_CACHE_SHARDS,
-/// RDV_CACHE_CAPACITY (entries per shard), RDV_CACHE_BYTES (resident
-/// payload bytes per store, split across shards; 0/unset = unbounded),
-/// RDV_CACHE_DISABLE=1; RDV_STORE_DIR attaches the persistent disk
-/// tier (RDV_STORE_SALT overrides its build salt, RDV_STORE_READONLY
-/// serves hits without writing).
+/// It keeps the CacheConfig defaults. Knobs (read once, at first use):
+/// RDV_STORE_DIR attaches the persistent disk tier (RDV_STORE_SALT
+/// overrides its build salt, RDV_STORE_READONLY serves hits without
+/// writing).
 [[nodiscard]] ArtifactCache& global_cache();
 
 /// Typed entry points: resolve through `cache`, or through

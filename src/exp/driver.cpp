@@ -534,34 +534,22 @@ int run_main(int argc, const char* const* argv) {
     if (i != 0) std::printf("\n");
     std::printf("== %s [%s] ==\n", e.id.c_str(), scale_name(ctx.scale));
     try {
-      // Streaming scenarios (the censuses) push per-case detail records
-      // through this sink DURING the run; they land in the log in case
-      // order, before the experiment's own summary record below.
-      std::unique_ptr<store::OrderedResultStream> stream;
-      if (log != nullptr) {
-        stream = std::make_unique<store::OrderedResultStream>(
-            *log, args.check ? &logged : nullptr);
-      }
-      ctx.stream = stream.get();
       const ExpOutput output = run_experiment(e, ctx);
-      ctx.stream = nullptr;
       // Per-scenario wall-clock series — what the CI perf-trend gate
       // diffs against its committed baseline band.
       obs::histogram("exp." + e.id + ".wall_micros")
           .observe(output.wall_micros);
-      if (stream != nullptr && stream->pending() != 0) {
-        std::fprintf(stderr,
-                     "rdv_bench: %s left %zu streamed records stranded "
-                     "(non-contiguous case indices)\n",
-                     e.id.c_str(), stream->pending());
-        ++failures;
-      }
       const std::vector<std::string> written =
           emit(e, output, emit_options);
       timings.push_back(Timing{e.id, output.wall_micros,
                                output.stats.items_total,
                                output.table.row_count()});
       if (log != nullptr) {
+        // The censuses' per-case detail records (already in case
+        // order) precede the experiment's own summary record.
+        for (const store::ResultRecord& detail : output.details) {
+          log->append(detail);
+        }
         store::ResultRecord record;
         record.experiment_id = e.id;
         record.scale = scale_name(ctx.scale);
@@ -578,7 +566,9 @@ int run_main(int argc, const char* const* argv) {
                        e.id.c_str());
           ++failures;
           log.reset();
-        } else {
+        } else if (args.check) {
+          logged.insert(logged.end(), output.details.begin(),
+                        output.details.end());
           logged.push_back(std::move(record));
         }
       }

@@ -29,23 +29,27 @@ ExpOutput run_experiment(const Experiment& experiment,
   obs::Span exp_span("exp", experiment.id);
   const std::vector<CaseFn> cases = experiment.cases(ctx);
   exp_span.arg("cases", cases.size());
-  ExpOutput output{support::Table(experiment.headers), {}, {}};
+  ExpOutput output{support::Table(experiment.headers), {}, {}, {}};
   // Cases run at the sweep's derived grain: one case per chunk until an
   // experiment has more than 16 cases per pool thread. Kernels that
   // sweep on the pool themselves (t1/t2) fan out here too: waits are
   // work-assisting, so a nested sweep blocking inside a pool task
-  // executes its own chunks instead of deadlocking the worker.
-  std::vector<std::vector<std::string>> rows =
-      sweep::sweep_map<std::vector<std::string>>(
-          cases.size(),
-          [&](std::size_t i) {
-            obs::Span case_span("exp.case", experiment.id);
-            case_span.arg("case", i);
-            return cases[i](ctx);
-          },
-          ctx.sweep, {}, &output.stats);
-  for (std::vector<std::string>& row : rows) {
-    if (!row.empty()) output.table.add_row(std::move(row));
+  // executes its own chunks instead of deadlocking the worker. The
+  // sweep merges by case index, so rows and detail records come out in
+  // case order whatever order the cases finished in.
+  std::vector<CaseOutput> results = sweep::sweep_map<CaseOutput>(
+      cases.size(),
+      [&](std::size_t i) {
+        obs::Span case_span("exp.case", experiment.id);
+        case_span.arg("case", i);
+        return cases[i](ctx);
+      },
+      ctx.sweep, {}, &output.stats);
+  for (CaseOutput& result : results) {
+    if (!result.row.empty()) output.table.add_row(std::move(result.row));
+    if (result.detail.has_value()) {
+      output.details.push_back(std::move(*result.detail));
+    }
   }
   // A case may decline to produce a row (empty return), so the produced
   // count is the table's, not the sweep's.

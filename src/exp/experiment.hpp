@@ -1,8 +1,10 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "store/result_log.hpp"
@@ -64,23 +66,26 @@ struct ExpContext {
   [[nodiscard]] cache::ArtifactCache* cache() const noexcept {
     return sweep.cache;
   }
-
-  /// Detail-record sink for streaming scenarios (the censuses): a case
-  /// kernel submits per-case records under its case index and they
-  /// reach the result log incrementally in index order, regardless of
-  /// completion order — no full-table materialization, byte-identical
-  /// at every thread count (streamed records must not carry wall-clock
-  /// fields). nullptr when no result log is attached; kernels skip
-  /// streaming then.
-  store::OrderedResultStream* stream = nullptr;
 };
 
-/// Computes one table row. Must be thread-safe: cases execute
-/// concurrently on pool workers (including cases that run nested
-/// sweeps — pool waits are work-assisting, so blocking on an inner
-/// sweep from a pool task is safe). An empty return means "no row"
-/// (the case is skipped in the table).
-using CaseFn = std::function<std::vector<std::string>(const ExpContext&)>;
+/// What one case produces: its table row (empty means "no row"; the
+/// case is skipped in the table) and, for the censuses, a per-case
+/// detail record for the result log. Detail records must not carry
+/// wall-clock fields, so the log stays byte-identical at every thread
+/// count. Implicit from a bare row, for the scenarios that log nothing
+/// per case.
+struct CaseOutput {
+  CaseOutput() = default;
+  CaseOutput(std::vector<std::string> row_in) : row(std::move(row_in)) {}
+  std::vector<std::string> row;
+  std::optional<store::ResultRecord> detail;
+};
+
+/// Computes one case. Must be thread-safe: cases execute concurrently
+/// on pool workers (including cases that run nested sweeps — pool
+/// waits are work-assisting, so blocking on an inner sweep from a pool
+/// task is safe).
+using CaseFn = std::function<CaseOutput(const ExpContext&)>;
 
 /// Declarative description of one experiment.
 struct Experiment {
@@ -109,6 +114,10 @@ struct Experiment {
 struct ExpOutput {
   support::Table table;
   std::vector<std::string> notes;
+  /// Every case's detail record, in case order (empty for the
+  /// scenarios that log none). The driver appends them to the result
+  /// log before the experiment's own summary record.
+  std::vector<store::ResultRecord> details;
   sweep::SweepStats stats;
   /// Wall-clock of the whole run_experiment call (case generation +
   /// sweep + merge). Scheduling-dependent: reported via BENCH_sweep.json
@@ -118,10 +127,10 @@ struct ExpOutput {
 };
 
 /// Instantiates the experiment's cases and executes them on the sweep
-/// substrate (sweep_map at its derived grain), merging rows in case
-/// order. Output is byte-identical for any pool size and any cache
-/// configuration (tests/exp_test.cpp pins this for every registered
-/// experiment).
+/// substrate (sweep_map at its derived grain), merging rows and detail
+/// records in case order. Output is byte-identical for any pool size
+/// and any cache configuration (tests/exp_test.cpp pins this for every
+/// registered experiment).
 [[nodiscard]] ExpOutput run_experiment(const Experiment& experiment,
                                        const ExpContext& ctx);
 

@@ -7,8 +7,9 @@
 // the pair space, never a per-pair product BFS), both resolved through the
 // artifact cache and therefore persisted by the disk store (a warm
 // census run recomputes nothing). One graph is one case; cases
-// parallelize on the pool, and each case streams its Shrink histogram
-// into the binary result log instead of materializing per-pair tables.
+// parallelize on the pool, and each case returns its Shrink histogram
+// as a detail record for the binary result log instead of
+// materializing per-pair tables.
 #include <algorithm>
 #include <memory>
 
@@ -40,8 +41,8 @@ void register_c1(Registry& registry) {
       "graph: random_connected(n, extra, seed) x delays 0..max_delay",
       "smoke: n<=7, delay<=1; quick: +n<=10, delay<=2; full: +n<=20; "
       "census: +n<=1024, delay<=3",
-      "per-graph Shrink histograms stream into the result log "
-      "(--result-log) as the cases complete"};
+      "per-graph Shrink histograms go into the result log "
+      "(--result-log) in case order"};
   e.headers = {"graph",     "n",       "edges",    "classes",
                "pairs",     "symmetric", "STICs",  "feasible",
                "infeasible", "max Shrink"};
@@ -91,7 +92,7 @@ void register_c1(Registry& registry) {
         std::uint64_t feasible = 0;
         std::uint32_t max_shrink = 0;
         // Shrink histogram over symmetric ordered pairs: the compact
-        // streamed detail (a census row per VALUE, not per pair —
+        // detail record (a census row per VALUE, not per pair —
         // millions of STICs classify into a handful of rows).
         std::vector<std::uint64_t> histogram;
         for (Node u = 0; u < g.size(); ++u) {
@@ -115,34 +116,32 @@ void register_c1(Registry& registry) {
             }
           }
         }
-        if (run_ctx.stream != nullptr) {
-          store::ResultRecord detail;
-          detail.experiment_id = "c1_random_census/" + g.name();
-          detail.scale = scale_name(run_ctx.scale);
-          detail.items_total = pairs;
-          detail.headers = {"shrink", "symmetric ordered pairs"};
-          for (std::uint32_t s = 0; s < histogram.size(); ++s) {
-            if (histogram[s] == 0) continue;
-            detail.rows.push_back(
-                {std::to_string(s), std::to_string(histogram[s])});
-          }
+        store::ResultRecord detail;
+        detail.experiment_id = "c1_random_census/" + g.name();
+        detail.scale = scale_name(run_ctx.scale);
+        detail.items_total = pairs;
+        detail.headers = {"shrink", "symmetric ordered pairs"};
+        for (std::uint32_t s = 0; s < histogram.size(); ++s) {
+          if (histogram[s] == 0) continue;
           detail.rows.push_back(
-              {"nonsymmetric", std::to_string(pairs - symmetric_pairs)});
-          detail.items_produced = detail.rows.size();
-          run_ctx.stream->submit(i, std::move(detail));
+              {std::to_string(s), std::to_string(histogram[s])});
         }
+        detail.rows.push_back(
+            {"nonsymmetric", std::to_string(pairs - symmetric_pairs)});
+        detail.items_produced = detail.rows.size();
         const std::uint64_t stics = pairs * (max_delay + 1);
-        return std::vector<std::string>{
-            g.name(),
-            std::to_string(g.size()),
-            std::to_string(g.edge_count()),
-            std::to_string(quotient->class_count()),
-            std::to_string(pairs),
-            std::to_string(symmetric_pairs),
-            std::to_string(stics),
-            std::to_string(feasible),
-            std::to_string(stics - feasible),
-            std::to_string(max_shrink)};
+        CaseOutput out({g.name(),
+                        std::to_string(g.size()),
+                        std::to_string(g.edge_count()),
+                        std::to_string(quotient->class_count()),
+                        std::to_string(pairs),
+                        std::to_string(symmetric_pairs),
+                        std::to_string(stics),
+                        std::to_string(feasible),
+                        std::to_string(stics - feasible),
+                        std::to_string(max_shrink)});
+        out.detail = std::move(detail);
+        return out;
       });
     }
     return fns;

@@ -9,7 +9,8 @@
 // the whole n^2-pair census folds to ONE closed-form distance
 // histogram per family (graph/families/implicit.hpp) — no adjacency is
 // ever materialized, which is how the census reaches n in the
-// thousands. Each case streams its histogram into the result log.
+// thousands. Each case returns its histogram as a detail record for the
+// result log.
 #include <algorithm>
 #include <memory>
 
@@ -73,8 +74,8 @@ void register_c2(Registry& registry) {
       "family: implicit ring(n) / torus(w x h) / hypercube(dim) x "
       "delays 0..max_delay",
       "smoke: n<=16; quick: +n<=64; full: +n<=256; census: +n<=4096",
-      "per-family Shrink histograms stream into the result log "
-      "(--result-log) as the cases complete"};
+      "per-family Shrink histograms go into the result log "
+      "(--result-log) in case order"};
   e.headers = {"family",   "n",        "edges",      "pairs",
                "STICs",    "feasible", "infeasible", "max Shrink"};
   e.tags = {"table", "census", "feasibility", "implicit", "streaming"};
@@ -119,31 +120,28 @@ void register_c2(Registry& registry) {
             feasible += s.n * s.histogram[d] * (max_delay + 1 - d);
           }
         }
-        if (run_ctx.stream != nullptr) {
-          store::ResultRecord detail;
-          detail.experiment_id = "c2_implicit_census/" + s.name;
-          detail.scale = scale_name(run_ctx.scale);
-          detail.items_total = pairs;
-          detail.headers = {"shrink", "ordered pairs"};
-          for (std::uint32_t d = 1; d < s.histogram.size(); ++d) {
-            if (s.histogram[d] == 0) continue;
-            detail.rows.push_back(
-                {std::to_string(d),
-                 std::to_string(s.n * s.histogram[d])});
-          }
-          detail.items_produced = detail.rows.size();
-          run_ctx.stream->submit(i, std::move(detail));
+        store::ResultRecord detail;
+        detail.experiment_id = "c2_implicit_census/" + s.name;
+        detail.scale = scale_name(run_ctx.scale);
+        detail.items_total = pairs;
+        detail.headers = {"shrink", "ordered pairs"};
+        for (std::uint32_t d = 1; d < s.histogram.size(); ++d) {
+          if (s.histogram[d] == 0) continue;
+          detail.rows.push_back(
+              {std::to_string(d), std::to_string(s.n * s.histogram[d])});
         }
+        detail.items_produced = detail.rows.size();
         const std::uint64_t stics = pairs * (max_delay + 1);
-        return std::vector<std::string>{
-            s.name,
-            std::to_string(s.n),
-            std::to_string(s.edges),
-            std::to_string(pairs),
-            std::to_string(stics),
-            std::to_string(feasible),
-            std::to_string(stics - feasible),
-            std::to_string(max_shrink)};
+        CaseOutput out({s.name,
+                        std::to_string(s.n),
+                        std::to_string(s.edges),
+                        std::to_string(pairs),
+                        std::to_string(stics),
+                        std::to_string(feasible),
+                        std::to_string(stics - feasible),
+                        std::to_string(max_shrink)});
+        out.detail = std::move(detail);
+        return out;
       });
     }
     return fns;

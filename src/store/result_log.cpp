@@ -83,32 +83,6 @@ void ResultLogWriter::append(const ResultRecord& record) {
   if (ok_) ++records_;
 }
 
-void OrderedResultStream::submit(std::size_t index, ResultRecord record) {
-  const std::scoped_lock lock(mutex_);
-  if (index < next_ || pending_.count(index) != 0) return;
-  pending_.emplace(index, std::move(record));
-  for (auto it = pending_.find(next_); it != pending_.end();
-       it = pending_.find(next_)) {
-    writer_.append(it->second);
-    if (collect_ != nullptr) collect_->push_back(std::move(it->second));
-    pending_.erase(it);
-    ++next_;
-  }
-  RDV_CHECK_MSG(pending_.empty() || pending_.begin()->first > next_,
-                "ordered stream holds a record at or before the flush "
-                "cursor");
-}
-
-std::size_t OrderedResultStream::flushed() const {
-  const std::scoped_lock lock(mutex_);
-  return next_;
-}
-
-std::size_t OrderedResultStream::pending() const {
-  const std::scoped_lock lock(mutex_);
-  return pending_.size();
-}
-
 std::vector<ResultRecord> read_result_log(const std::string& path) {
   const std::optional<std::string> bytes = read_file(path);
   if (!bytes.has_value()) throw CodecError("result log unreadable: " + path);

@@ -3,13 +3,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "store/codec.hpp"
-#include "support/check.hpp"
 
 /// Compact binary sweep-result log (ISSUE 4 tentpole) — the
 /// "millions-of-STICs" alternative to per-experiment CSV/JSON files.
@@ -58,41 +55,6 @@ class ResultLogWriter {
   std::ofstream out_;
   bool ok_ = false;
   std::size_t records_ = 0;
-};
-
-/// Deterministic incremental streaming from concurrent producers.
-///
-/// Sweep cases finish in scheduler order, but the log must be
-/// byte-identical at every thread count, so each producer submits its
-/// record under its CASE INDEX: the completed prefix is appended to the
-/// writer immediately (streaming — nothing buffers longer than the
-/// out-of-order window) and out-of-order records wait in a small
-/// pending map until their predecessors arrive. Thread-safe; a record
-/// submitted at an index already flushed (or submitted twice) is
-/// dropped.
-class OrderedResultStream {
- public:
-  /// Records flush into `writer`; when `collect` is non-null every
-  /// flushed record is also appended there, in flush order (the
-  /// verification path of --check).
-  explicit OrderedResultStream(ResultLogWriter& writer,
-                               std::vector<ResultRecord>* collect = nullptr)
-      : writer_(writer), collect_(collect) {}
-
-  void submit(std::size_t index, ResultRecord record);
-
-  /// Records flushed to the writer so far.
-  [[nodiscard]] std::size_t flushed() const;
-  /// Records still waiting for a predecessor (must be 0 after a run in
-  /// which every case index submitted).
-  [[nodiscard]] std::size_t pending() const;
-
- private:
-  mutable support::RankedMutex mutex_{support::LockRank::kStore};
-  ResultLogWriter& writer_;
-  std::vector<ResultRecord>* collect_;
-  std::size_t next_ = 0;
-  std::map<std::size_t, ResultRecord> pending_;
 };
 
 /// Parses a complete log. Throws CodecError on a bad header, a torn or

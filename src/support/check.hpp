@@ -55,7 +55,6 @@ enum class LockRank : std::uint32_t {
   kPoolQueue = 10,    ///< ThreadPool worker deques + shared queue.
   kPoolSleep = 20,    ///< ThreadPool epoch/sleep mutex (the park cv).
   kCacheShard = 30,   ///< ShardedLruStore per-shard mutexes.
-  kStore = 40,        ///< OrderedResultStream / result-log framing.
   kObsRegistry = 50,  ///< obs metrics Registry name/source maps.
   kObsRing = 60,      ///< obs span/task-event rings + ring directories.
 };
@@ -65,7 +64,6 @@ enum class LockRank : std::uint32_t {
     case LockRank::kPoolQueue: return "pool_queue";
     case LockRank::kPoolSleep: return "pool_sleep";
     case LockRank::kCacheShard: return "cache_shard";
-    case LockRank::kStore: return "store";
     case LockRank::kObsRegistry: return "obs_registry";
     case LockRank::kObsRing: return "obs_ring";
   }

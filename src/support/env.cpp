@@ -16,14 +16,6 @@ std::string env_string(const char* name) {
   return raw == nullptr ? std::string() : std::string(raw);
 }
 
-std::size_t env_size_t(const char* name, std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  return (end == raw || v == 0) ? fallback : static_cast<std::size_t>(v);
-}
-
 bool repro_full() { return env_string("REPRO_FULL") == "1"; }
 
 bool repro_census() { return env_string("REPRO_CENSUS") == "1"; }

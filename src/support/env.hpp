@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 /// One place for every environment knob the binaries honor: the REPRO_*
@@ -14,12 +13,6 @@ namespace rdv::support {
 
 /// The variable's value, or "" when unset.
 [[nodiscard]] std::string env_string(const char* name);
-
-/// Parses an unsigned decimal; unset, empty, unparsable, or zero values
-/// yield `fallback` (zero is reserved for "use the default"/"unlimited"
-/// semantics at each call site).
-[[nodiscard]] std::size_t env_size_t(const char* name,
-                                     std::size_t fallback);
 
 /// REPRO_FULL=1 — experiments run their larger sweeps. Strictly "1"
 /// (the long-documented contract), so REPRO_FULL=false stays a no-op.

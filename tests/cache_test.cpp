@@ -308,9 +308,6 @@ TEST(ArtifactCache, ClearDropsEntriesKeepsCounters) {
 }
 
 TEST(CachedEntryPoints, NullCacheUsesGlobal) {
-  if (!global_cache().config().enabled) {
-    GTEST_SKIP() << "RDV_CACHE_DISABLE set: global cache retains nothing";
-  }
   const graph::Graph g = families::oriented_torus(3, 3);
   const auto via_null = cached_view_classes(g);
   const auto via_global = global_cache().view_classes(g);

@@ -104,9 +104,9 @@ TEST(LockRank, ReacquisitionAfterReleaseIsLegal) {
 
 TEST(LockRank, NonLifoReleaseIsTracked) {
   RankedMutex pool(LockRank::kPoolQueue);
-  RankedMutex store(LockRank::kStore);
+  RankedMutex shard(LockRank::kCacheShard);
   std::unique_lock a(pool);
-  std::unique_lock b(store);
+  std::unique_lock b(shard);
   a.unlock();  // release the OLDER rank first
   b.unlock();
   EXPECT_EQ(held_rank_count(), 0u);
@@ -126,7 +126,7 @@ TEST(LockRank, RanksAreThreadLocal) {
 
 #if defined(RDV_CHECKED)
 
-// THE death test: acquiring against the global order (a store-rank
+// THE death test: acquiring against the global order (a cache-shard
 // lock while already holding an obs-ring-rank lock) must abort with a
 // diagnostic naming both ranks — this is a schedule-independent
 // deadlock catch, it fires on the very first inverted acquisition.
@@ -135,11 +135,11 @@ TEST(LockRankDeathTest, InvertedAcquisitionOrderAborts) {
   EXPECT_DEATH(
       {
         RankedMutex ring(LockRank::kObsRing);
-        RankedMutex store(LockRank::kStore);
+        RankedMutex shard(LockRank::kCacheShard);
         std::scoped_lock a(ring);
-        std::scoped_lock b(store);  // obs_ring -> store: inverted
+        std::scoped_lock b(shard);  // obs_ring -> cache_shard: inverted
       },
-      "lock-rank violation.*acquiring store.*holding obs_ring");
+      "lock-rank violation.*acquiring cache_shard.*holding obs_ring");
 }
 
 TEST(LockRankDeathTest, SameRankNestingAborts) {
@@ -181,9 +181,9 @@ TEST(LockRank, UncheckedBuildAllowsAnyOrder) {
   // Without RDV_CHECKED the wrapper is a plain mutex: the inverted
   // order must NOT abort (and costs nothing).
   RankedMutex ring(LockRank::kObsRing);
-  RankedMutex store(LockRank::kStore);
+  RankedMutex shard(LockRank::kCacheShard);
   std::scoped_lock a(ring);
-  std::scoped_lock b(store);
+  std::scoped_lock b(shard);
   EXPECT_EQ(held_rank_count(), 0u);
 }
 

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <fstream>
@@ -20,11 +22,16 @@ namespace {
 
 /// Full rendered output of one run: every emission format plus notes,
 /// so a difference anywhere (cells, schema, commentary) is caught.
+/// Detail records are part of the output too: their encoded bytes are
+/// what the result log frames.
 std::string render(const Experiment& e, const ExpContext& ctx) {
   const ExpOutput output = run_experiment(e, ctx);
   std::string out = output.table.to_markdown() + output.table.to_csv() +
                     output.table.to_json();
   for (const std::string& note : output.notes) out += note + "\n";
+  for (const store::ResultRecord& detail : output.details) {
+    out += store::encode_result_record(detail);
+  }
   return out;
 }
 
@@ -110,6 +117,43 @@ TEST(RunExperiment, MergesRowsInCaseOrderAndSkipsEmpty) {
   }
   std::string csv = output.table.to_csv();
   EXPECT_EQ(csv, "i\n" + expected);
+  // No case here returns a detail record.
+  EXPECT_TRUE(output.details.empty());
+
+  // Detail records merge by case index too: case i sleeps (k - i) ms,
+  // so on 4 threads the cases finish roughly in reverse, yet the
+  // details come out in case order. Case 1 returns a row but no detail.
+  constexpr std::size_t k = 8;
+  Experiment reversed;
+  reversed.id = "reversed";
+  reversed.headers = {"i"};
+  reversed.cases = [](const ExpContext&) {
+    std::vector<CaseFn> fns;
+    for (std::size_t i = 0; i < k; ++i) {
+      fns.push_back([i](const ExpContext&) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(k - i));
+        CaseOutput out({std::to_string(i)});
+        if (i != 1) {
+          out.detail.emplace();
+          out.detail->experiment_id = "reversed/" + std::to_string(i);
+        }
+        return out;
+      });
+    }
+    return fns;
+  };
+  const ExpOutput reversed_output = run_experiment(reversed, ctx);
+  EXPECT_EQ(reversed_output.table.row_count(), k);
+  ASSERT_EQ(reversed_output.details.size(), k - 1);
+  std::vector<std::string> ids;
+  for (const store::ResultRecord& detail : reversed_output.details) {
+    ids.push_back(detail.experiment_id);
+  }
+  std::vector<std::string> expected_ids;
+  for (std::size_t i = 0; i < k; ++i) {
+    if (i != 1) expected_ids.push_back("reversed/" + std::to_string(i));
+  }
+  EXPECT_EQ(ids, expected_ids);
 }
 
 /// The acceptance bar for the registry port: every registered
@@ -154,12 +198,11 @@ TEST(ExpDeterminism, ByteIdenticalAcrossThreadsChunksAndCacheConfigs) {
   }
 }
 
-/// The census acceptance bar: streamed detail records reach the result
-/// log byte-identically at every thread count (OrderedResultStream
-/// re-serializes completion order into case order, and streamed records
-/// carry no wall-clock), and the census path never falls back to the
-/// per-pair product BFS — everything resolves through the batched
-/// all-pairs kernel.
+/// The census acceptance bar: detail records reach the result log
+/// byte-identically at every thread count (run_experiment merges them
+/// in case order, and they carry no wall-clock), one per case, ahead
+/// of the summary record, and the log reads back through the strict
+/// reader.
 TEST(ExpCensusStreaming, LogBytesIdenticalAcrossThreadCounts) {
   const char* census_ids[] = {"c1_random_census", "c2_implicit_census"};
   for (const char* id : census_ids) {
@@ -177,14 +220,35 @@ TEST(ExpCensusStreaming, LogBytesIdenticalAcrossThreadCounts) {
       ctx.scale = Scale::kQuick;
       ctx.sweep.pool = &pool;
       ctx.sweep.cache = &cache;
-      store::ResultLogWriter writer(path);
-      ASSERT_TRUE(writer.ok());
-      store::OrderedResultStream stream(writer);
-      ctx.stream = &stream;
       const ExpOutput output = run_experiment(*e, ctx);
       EXPECT_GE(output.table.row_count(), 1u);
-      EXPECT_GT(stream.flushed(), 0u);
-      EXPECT_EQ(stream.pending(), 0u);
+      // One detail per case; every census case produces a row.
+      EXPECT_EQ(output.details.size(), output.stats.items_total);
+      EXPECT_EQ(output.details.size(), output.table.row_count());
+      {
+        store::ResultLogWriter writer(path);
+        ASSERT_TRUE(writer.ok());
+        for (const store::ResultRecord& detail : output.details) {
+          writer.append(detail);
+        }
+        store::ResultRecord summary;
+        summary.experiment_id = e->id;
+        summary.scale = scale_name(ctx.scale);
+        summary.items_total = output.stats.items_total;
+        summary.items_produced = output.stats.items_produced;
+        summary.headers = output.table.headers();
+        summary.rows = output.table.rows();
+        writer.append(summary);
+        ASSERT_TRUE(writer.ok());
+      }
+      const std::vector<store::ResultRecord> read =
+          store::read_result_log(path);
+      ASSERT_EQ(read.size(), output.details.size() + 1);
+      for (std::size_t i = 0; i < output.details.size(); ++i) {
+        EXPECT_EQ(store::encode_result_record(read[i]),
+                  store::encode_result_record(output.details[i]));
+      }
+      EXPECT_EQ(read.back().experiment_id, e->id);
       std::ifstream in(path, std::ios::binary);
       logs.emplace_back(std::istreambuf_iterator<char>(in),
                         std::istreambuf_iterator<char>());
@@ -193,15 +257,6 @@ TEST(ExpCensusStreaming, LogBytesIdenticalAcrossThreadCounts) {
     ASSERT_EQ(logs.size(), 2u);
     EXPECT_FALSE(logs[0].empty());
     EXPECT_EQ(logs[0], logs[1]);
-    // Every streamed record round-trips through the strict reader.
-    const std::string replay = ::testing::TempDir() + "census_replay.rdvl";
-    {
-      std::ofstream out(replay, std::ios::binary | std::ios::trunc);
-      out.write(logs[0].data(),
-                static_cast<std::streamsize>(logs[0].size()));
-    }
-    EXPECT_FALSE(store::read_result_log(replay).empty());
-    std::filesystem::remove(replay);
   }
 }
 

@@ -1031,67 +1031,6 @@ TEST(Codec, AllPairsShrinkDecoderRejectsNonCanonicalTables) {
   }
 }
 
-TEST(OrderedResultStream, FlushesContiguousPrefixInIndexOrder) {
-  const std::string path = fresh_dir("logstream") + "/results.rdvl";
-  std::vector<ResultRecord> collected;
-  {
-    ResultLogWriter writer(path);
-    OrderedResultStream stream(writer, &collected);
-    // Submit out of order: 2 and 1 must wait for 0.
-    stream.submit(2, sample_record(2));
-    EXPECT_EQ(stream.flushed(), 0u);
-    EXPECT_EQ(stream.pending(), 1u);
-    stream.submit(1, sample_record(1));
-    EXPECT_EQ(stream.flushed(), 0u);
-    EXPECT_EQ(stream.pending(), 2u);
-    stream.submit(0, sample_record(0));
-    EXPECT_EQ(stream.flushed(), 3u);
-    EXPECT_EQ(stream.pending(), 0u);
-    // Duplicates and already-flushed indices are dropped.
-    stream.submit(1, sample_record(9));
-    EXPECT_EQ(stream.flushed(), 3u);
-    stream.submit(3, sample_record(3));
-    EXPECT_EQ(stream.flushed(), 4u);
-  }
-  const std::vector<ResultRecord> read = read_result_log(path);
-  ASSERT_EQ(read.size(), 4u);
-  ASSERT_EQ(collected.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(encode_result_record(read[static_cast<std::size_t>(i)]),
-              encode_result_record(sample_record(i)));
-    EXPECT_EQ(
-        encode_result_record(collected[static_cast<std::size_t>(i)]),
-        encode_result_record(sample_record(i)));
-  }
-}
-
-TEST(OrderedResultStream, ConcurrentSubmittersProduceOneOrdering) {
-  const std::string base = fresh_dir("logstreamconc");
-  constexpr int kRecords = 64;
-  std::vector<std::string> files;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    const std::string path =
-        base + "/t" + std::to_string(threads) + ".rdvl";
-    ResultLogWriter writer(path);
-    OrderedResultStream stream(writer);
-    std::vector<std::thread> workers;
-    for (std::size_t t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        for (int i = static_cast<int>(t); i < kRecords;
-             i += static_cast<int>(threads)) {
-          stream.submit(static_cast<std::size_t>(i), sample_record(i));
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    EXPECT_EQ(stream.flushed(), static_cast<std::size_t>(kRecords));
-    EXPECT_EQ(stream.pending(), 0u);
-    files.push_back(path);
-  }
-  // Identical bytes no matter how many threads raced the submits.
-  EXPECT_EQ(read_file(files[0]), read_file(files[1]));
-}
-
 TEST(LogTools, CsvAndJsonRenderingsAreWallStableByDefault) {
   std::vector<ResultRecord> run_a = {sample_record(0), sample_record(1)};
   std::vector<ResultRecord> run_b = run_a;

@@ -130,7 +130,7 @@ def check_env(relpath, lineno, raw, stripped):
         return None
     if ENV_READ_RE.search(stripped):
         return "environment read outside support/env (use env_flag/" \
-               "env_string/env_size_t)"
+               "env_string)"
     # Writes are allowed in tests (they arrange the environment the
     # reader is being tested against) but not in library/bench code —
     # exporting knobs goes through support::env_export.
