@@ -440,11 +440,12 @@ int main(int argc, char** argv) {
   // Per-family rows at n ~ 1024 (n ~ 64 under --smoke): census_cold's
   // four large graphs (c1's n = 1024 random graph stands in for its
   // seed-drawn one), a ring and a path. Each row reports the kernel's
-  // counters for one call: BFS distance rows run (0 when level 0 closes
-  // every pair) and closure layers that pulled, so a before/after names
-  // the layer that moved.
+  // counters for one call: whether it took the pair-orbit path, BFS
+  // distance rows run (0 when level 0 closes every pair) and closure
+  // layers that pulled, so a before/after names the layer that moved.
   rdv::support::Table shrink_families({"graph", "n", "best ms", "ns/pair",
-                                       "distance rows", "pull layers"});
+                                       "orbit path", "distance rows",
+                                       "pull layers"});
   const std::uint32_t family_n = smoke ? 64 : 1024;
   const std::uint32_t family_side = smoke ? 8 : 32;
   for (const auto& g :
@@ -453,13 +454,17 @@ int main(int argc, char** argv) {
         families::hypercube(smoke ? 6 : 10),
         families::symmetric_double_tree(2, smoke ? 4 : 8),
         families::oriented_ring(family_n), families::path_graph(family_n)}) {
+    std::uint64_t orbit = 0;
     std::uint64_t rows = 0;
     std::uint64_t pulls = 0;
     const double ms = best_of_ms(best_of, [&] {
+      const std::uint64_t orbit_before =
+          rdv::views::shrink_transitive_table_count();
       const std::uint64_t rows_before =
           rdv::views::shrink_distance_row_count();
       const std::uint64_t pulls_before = rdv::views::shrink_pull_layer_count();
       (void)rdv::views::shrink_all_pairs(g);
+      orbit = rdv::views::shrink_transitive_table_count() - orbit_before;
       rows = rdv::views::shrink_distance_row_count() - rows_before;
       pulls = rdv::views::shrink_pull_layer_count() - pulls_before;
     });
@@ -467,7 +472,8 @@ int main(int argc, char** argv) {
     shrink_families.add_row(
         {g.name(), std::to_string(n), rdv::support::format_double(ms, 3),
          rdv::support::format_double(ms * 1e6 / (n * (n + 1) / 2), 1),
-         std::to_string(rows), std::to_string(pulls)});
+         orbit != 0 ? "yes" : "no", std::to_string(rows),
+         std::to_string(pulls)});
   }
   emit_table(
       "micro_sweep_shrink_families",

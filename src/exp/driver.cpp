@@ -345,11 +345,14 @@ void register_metric_sources() {
         snap.counters["views.shrink_all_pairs_computes"] =
             views::shrink_all_pairs_compute_count();
         // Why a census got cheaper: distance rows are skipped wherever
-        // level 0 already closed a source's row.
+        // level 0 already closed a source's row, and a table filled on
+        // the pair-orbit path runs neither rows nor pull layers.
         snap.counters["views.shrink_distance_rows"] =
             views::shrink_distance_row_count();
         snap.counters["views.shrink_pull_layers"] =
             views::shrink_pull_layer_count();
+        snap.counters["views.shrink_transitive_tables"] =
+            views::shrink_transitive_table_count();
         // Worklist refinement effort (ISSUE 8). refine_naive counts
         // oracle runs — CI asserts it stays zero on the census path
         // (production refinement never falls back to O(n^2 m)).
@@ -374,14 +377,17 @@ void print_run_stats() {
   // at zero too.
   std::fprintf(stderr,
                "rdv_bench: shrink_pair_bfs=%llu shrink_all_pairs_computes="
-               "%llu shrink_distance_rows=%llu shrink_pull_layers=%llu\n",
+               "%llu shrink_distance_rows=%llu shrink_pull_layers=%llu "
+               "shrink_transitive_tables=%llu\n",
                static_cast<unsigned long long>(views::shrink_pair_bfs_count()),
                static_cast<unsigned long long>(
                    views::shrink_all_pairs_compute_count()),
                static_cast<unsigned long long>(
                    views::shrink_distance_row_count()),
                static_cast<unsigned long long>(
-                   views::shrink_pull_layer_count()));
+                   views::shrink_pull_layer_count()),
+               static_cast<unsigned long long>(
+                   views::shrink_transitive_table_count()));
   // Worklist refinement effort; refine_naive must read 0 on the census
   // (the naive engine survives only as a test oracle), and a warm store
   // leaves refine_worklist_computes at zero.

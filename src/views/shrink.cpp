@@ -18,6 +18,7 @@ std::atomic<std::uint64_t> pair_bfs_runs{0};
 std::atomic<std::uint64_t> all_pairs_runs{0};
 std::atomic<std::uint64_t> distance_rows{0};
 std::atomic<std::uint64_t> pull_layers{0};
+std::atomic<std::uint64_t> transitive_tables{0};
 
 /// Sentinel "no parent yet" marker for the flat parent table.
 constexpr std::uint64_t kNoPair = static_cast<std::uint64_t>(-1);
@@ -116,6 +117,159 @@ std::uint32_t shrink(const Graph& g, Node u, Node v) {
 
 namespace {
 
+/// The graph as flat tables keyed by (node, port), built once by the
+/// PairSweep and walked by both all-pairs paths: succ[a * maxdeg + p] =
+/// a·p, and the reverse adjacency as a CSR, rev_nodes[rev_off[x * maxdeg
+/// + p] .. rev_off[x * maxdeg + p + 1]) = every a with a·p == x. The
+/// ordered predecessors of a pair (a', b') under port p are exactly
+/// rev[a'][p] x rev[b'][p] (p is applicable at a predecessor iff both
+/// nodes own port p, which membership implies).
+struct PortTables {
+  explicit PortTables(const Graph& g)
+      : n(g.size()),
+        maxdeg(g.max_degree()),
+        deg(n),
+        succ(static_cast<std::size_t>(n) * maxdeg, 0),
+        rev_off(static_cast<std::size_t>(n) * maxdeg + 1, 0) {
+    for (Node a = 0; a < n; ++a) {
+      deg[a] = g.degree(a);
+      for (Port p = 0; p < deg[a]; ++p) {
+        const Node to = g.step(a, p).to;
+        succ[static_cast<std::size_t>(a) * maxdeg + p] = to;
+        ++rev_off[static_cast<std::size_t>(to) * maxdeg + p + 1];
+      }
+    }
+    for (std::size_t i = 1; i < rev_off.size(); ++i)
+      rev_off[i] += rev_off[i - 1];
+    rev_nodes.resize(rev_off.back());
+    std::vector<std::uint32_t> cursor(rev_off.begin(), rev_off.end() - 1);
+    for (Node a = 0; a < n; ++a)
+      for (Port p = 0; p < deg[a]; ++p) {
+        const Node to = succ[static_cast<std::size_t>(a) * maxdeg + p];
+        rev_nodes[cursor[static_cast<std::size_t>(to) * maxdeg + p]++] = a;
+      }
+  }
+
+  [[nodiscard]] const Node* successors(Node a) const {
+    return &succ[static_cast<std::size_t>(a) * maxdeg];
+  }
+
+  /// BFS from src with caller-owned buffers of n entries: dist[v] is the
+  /// hop distance (graph::kUnreachable where not reached), and
+  /// order[0 .. reached) lists the reached nodes in discovery order.
+  /// Calls tree_edge(i, j, p) when order[j] discovers order[i] through
+  /// its port p. Returns the number of nodes reached.
+  template <typename TreeEdge>
+  std::size_t bfs(Node src, std::vector<std::uint32_t>& dist,
+                  std::vector<Node>& order, TreeEdge&& tree_edge) const {
+    std::fill(dist.begin(), dist.end(), graph::kUnreachable);
+    dist[src] = 0;
+    order[0] = src;
+    std::size_t tail = 1;
+    for (std::size_t head = 0; head < tail; ++head) {
+      const Node v = order[head];
+      const Node* sv = successors(v);
+      for (Port p = 0; p < deg[v]; ++p)
+        if (dist[sv[p]] == graph::kUnreachable) {
+          dist[sv[p]] = dist[v] + 1;
+          tree_edge(tail, head, p);
+          order[tail++] = sv[p];
+        }
+    }
+    return tail;
+  }
+
+  const std::uint32_t n;
+  const Port maxdeg;
+  std::vector<Port> deg;
+  std::vector<Node> succ;
+  std::vector<std::uint32_t> rev_off;
+  std::vector<Node> rev_nodes;
+};
+
+/// The pair-orbit path (the proof is in shrink.hpp). When the graph's
+/// port-preserving automorphisms act transitively on its nodes, fills
+/// every cell of `values` and returns true; otherwise returns false
+/// and leaves `values` untouched.
+bool shrink_pair_orbits(const PortTables& t,
+                        std::vector<std::uint32_t>& values) {
+  const std::uint32_t n = t.n;
+  const Port delta = t.maxdeg;
+  if (std::any_of(t.deg.begin(), t.deg.end(),
+                  [delta](Port d) { return d != delta; }))
+    return false;
+  // A BFS tree from r = 0, its nodes indexed in discovery order:
+  // order[i] is reached from order[up[i]] through port via[i].
+  std::vector<std::uint32_t> dist(n);
+  std::vector<Node> order(n);
+  std::vector<std::uint32_t> up(n, 0);
+  std::vector<Port> via(n, 0);
+  const auto tree_edge = [&](std::size_t i, std::size_t j, Port p) {
+    up[i] = static_cast<std::uint32_t>(j);
+    via[i] = p;
+  };
+  if (t.bfs(0, dist, order, tree_edge) != n) return false;
+  // image[i] = ψ(order[i]) for the only map ψ with ψ(r) = a that can
+  // commute with every port step: ψ(x·p) = ψ(x)·p along the tree.
+  std::vector<Node> image(n);
+  const auto walk = [&](Node a) {
+    image[0] = a;
+    for (std::uint32_t i = 1; i < n; ++i)
+      image[i] = t.successors(image[up[i]])[via[i]];
+  };
+  // gen[p * n + x] = φ_p(x), the map walked from r·p, checked to commute
+  // with every port step at every node.
+  std::vector<Node> gen(static_cast<std::size_t>(delta) * n);
+  for (Port p = 0; p < delta; ++p) {
+    Node* phi = &gen[static_cast<std::size_t>(p) * n];
+    walk(t.succ[p]);
+    for (std::uint32_t i = 0; i < n; ++i) phi[order[i]] = image[i];
+    for (Node x = 0; x < n; ++x) {
+      const Node* sx = t.successors(x);
+      const Node* sphi = t.successors(phi[x]);
+      for (Port q = 0; q < delta; ++q)
+        if (phi[sx[q]] != sphi[q]) return false;
+    }
+  }
+  // orbit[x] = Shrink(r, x). Port p steps the orbit of (r, x) to the
+  // orbit of (r, φ_p⁻¹(x·p)), so the orbits stepping to y under p are
+  // rev[φ_p(y)][p]. Seeds in BFS order have nondecreasing distance, and
+  // each seed's backward closure runs before the next seed, so every
+  // orbit takes the least distance it reaches.
+  std::vector<std::uint32_t> orbit(n, graph::kUnreachable);
+  std::vector<Node> stack;
+  for (const Node x : order) {
+    if (orbit[x] != graph::kUnreachable) continue;
+    orbit[x] = dist[x];
+    stack.push_back(x);
+    while (!stack.empty()) {
+      const Node y = stack.back();
+      stack.pop_back();
+      for (Port p = 0; p < delta; ++p) {
+        const Node target = gen[static_cast<std::size_t>(p) * n + y];
+        const std::size_t z = static_cast<std::size_t>(target) * delta + p;
+        for (std::uint32_t j = t.rev_off[z]; j < t.rev_off[z + 1]; ++j) {
+          const Node w = t.rev_nodes[j];
+          if (orbit[w] == graph::kUnreachable) {
+            orbit[w] = dist[x];
+            stack.push_back(w);
+          }
+        }
+      }
+    }
+  }
+  // Row a is the orbit table carried by the automorphism ψ_a with
+  // ψ_a(r) = a: Shrink(a, ψ_a(x)) = orbit[x].
+  std::vector<std::uint32_t> orbit_by_index(n);
+  for (std::uint32_t i = 0; i < n; ++i) orbit_by_index[i] = orbit[order[i]];
+  for (Node a = 0; a < n; ++a) {
+    walk(a);
+    std::uint32_t* row = &values[static_cast<std::size_t>(a) * n];
+    for (std::uint32_t i = 0; i < n; ++i) row[image[i]] = orbit_by_index[i];
+  }
+  return true;
+}
+
 /// A closure layer pulls instead of pushing once its frontier holds at
 /// least 1/kPullDivisor of the still-unassigned pairs: scanning every
 /// unassigned pair's successors is then cheaper than enumerating the
@@ -141,31 +295,7 @@ class PairSweep {
         words_((std::size_t{1} << shift_) / 64),
         values_(values),
         marks_(static_cast<std::size_t>(n_) * words_, 0),
-        deg_(n_),
-        succ_(static_cast<std::size_t>(n_) * maxdeg_, 0),
-        rev_off_(static_cast<std::size_t>(n_) * maxdeg_ + 1, 0) {
-    for (Node a = 0; a < n_; ++a) {
-      deg_[a] = g.degree(a);
-      for (Port p = 0; p < deg_[a]; ++p) {
-        const Node to = g.step(a, p).to;
-        succ_[static_cast<std::size_t>(a) * maxdeg_ + p] = to;
-        ++rev_off_[static_cast<std::size_t>(to) * maxdeg_ + p + 1];
-      }
-    }
-    // Reverse product adjacency as a flat CSR keyed by (node, port):
-    // rev_nodes_[rev_off_[x*maxdeg+p] ..] = all a with succ(a, p) == x.
-    // The ordered predecessors of a pair (a', b') under port p are
-    // exactly rev[a'][p] x rev[b'][p] (p is applicable at a predecessor
-    // iff both nodes own port p, which membership implies).
-    for (std::size_t i = 1; i < rev_off_.size(); ++i)
-      rev_off_[i] += rev_off_[i - 1];
-    rev_nodes_.resize(rev_off_.back());
-    std::vector<std::uint32_t> cursor(rev_off_.begin(), rev_off_.end() - 1);
-    for (Node a = 0; a < n_; ++a)
-      for (Port p = 0; p < deg_[a]; ++p) {
-        const Node to = succ_[static_cast<std::size_t>(a) * maxdeg_ + p];
-        rev_nodes_[cursor[static_cast<std::size_t>(to) * maxdeg_ + p]++] = a;
-      }
+        t_(g) {
     std::vector<std::uint64_t> padding(words_, 0);
     for (std::size_t b = n_; b < words_ * 64; ++b)
       padding[b / 64] |= std::uint64_t{1} << (b % 64);
@@ -173,6 +303,8 @@ class PairSweep {
       std::copy(padding.begin(), padding.end(),
                 marks_.begin() + static_cast<std::ptrdiff_t>(a * words_));
   }
+
+  [[nodiscard]] const PortTables& tables() const { return t_; }
 
   /// Fills `values` and returns the number of assigned canonical pairs.
   std::uint64_t run() {
@@ -273,17 +405,19 @@ class PairSweep {
 
   /// Push: assigns every unassigned predecessor of the frontier.
   void push(std::uint32_t d) {
+    const std::vector<std::uint32_t>& rev_off = t_.rev_off;
+    const std::vector<Node>& rev_nodes = t_.rev_nodes;
     for (const std::uint64_t id : frontier_) {
       const std::size_t a2 = static_cast<std::size_t>(id >> shift_) * maxdeg_;
       const std::size_t b2 = static_cast<std::size_t>(id & mask()) * maxdeg_;
       for (Port p = 0; p < maxdeg_; ++p) {
-        const std::uint32_t a_end = rev_off_[a2 + p + 1];
-        const std::uint32_t b_begin = rev_off_[b2 + p];
-        const std::uint32_t b_end = rev_off_[b2 + p + 1];
-        for (std::uint32_t i = rev_off_[a2 + p]; i < a_end; ++i)
+        const std::uint32_t a_end = rev_off[a2 + p + 1];
+        const std::uint32_t b_begin = rev_off[b2 + p];
+        const std::uint32_t b_end = rev_off[b2 + p + 1];
+        for (std::uint32_t i = rev_off[a2 + p]; i < a_end; ++i)
           for (std::uint32_t j = b_begin; j < b_end; ++j)
-            if (!marked(rev_nodes_[i], rev_nodes_[j]))
-              assign(rev_nodes_[i], rev_nodes_[j], d);
+            if (!marked(rev_nodes[i], rev_nodes[j]))
+              assign(rev_nodes[i], rev_nodes[j], d);
       }
     }
   }
@@ -296,10 +430,10 @@ class PairSweep {
   void pull(std::uint32_t d) {
     ++pulls_;
     for (Node a = 0; a + 1 < n_; ++a) {
-      const Node* sa = &succ_[static_cast<std::size_t>(a) * maxdeg_];
+      const Node* sa = t_.successors(a);
       for_each_open(a, [&](Node b) {
-        const Node* sb = &succ_[static_cast<std::size_t>(b) * maxdeg_];
-        const Port common = std::min(deg_[a], deg_[b]);
+        const Node* sb = t_.successors(b);
+        const Port common = std::min(t_.deg[a], t_.deg[b]);
         for (Port p = 0; p < common; ++p)
           if (marked(sa[p], sb[p])) {
             assign(a, b, d);
@@ -318,26 +452,15 @@ class PairSweep {
   /// row by row here keeps the mirror writes cache-friendly.
   void seed_by_distance() {
     std::vector<std::uint64_t> count(n_, 0);
-    // The rows walk the flat succ_ table with reused buffers: calling
-    // graph::bfs_distances per row made the kernel about 10% slower on
-    // graphs where every row runs (an oriented ring or torus).
+    // The rows walk the flat successor table with reused buffers:
+    // calling graph::bfs_distances per row made the kernel about 10%
+    // slower on graphs where every row runs.
     std::vector<std::uint32_t> dist(n_);
     std::vector<Node> queue(n_);
     for (Node a = 0; a + 1 < n_; ++a) {
       if (!has_open(a)) continue;
       ++rows_;
-      std::fill(dist.begin(), dist.end(), graph::kUnreachable);
-      dist[a] = 0;
-      queue[0] = a;
-      for (std::size_t head = 0, tail = 1; head < tail; ++head) {
-        const Node v = queue[head];
-        const Node* sv = &succ_[static_cast<std::size_t>(v) * maxdeg_];
-        for (Port p = 0; p < deg_[v]; ++p)
-          if (dist[sv[p]] == graph::kUnreachable) {
-            dist[sv[p]] = dist[v] + 1;
-            queue[tail++] = sv[p];
-          }
-      }
+      t_.bfs(a, dist, queue, [](std::size_t, std::size_t, Port) {});
       for_each_open(a, [&](Node b) {
         values_[static_cast<std::size_t>(a) * n_ + b] = dist[b];
         values_[static_cast<std::size_t>(b) * n_ + a] = dist[b];
@@ -364,10 +487,7 @@ class PairSweep {
   const std::size_t words_;
   std::vector<std::uint32_t>& values_;
   std::vector<std::uint64_t> marks_;
-  std::vector<Port> deg_;
-  std::vector<Node> succ_;
-  std::vector<std::uint32_t> rev_off_;
-  std::vector<Node> rev_nodes_;
+  const PortTables t_;
   std::vector<std::uint64_t> frontier_;
   std::vector<std::uint64_t> next_;
   std::vector<std::uint64_t> seeds_;
@@ -387,6 +507,11 @@ AllPairsShrink shrink_all_pairs(const Graph& g) {
   out.values.assign(static_cast<std::size_t>(n) * n, graph::kUnreachable);
   if (n == 0) return out;
   PairSweep sweep(g, out.values);
+  if (shrink_pair_orbits(sweep.tables(), out.values)) {
+    transitive_tables.fetch_add(1, std::memory_order_relaxed);
+    out.pairs_explored = static_cast<std::uint64_t>(n) * (n + 1) / 2;
+    return out;
+  }
   out.pairs_explored = sweep.run();
   distance_rows.fetch_add(sweep.distance_rows(), std::memory_order_relaxed);
   pull_layers.fetch_add(sweep.pull_layers(), std::memory_order_relaxed);
@@ -407,6 +532,10 @@ std::uint64_t shrink_distance_row_count() noexcept {
 
 std::uint64_t shrink_pull_layer_count() noexcept {
   return pull_layers.load(std::memory_order_relaxed);
+}
+
+std::uint64_t shrink_transitive_table_count() noexcept {
+  return transitive_tables.load(std::memory_order_relaxed);
 }
 
 }  // namespace rdv::views

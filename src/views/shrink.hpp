@@ -50,9 +50,9 @@ struct AllPairsShrink {
   /// walks and dist is symmetric); diagonal is 0; cross-component pairs
   /// hold graph::kUnreachable.
   std::vector<std::uint32_t> values;
-  /// Unordered pairs the level sweep assigns, diagonal included: every
-  /// pair within one component (cost metric, the batched analog of
-  /// ShrinkResult::pairs_explored).
+  /// Unordered pairs assigned a finite Shrink, diagonal included:
+  /// every pair within one component (cost metric, the batched analog
+  /// of ShrinkResult::pairs_explored).
   std::uint64_t pairs_explored = 0;
 
   [[nodiscard]] std::uint32_t at(graph::Node u, graph::Node v) const {
@@ -60,9 +60,38 @@ struct AllPairsShrink {
   }
 };
 
-/// Batched all-pairs Shrink as a level-ordered backward closure over
-/// the unordered pair space: level d assigns Shrink(u, v) = d to every
-/// unassigned pair that reaches a pair at distance d.
+/// Batched all-pairs Shrink. Two paths fill the same table.
+///
+/// Pair orbits: taken when the graph's port-preserving automorphisms
+/// (node bijections psi with psi(x·p) = psi(x)·p for every x and p) act
+/// transitively on its nodes. Shrink is invariant under them, and each
+/// is fixed by the image of a single node, so the ordered pairs fall
+/// into exactly n orbits, those of (r, x) for r = 0.
+///  - The test: every node has the same degree D and a BFS tree from r
+///    reaches all n nodes. For each neighbour a = r·p, the tree walk
+///    phi(r) = a, phi(x·q) = phi(x)·q along tree edges gives the only
+///    candidate map phi_a; it must commute with every port step at
+///    every node. Commuting makes phi_a an automorphism: its image is
+///    closed under every port step, hence is the whole connected graph,
+///    so phi_a is onto and thus a bijection. Cost: O(D^2 * n).
+///  - Why the D maps suffice: by induction on BFS distance, a node x
+///    reached from its tree parent y through port p has some
+///    automorphism psi with psi(r) = y, and psi o phi_{r·p} maps r to
+///    psi(r·p) = y·p = x. So every node is the image of r, and the tree
+///    walk from any root image a yields the automorphism psi_a.
+///  - The table: port p steps the orbit of (r, x) to that of
+///    (r, phi_{r·p}^-1(x·p)), an n-node graph with D*n arcs; its
+///    level-ordered backward closure from dist(r, ·) gives
+///    S(x) = Shrink(r, x), and row a is Shrink(a, psi_a(x)) = S(x).
+///    Cost: O(n^2) for the rows, no BFS distance row, no pull layer.
+/// The oriented rings, tori and hypercubes take this path; random
+/// graphs, trees, double trees, scrambled rings, disconnected graphs
+/// and one-view-class graphs whose tree-walk maps do not commute do
+/// not.
+///
+/// Level sweep, for every other graph: a level-ordered backward closure
+/// over the unordered pair space. Level d assigns Shrink(u, v) = d to
+/// every unassigned pair that reaches a pair at distance d.
 ///  1. Level 0 closes from the diagonal first and needs no distances.
 ///  2. Only sources whose row still holds an unassigned pair run a BFS
 ///     row; those pairs are counting-sorted by distance to seed levels
@@ -77,7 +106,7 @@ struct AllPairsShrink {
 /// frontier is a fixed share of those pairs, so the successor checks
 /// also total O(n^2 * max_degree): the price of ONE per-pair product
 /// BFS. shrink_with_witness remains the witness-reconstruction fallback
-/// and the oracle this kernel is verified against.
+/// and the oracle both paths are verified against.
 [[nodiscard]] AllPairsShrink shrink_all_pairs(const graph::Graph& g);
 
 /// Process-wide counters (monotone, thread-safe) so tests and CI can
@@ -85,9 +114,11 @@ struct AllPairsShrink {
 /// that warm store runs recompute nothing.
 [[nodiscard]] std::uint64_t shrink_pair_bfs_count() noexcept;
 [[nodiscard]] std::uint64_t shrink_all_pairs_compute_count() noexcept;
-/// shrink_all_pairs effort: BFS distance rows run, and closure layers
-/// that pulled instead of pushing.
+/// shrink_all_pairs effort: BFS distance rows run, closure layers that
+/// pulled instead of pushing (both level sweep only), and tables filled
+/// on the pair-orbit path.
 [[nodiscard]] std::uint64_t shrink_distance_row_count() noexcept;
 [[nodiscard]] std::uint64_t shrink_pull_layer_count() noexcept;
+[[nodiscard]] std::uint64_t shrink_transitive_table_count() noexcept;
 
 }  // namespace rdv::views
