@@ -1,6 +1,6 @@
 // M2 — sweep-runner micro-benchmark: the same STIC feasibility kernel
-// executed through sweep::run_stic_sweep on a 1-thread pool
-// (sequential baseline) and on the default pool.
+// executed through sweep::sweep_map on a 1-thread pool (sequential
+// baseline) and on the default pool.
 //
 // M3 — artifact-cache micro-benchmark: a repeated-graph classification
 // sweep (per-case ViewClasses + quotient resolution over a small set of
@@ -157,6 +157,7 @@ int main(int argc, char** argv) {
   const auto g = families::oriented_ring(rdv::support::repro_full() ? 8 : 6);
   const std::uint64_t max_delay = rdv::support::repro_full() ? 6 : 4;
   const auto classes = rdv::views::compute_view_classes(g);
+  const auto shrink = rdv::views::shrink_all_pairs(g);
   const std::vector<Stic> stics =
       rdv::analysis::enumerate_stics(g, max_delay);
 
@@ -166,10 +167,14 @@ int main(int argc, char** argv) {
   rdv::sim::RunConfig run_config;
   run_config.max_rounds = 1u << 18;
 
-  const rdv::sweep::SticKernel kernel = [&](const Stic& stic) {
-    const auto check =
-        rdv::analysis::verify_stic(g, classes, stic, program, run_config);
-    return rdv::sweep::SticRecord{stic, check.cls, check.run, {}};
+  const std::function<rdv::analysis::SticCheck(std::size_t)> kernel =
+      [&](std::size_t i) {
+        return rdv::analysis::verify_stic(g, classes, shrink, stics[i],
+                                          program, run_config);
+      };
+  const auto sweep_stics = [&](const rdv::sweep::SweepConfig& config) {
+    (void)rdv::sweep::sweep_map<rdv::analysis::SticCheck>(stics.size(),
+                                                          kernel, config);
   };
 
   const int repeats = smoke ? 1 : 3;
@@ -179,13 +184,13 @@ int main(int argc, char** argv) {
   seq_config.pool = &sequential;
   seq_config.chunk_size = 16;
   const double seq_ms = best_of_ms(repeats, [&] {
-    (void)rdv::sweep::run_stic_sweep(stics, kernel, seq_config);
+    sweep_stics(seq_config);
   });
 
   rdv::sweep::SweepConfig pool_config;
   pool_config.chunk_size = 16;
   const double pool_ms = best_of_ms(repeats, [&] {
-    (void)rdv::sweep::run_stic_sweep(stics, kernel, pool_config);
+    sweep_stics(pool_config);
   });
   const std::size_t pool_threads =
       rdv::support::default_pool().thread_count();
@@ -210,7 +215,7 @@ int main(int argc, char** argv) {
   // The same kernel on dedicated pools of 1..16 workers (deliberately
   // past the core count: oversubscription must degrade gracefully, not
   // collapse), plus a nested variant — an outer sweep whose kernel
-  // runs an inner sweep on the SAME pool, the t1/t2 shape that the
+  // runs an inner sweep on the SAME pool, the t2 shape that the
   // work-assisting wait unlocked. One JSON datapoint per thread count,
   // carrying the scheduler counters (steals, parks, wakeups) the pool
   // accumulated across both sweeps — the park/wakeup ratio is how a
@@ -236,7 +241,7 @@ int main(int argc, char** argv) {
     config.pool = &pool;
     config.chunk_size = 16;
     const double flat_ms = best_of_ms(repeats, [&] {
-      (void)rdv::sweep::run_stic_sweep(stics, kernel, config);
+      sweep_stics(config);
     });
     // Nested: outer cases fan out on the pool AND each runs a chunked
     // inner sweep on it (blocking, work-assisting).
@@ -248,8 +253,7 @@ int main(int argc, char** argv) {
         [&](std::size_t) {
           const std::function<std::uint64_t(std::size_t)> inner =
               [&](std::size_t i) {
-                const auto check = rdv::analysis::verify_stic(
-                    g, classes, stics[i], program, run_config);
+                const auto check = kernel(i);
                 return check.run.met ? check.run.meet_round_absolute : 0;
               };
           const std::vector<std::uint64_t> rounds =
@@ -570,7 +574,7 @@ int main(int argc, char** argv) {
     rdv::obs::set_task_events_enabled(record);
     if (record) rdv::obs::clear_task_events();
     const double ms = best_of_ms(1, [&] {
-      (void)rdv::sweep::run_stic_sweep(stics, kernel, profile_config);
+      sweep_stics(profile_config);
     });
     rdv::obs::set_task_events_enabled(false);
     return ms;

@@ -3,11 +3,12 @@
 namespace rdv::analysis {
 
 SticCheck verify_stic(const graph::Graph& g,
-                      const views::ViewClasses& classes, const Stic& stic,
+                      const views::ViewClasses& classes,
+                      const views::AllPairsShrink& shrink, const Stic& stic,
                       const sim::AgentProgram& program,
                       const sim::RunConfig& config) {
   SticCheck check;
-  check.cls = classify_stic(g, classes, stic);
+  check.cls = classify_stic(classes, shrink, stic);
   check.run = sim::run_anonymous(g, program, stic.u, stic.v, stic.delay,
                                  config);
   check.consistent =

@@ -21,9 +21,11 @@ struct SticCheck {
   bool consistent = false;
 };
 
-/// Runs the program on one STIC and compares with the prediction.
+/// Runs the program on one STIC and compares with the prediction,
+/// classified from g's view classes and all-pairs Shrink table.
 [[nodiscard]] SticCheck verify_stic(const graph::Graph& g,
                                     const views::ViewClasses& classes,
+                                    const views::AllPairsShrink& shrink,
                                     const Stic& stic,
                                     const sim::AgentProgram& program,
                                     const sim::RunConfig& config);

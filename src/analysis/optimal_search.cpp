@@ -152,7 +152,8 @@ SticOptimal optimal_for_stic(const Graph& g, const Stic& stic,
                              const OptimalSearchConfig& config,
                              cache::ArtifactCache* cache) {
   SticOptimal out;
-  out.cls = classify_stic(g, *cache::cached_view_classes(g, cache), stic);
+  out.cls = classify_stic(*cache::cached_view_classes(g, cache),
+                          *cache::cached_all_pairs_shrink(g, cache), stic);
   out.search = optimal_oblivious(g, stic.u, stic.v, stic.delay, config);
   switch (out.search.outcome) {
     case OptimalOutcome::kMet:

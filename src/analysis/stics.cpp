@@ -4,6 +4,17 @@
 
 namespace rdv::analysis {
 
+ClassifiedStic classify_stic(const views::ViewClasses& classes,
+                             const views::AllPairsShrink& shrink,
+                             const Stic& stic) {
+  ClassifiedStic out;
+  out.stic = stic;
+  out.symmetric = classes.symmetric(stic.u, stic.v);
+  out.shrink = shrink.at(stic.u, stic.v);
+  out.feasible = !out.symmetric || stic.delay >= out.shrink;
+  return out;
+}
+
 ClassifiedStic classify_stic(const graph::Graph& g, const Stic& stic) {
   // The convenience overload resolves the partition through the global
   // artifact cache: callers classifying many STICs of one graph without
@@ -14,14 +25,9 @@ ClassifiedStic classify_stic(const graph::Graph& g, const Stic& stic) {
 ClassifiedStic classify_stic(const graph::Graph& g,
                              const views::ViewClasses& classes,
                              const Stic& stic) {
-  ClassifiedStic out;
-  out.stic = stic;
-  out.symmetric = classes.symmetric(stic.u, stic.v);
   // The cached all-pairs table is the one Shrink source: computed once
   // per graph, then an O(n+m) fingerprint and a cache hit per STIC.
-  out.shrink = cache::cached_all_pairs_shrink(g)->at(stic.u, stic.v);
-  out.feasible = !out.symmetric || stic.delay >= out.shrink;
-  return out;
+  return classify_stic(classes, *cache::cached_all_pairs_shrink(g), stic);
 }
 
 std::vector<Stic> enumerate_stics(const graph::Graph& g,

@@ -5,6 +5,7 @@
 
 #include "graph/graph.hpp"
 #include "views/refinement.hpp"
+#include "views/shrink.hpp"
 
 /// Space-time initial configurations (STICs) and their classification.
 namespace rdv::analysis {
@@ -32,13 +33,20 @@ struct ClassifiedStic {
   bool feasible = false;
 };
 
+/// Classify one STIC against the graph's view classes and all-pairs
+/// Shrink table: the one classification every overload below runs.
+[[nodiscard]] ClassifiedStic classify_stic(const views::ViewClasses& classes,
+                                           const views::AllPairsShrink& shrink,
+                                           const Stic& stic);
+
 /// Classify one STIC (symmetry and Shrink resolved through the global
 /// artifact cache).
 [[nodiscard]] ClassifiedStic classify_stic(const graph::Graph& g,
                                            const Stic& stic);
 
-/// Classify against precomputed view classes (avoids recomputing the
-/// partition in sweeps); Shrink still comes from the global cache.
+/// Classify against precomputed view classes; Shrink comes from the
+/// global cache, a fingerprint of g per call. Sweeps resolve both
+/// artifacts once and call the overload above.
 [[nodiscard]] ClassifiedStic classify_stic(const graph::Graph& g,
                                            const views::ViewClasses& classes,
                                            const Stic& stic);

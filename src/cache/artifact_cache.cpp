@@ -69,14 +69,11 @@ std::string hex16(std::uint64_t v) {
 
 ArtifactCache::ArtifactCache(const CacheConfig& config)
     : config_(config),
-      view_classes_(config.shards, config.capacity_per_shard, config.enabled,
-                    config.bytes_per_shard),
-      quotients_(config.shards, config.capacity_per_shard, config.enabled,
-                 config.bytes_per_shard),
-      uxs_(config.shards, config.capacity_per_shard, config.enabled,
-           config.bytes_per_shard),
+      view_classes_(config.shards, config.capacity_per_shard, config.enabled),
+      quotients_(config.shards, config.capacity_per_shard, config.enabled),
+      uxs_(config.shards, config.capacity_per_shard, config.enabled),
       all_pairs_shrink_(config.shards, config.capacity_per_shard,
-                        config.enabled, config.bytes_per_shard) {}
+                        config.enabled) {}
 
 std::shared_ptr<const views::ViewClasses> ArtifactCache::view_classes(
     const graph::Graph& g) {
@@ -188,11 +185,6 @@ ArtifactCache& global_cache() {
 std::shared_ptr<const views::ViewClasses> cached_view_classes(
     const graph::Graph& g, ArtifactCache* cache) {
   return (cache != nullptr ? *cache : global_cache()).view_classes(g);
-}
-
-std::vector<std::pair<graph::Node, graph::Node>> cached_symmetric_pairs(
-    const graph::Graph& g, ArtifactCache* cache) {
-  return views::symmetric_pairs(g, *cached_view_classes(g, cache));
 }
 
 std::shared_ptr<const views::QuotientGraph> cached_quotient(

@@ -3,8 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "cache/fingerprint.hpp"
 #include "cache/sharded_store.hpp"
@@ -36,11 +34,6 @@ struct CacheConfig {
   /// over streams of distinct graphs stay bounded at
   /// shards * capacity_per_shard entries per artifact kind.
   std::size_t capacity_per_shard = 64;
-  /// Resident payload byte budget per shard per store (0 = unbounded).
-  /// Evicts LRU-first down to the budget, always keeping the most
-  /// recent entry, so residency is bounded by BYTES — not just entry
-  /// count — no matter how large individual artifacts are.
-  std::uint64_t bytes_per_shard = 0;
   /// When false, nothing is retained and every request recomputes —
   /// the reference configuration for determinism tests.
   bool enabled = true;
@@ -152,13 +145,6 @@ class ArtifactCache {
 /// global_cache() when cache is nullptr.
 [[nodiscard]] std::shared_ptr<const views::ViewClasses> cached_view_classes(
     const graph::Graph& g, ArtifactCache* cache = nullptr);
-
-/// All symmetric pairs (u, v) with u < v, with the partition resolved
-/// through the artifact cache instead of recomputed per call (ISSUE 8
-/// satellite: views::symmetric_pairs(g) refines from scratch every
-/// time — fine inside views, wasteful anywhere a cache is in reach).
-[[nodiscard]] std::vector<std::pair<graph::Node, graph::Node>>
-cached_symmetric_pairs(const graph::Graph& g, ArtifactCache* cache = nullptr);
 [[nodiscard]] std::shared_ptr<const views::QuotientGraph> cached_quotient(
     const graph::Graph& g, ArtifactCache* cache = nullptr);
 [[nodiscard]] std::shared_ptr<const uxs::Uxs> cached_uxs(

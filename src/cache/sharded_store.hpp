@@ -45,19 +45,13 @@ template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class ShardedLruStore {
  public:
   /// `shards` concurrent stripes of up to `capacity_per_shard` entries
-  /// each (both clamped to >= 1). `max_bytes_per_shard` additionally
-  /// bounds the resident payload bytes per shard (0 = unbounded);
-  /// eviction keeps at least the most recent entry, so one artifact
-  /// larger than the whole budget still caches (and evicts everything
-  /// else). When `enabled` is false the store never retains anything:
-  /// every request computes a fresh value and counts as a miss (the
-  /// determinism baseline for cache-off runs).
+  /// each (both clamped to >= 1). When `enabled` is false the store
+  /// never retains anything: every request computes a fresh value and
+  /// counts as a miss (the determinism baseline for cache-off runs).
   ShardedLruStore(std::size_t shards, std::size_t capacity_per_shard,
-                  bool enabled = true,
-                  std::uint64_t max_bytes_per_shard = 0)
+                  bool enabled = true)
       : shards_(std::max<std::size_t>(1, shards)),
         capacity_per_shard_(std::max<std::size_t>(1, capacity_per_shard)),
-        max_bytes_per_shard_(max_bytes_per_shard),
         enabled_(enabled) {}
 
   /// Returns the cached value for key, or computes, stores, and returns
@@ -117,10 +111,7 @@ class ShardedLruStore {
         throw;
       }
       shard.bytes += bytes;
-      while (shard.map.size() > capacity_per_shard_ ||
-             (max_bytes_per_shard_ != 0 &&
-              shard.bytes > max_bytes_per_shard_ &&
-              shard.map.size() > 1)) {
+      while (shard.map.size() > capacity_per_shard_) {
         const Key& victim = shard.lru.back();
         auto victim_it = shard.map.find(victim);
         RDV_CHECK_MSG(victim_it != shard.map.end(),
@@ -204,7 +195,6 @@ class ShardedLruStore {
 
   std::vector<Shard> shards_;
   std::size_t capacity_per_shard_;
-  std::uint64_t max_bytes_per_shard_;
   bool enabled_;
 };
 

@@ -548,7 +548,7 @@ int run_main(int argc, const char* const* argv) {
       const std::vector<std::string> written =
           emit(e, output, emit_options);
       timings.push_back(Timing{e.id, output.wall_micros,
-                               output.stats.items_total,
+                               output.items_total,
                                output.table.row_count()});
       if (log != nullptr) {
         // The censuses' per-case detail records (already in case
@@ -560,8 +560,10 @@ int run_main(int argc, const char* const* argv) {
         record.experiment_id = e.id;
         record.scale = scale_name(ctx.scale);
         record.wall_micros = output.wall_micros;
-        record.items_total = output.stats.items_total;
-        record.items_produced = output.stats.items_produced;
+        record.items_total = output.items_total;
+        // A case may decline to produce a row (empty return), so the
+        // produced count is the table's, not the sweep's.
+        record.items_produced = output.table.row_count();
         record.headers = output.table.headers();
         record.rows = output.table.rows();
         log->append(record);

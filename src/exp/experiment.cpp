@@ -29,10 +29,10 @@ ExpOutput run_experiment(const Experiment& experiment,
   obs::Span exp_span("exp", experiment.id);
   const std::vector<CaseFn> cases = experiment.cases(ctx);
   exp_span.arg("cases", cases.size());
-  ExpOutput output{support::Table(experiment.headers), {}, {}, {}};
+  ExpOutput output{support::Table(experiment.headers), {}, {}, 0};
   // Cases run at the sweep's derived grain: one case per chunk until an
   // experiment has more than 16 cases per pool thread. Kernels that
-  // sweep on the pool themselves (t1/t2) fan out here too: waits are
+  // sweep on the pool themselves (t2) fan out here too: waits are
   // work-assisting, so a nested sweep blocking inside a pool task
   // executes its own chunks instead of deadlocking the worker. The
   // sweep merges by case index, so rows and detail records come out in
@@ -44,16 +44,14 @@ ExpOutput run_experiment(const Experiment& experiment,
         case_span.arg("case", i);
         return cases[i](ctx);
       },
-      ctx.sweep, {}, &output.stats);
+      ctx.sweep);
+  output.items_total = cases.size();
   for (CaseOutput& result : results) {
     if (!result.row.empty()) output.table.add_row(std::move(result.row));
     if (result.detail.has_value()) {
       output.details.push_back(std::move(*result.detail));
     }
   }
-  // A case may decline to produce a row (empty return), so the produced
-  // count is the table's, not the sweep's.
-  output.stats.items_produced = output.table.row_count();
   if (experiment.notes) output.notes = experiment.notes(ctx);
   output.wall_micros = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(

@@ -118,7 +118,9 @@ struct ExpOutput {
   /// scenarios that log none). The driver appends them to the result
   /// log before the experiment's own summary record.
   std::vector<store::ResultRecord> details;
-  sweep::SweepStats stats;
+  /// Cases the experiment ran (the table's row count is the number of
+  /// rows they produced).
+  std::size_t items_total = 0;
   /// Wall-clock of the whole run_experiment call (case generation +
   /// sweep + merge). Scheduling-dependent: reported via BENCH_sweep.json
   /// and the binary result log, never printed into the tables (those

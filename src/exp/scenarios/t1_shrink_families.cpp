@@ -3,12 +3,10 @@
 //   * symmetric double trees: Shrink = 1 for every symmetric pair,
 //     at arbitrary distance.
 //
-// Each graph is one case whose kernel sweeps the graph's symmetric
-// pairs on sweep::run_stic_sweep: the outer case loop fans out on the
-// pool AND the pair classifications run chunked on the same pool
-// (work-assisting waits make the nesting safe). The view partition and
-// the all-pairs Shrink table are each resolved once per graph through
-// the cache.
+// Each graph is one case, fanned out on the pool. A case reads Shrink
+// for each of its symmetric pairs from the graph's all-pairs table; the
+// view partition and the table are each resolved once per graph
+// through the cache.
 #include <algorithm>
 #include <memory>
 
@@ -16,41 +14,28 @@
 #include "exp/scenarios/scenarios.hpp"
 #include "graph/families/families.hpp"
 #include "views/refinement.hpp"
+#include "views/shrink.hpp"
 
 namespace rdv::exp::scenarios {
 namespace {
 
 namespace families = rdv::graph::families;
-using analysis::Stic;
 using graph::Graph;
 
 std::vector<std::string> graph_row(const Graph& g, const ExpContext& ctx) {
   const std::shared_ptr<const views::ViewClasses> classes =
       cache::cached_view_classes(g, ctx.cache());
-  std::vector<Stic> pairs;
-  for (const auto& [u, v] : views::symmetric_pairs(g, *classes)) {
-    pairs.push_back(Stic{u, v, 0});
-  }
-  // Kernel classifies each pair (record.cls.shrink from the cached
-  // all-pairs table) on the pool; the cheap BFS distance rides along in
-  // the merge loop below.
-  const sweep::SticKernel kernel = [&g, &classes](const Stic& stic) {
-    sweep::SticRecord record;
-    record.stic = stic;
-    record.cls = analysis::classify_stic(g, *classes, stic);
-    return record;
-  };
-  const sweep::SticSweepResult result =
-      sweep::run_stic_sweep(pairs, kernel, ctx.sweep);
+  const std::shared_ptr<const views::AllPairsShrink> shrink =
+      cache::cached_all_pairs_shrink(g, ctx.cache());
+  const auto pairs = views::symmetric_pairs(g, *classes);
 
   std::uint32_t max_dist = 0;
   std::uint32_t max_shrink = 0;
   bool shrink_eq_dist = true;
   bool shrink_eq_one = true;
-  for (const sweep::SticRecord& record : result.records) {
-    const std::uint32_t dist =
-        graph::distance(g, record.stic.u, record.stic.v);
-    const std::uint32_t s = record.cls.shrink;
+  for (const auto& [u, v] : pairs) {
+    const std::uint32_t dist = graph::distance(g, u, v);
+    const std::uint32_t s = shrink->at(u, v);
     max_dist = std::max(max_dist, dist);
     max_shrink = std::max(max_shrink, s);
     if (s != dist) shrink_eq_dist = false;

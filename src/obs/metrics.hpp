@@ -23,7 +23,7 @@
 ///    stripes — summation is commutative, so the merged total is
 ///    DETERMINISTIC for a given set of increments no matter how many
 ///    threads issued them or which stripes they landed on.
-///  - Gauge: a point-in-time int64 (queue depth, window occupancy);
+///  - Gauge: a point-in-time int64 (queue depth, resident bytes);
 ///    set/add are single relaxed atomics, last-writer-wins.
 ///  - Histogram: fixed 64-bucket log2 latency histogram (bucket b
 ///    counts values v with bit_width(v) == b, i.e. v in [2^(b-1),

@@ -277,12 +277,6 @@ void ThreadPool::assist_until(const std::function<bool()>& done,
   }
 }
 
-void ThreadPool::wait_idle() {
-  assist_until([this] {
-    return in_flight_.load(std::memory_order_acquire) == 0;
-  });
-}
-
 std::uint64_t TaskGroup::submit(std::function<void()> task) {
   pending_.fetch_add(1, std::memory_order_acq_rel);
   return pool_.submit(

@@ -64,11 +64,6 @@ class ThreadPool {
   std::uint64_t submit(std::function<void()> task,
                        const void* tag = nullptr);
 
-  /// Block until every submitted task has finished (work-assisting
-  /// when called from a pool worker; runs tasks of ANY tag — it waits
-  /// for all of them anyway).
-  void wait_idle();
-
   /// Work-assisting wait: blocks until `done()` returns true. Called
   /// from a pool worker, the worker pops and executes queued tasks
   /// instead of parking (this is the deadlock fix: it drains the tasks
@@ -166,11 +161,11 @@ class ThreadPool {
 
 /// Completion tracking for ONE batch of tasks on a shared pool.
 ///
-/// ThreadPool::wait_idle() waits for the WHOLE pool — any concurrent
-/// sweep's tasks included — which over-synchronizes independent sweeps
-/// sharing default_pool(). A TaskGroup counts only the tasks submitted
-/// through it, so wait() returns as soon as this group's tasks are
-/// done, regardless of what else the pool is running. wait() is
+/// The pool itself offers no "wait for everything": that would wait
+/// for any concurrent sweep's tasks too, over-synchronizing independent
+/// sweeps sharing default_pool(). A TaskGroup counts only the tasks
+/// submitted through it, so wait() returns as soon as this group's
+/// tasks are done, regardless of what else the pool is running. wait() is
 /// work-assisting (it executes pool tasks while the group drains), so
 /// it may be called from inside a pool task — nested sweeps cannot
 /// deadlock. Reusable: after wait() returns, more tasks may be

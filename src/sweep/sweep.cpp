@@ -4,46 +4,32 @@
 
 #include "cache/artifact_cache.hpp"
 #include "views/refinement.hpp"
+#include "views/shrink.hpp"
 
 namespace rdv::sweep {
-
-SticSweepResult run_stic_sweep(
-    const std::vector<analysis::Stic>& stics, const SticKernel& kernel,
-    const SweepConfig& config,
-    const std::function<bool(const SticRecord&)>& stop_when) {
-  SticSweepResult result;
-  result.records = sweep_map<SticRecord>(
-      stics.size(), [&](std::size_t i) { return kernel(stics[i]); },
-      config, stop_when, &result.stats);
-  return result;
-}
-
-support::Table to_table(std::vector<std::string> headers,
-                        const std::vector<SticRecord>& records) {
-  support::Table table(std::move(headers));
-  for (const SticRecord& record : records) {
-    if (!record.cells.empty()) table.add_row(record.cells);
-  }
-  return table;
-}
 
 analysis::SweepSummary feasibility_sweep(const graph::Graph& g,
                                          std::uint64_t max_delay,
                                          const sim::AgentProgram& program,
                                          const sim::RunConfig& run_config,
                                          const SweepConfig& sweep_config) {
-  // Resolved through the artifact cache: repeated sweeps over the same
-  // graph (and concurrent sweeps on other threads) share one partition
-  // refinement. The shared_ptr keeps the artifact alive past eviction.
+  // Resolved once per graph through the sweep's artifact cache:
+  // repeated sweeps over the same graph (and concurrent sweeps on other
+  // threads) share one partition refinement and one Shrink table. The
+  // shared_ptrs keep the artifacts alive past eviction.
+  cache::ArtifactCache& cache = detail::effective_cache(sweep_config);
+  const cache::GraphFingerprint fp = cache::fingerprint(g);
   const std::shared_ptr<const views::ViewClasses> classes =
-      detail::effective_cache(sweep_config).view_classes(g);
+      cache.view_classes(g, fp);
+  const std::shared_ptr<const views::AllPairsShrink> shrink =
+      cache.all_pairs_shrink(g, fp);
   const std::vector<analysis::Stic> stics =
       analysis::enumerate_stics(g, max_delay);
   analysis::SweepSummary summary;
   summary.checks = sweep_map<analysis::SticCheck>(
       stics.size(),
       [&](std::size_t i) {
-        return analysis::verify_stic(g, *classes, stics[i], program,
+        return analysis::verify_stic(g, *classes, *shrink, stics[i], program,
                                      run_config);
       },
       sweep_config);
@@ -56,10 +42,6 @@ analysis::SweepSummary feasibility_sweep(const graph::Graph& g,
     if (!check.consistent) ++summary.inconsistent;
   }
   return summary;
-}
-
-bool stop_at_infeasible(const SticRecord& record) {
-  return !record.cls.feasible;
 }
 
 }  // namespace rdv::sweep

@@ -5,37 +5,27 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/feasibility.hpp"
-#include "analysis/stics.hpp"
 #include "cache/artifact_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/task_events.hpp"
-#include "sim/engine.hpp"
-#include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
 /// Sharded, pipelined sweep runner — the substrate for the experiment
 /// sweeps (STIC enumeration, feasibility cross-checks, rendezvous-time
 /// tables).
 ///
-/// The index space is partitioned into contiguous chunks; chunks
-/// execute on a support::ThreadPool and results are merged BY CHUNK
-/// INDEX, never by completion order, so the output is byte-identical
-/// for any thread count. Scheduling and merging are PIPELINED: the
+/// The index space is partitioned into contiguous chunks, all of which
+/// are scheduled upfront on a support::ThreadPool; results are merged
+/// BY CHUNK INDEX, never by completion order, so the output is
+/// byte-identical for any thread count. The merge is PIPELINED: the
 /// merge loop waits (work-assisting, so a nested sweep inside a pool
-/// task cannot deadlock) for the front chunk only, merges it while
-/// later chunks are still executing, and — when an early-exit
-/// predicate bounds the sweep — tops the in-flight window back up one
-/// chunk per merged chunk, so wave k+1 runs while wave k's output is
-/// consumed. Early-exit predicates are evaluated on the merged stream
-/// in index order: the result is truncated right after the first item
-/// matching the predicate, no further chunk is scheduled, in-flight
-/// chunks observe the stop flag and skip their remaining kernel calls,
-/// and every discarded chunk buffer is released before return.
+/// task cannot deadlock) for the front chunk only and merges it while
+/// later chunks are still executing. Every sweep runs to the end of
+/// its index space.
 namespace rdv::sweep {
 
 struct SweepConfig {
@@ -54,26 +44,11 @@ struct SweepConfig {
   /// blocked worker executes the tasks it is waiting for.
   support::ThreadPool* pool = nullptr;
   /// Per-graph artifact cache used by the kernels the sweep layer
-  /// builds itself (e.g. feasibility_sweep's view classes); nullptr
-  /// uses cache::global_cache(). Artifacts are deterministic functions
-  /// of the graph, so the cache choice never changes sweep output.
+  /// builds itself (feasibility_sweep's view classes and Shrink table);
+  /// nullptr uses cache::global_cache(). Artifacts are deterministic
+  /// functions of the graph, so the cache choice never changes sweep
+  /// output.
   cache::ArtifactCache* cache = nullptr;
-};
-
-struct SweepStats {
-  std::size_t items_total = 0;
-  /// Chunks the index space was split into. With the derived grain this
-  /// depends on the pool width, like chunks_scheduled; the merged
-  /// output never does.
-  std::size_t chunks_total = 0;
-  /// Chunks actually handed to the pool. Scheduling-dependent (wave
-  /// width scales with the pool).
-  std::size_t chunks_scheduled = 0;
-  std::size_t items_produced = 0;
-  bool stopped_early = false;
-  /// Index (into the merged output) of the item that triggered the
-  /// early exit; valid when stopped_early.
-  std::size_t stop_index = 0;
 };
 
 namespace detail {
@@ -95,17 +70,11 @@ inline cache::ArtifactCache& effective_cache(const SweepConfig& config) {
   return config.cache != nullptr ? *config.cache : cache::global_cache();
 }
 
-/// Process-wide sweep-substrate series (ISSUE 7): chunk/item/early-exit
-/// counters plus the pipeline-occupancy gauge (scheduled-but-unmerged
-/// chunks; concurrent sweeps last-write-win, which is fine for a
-/// point-in-time gauge). Handles resolved once per process.
+/// Process-wide sweep-substrate series: chunks run and items they
+/// produced. Handles resolved once per process.
 struct SweepMetrics {
   obs::Counter& chunks = obs::counter("sweep.chunks");
   obs::Counter& items = obs::counter("sweep.items");
-  obs::Counter& early_exits = obs::counter("sweep.early_exits");
-  obs::Counter& chunk_skips = obs::counter("sweep.chunk_skips");
-  obs::Counter& window_refills = obs::counter("sweep.window_refills");
-  obs::Gauge& occupancy = obs::gauge("sweep.pipeline_occupancy");
 };
 inline SweepMetrics& sweep_metrics() {
   static SweepMetrics metrics;
@@ -113,15 +82,12 @@ inline SweepMetrics& sweep_metrics() {
 }
 }  // namespace detail
 
-/// Maps fn over [0, n) with deterministic ordering. `stop_when`, if
-/// set, is tested against each produced item in index order; the first
-/// hit truncates the output (inclusive) and stops scheduling.
+/// Maps fn over [0, n) with deterministic ordering: element i of the
+/// result is fn(i) for any pool width and grain.
 template <typename R>
 std::vector<R> sweep_map(std::size_t n,
                          const std::function<R(std::size_t)>& fn,
-                         const SweepConfig& config = {},
-                         const std::function<bool(const R&)>& stop_when = {},
-                         SweepStats* stats = nullptr) {
+                         const SweepConfig& config = {}) {
   support::ThreadPool& pool = detail::effective_pool(config);
   const std::size_t chunk_size = detail::grain(n, config, pool);
   const std::size_t chunks =
@@ -137,70 +103,38 @@ std::vector<R> sweep_map(std::size_t n,
                            chunks);
   }
 
-  SweepStats local;
-  local.items_total = n;
-  local.chunks_total = chunks;
-
-  // Without an early-exit predicate the whole index space is scheduled
-  // upfront; with one, a sliding window a few chunks per worker wide is
-  // kept in flight so a hit near the front does not pay for the whole
-  // space. Either way the merge loop runs concurrently with execution.
-  const std::size_t window =
-      stop_when ? std::max<std::size_t>(1, pool.thread_count() * 2) : chunks;
-
   std::vector<std::vector<R>> chunk_out(chunks);
   // Completion slots: a chunk task fills chunk_out[c], then publishes
   // it with a release store the merge loop acquires — the only
   // synchronization the pipeline needs besides the pool's own.
   std::vector<std::atomic<bool>> chunk_done(chunks);
-  // Set when the early-exit predicate fires. In-flight chunks poll it
-  // per item and bail out: everything they would produce is past the
-  // stop index and discarded anyway, so skipping keeps the output
-  // byte-identical while releasing their buffers early.
-  std::atomic<bool> stop_flag{false};
   std::vector<R> merged;
   merged.reserve(n);
   // Per-sweep completion tracking: the group counts only this sweep's
   // chunks, so concurrent sweeps sharing the pool never wait on each
-  // other (ThreadPool::wait_idle would wait for the whole pool).
+  // other.
   support::TaskGroup group(pool);
-  const auto schedule = [&](std::size_t c) {
+  for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t lo = c * chunk_size;
     const std::size_t hi = std::min(n, lo + chunk_size);
     std::vector<R>* out = &chunk_out[c];
     std::atomic<bool>* done = &chunk_done[c];
-    const std::uint64_t task_id =
-        group.submit([lo, hi, out, done, &fn, &stop_flag] {
-          detail::SweepMetrics& metrics = detail::sweep_metrics();
-          metrics.chunks.add();
-          out->reserve(hi - lo);
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (stop_flag.load(std::memory_order_relaxed)) {
-              std::vector<R>().swap(*out);
-              metrics.chunk_skips.add();
-              break;
-            }
-            out->push_back(fn(i));
-          }
-          metrics.items.add(out->size());
-          done->store(true, std::memory_order_release);
-        });
+    const std::uint64_t task_id = group.submit([lo, hi, out, done, &fn] {
+      detail::SweepMetrics& metrics = detail::sweep_metrics();
+      metrics.chunks.add();
+      out->reserve(hi - lo);
+      for (std::size_t i = lo; i < hi; ++i) out->push_back(fn(i));
+      metrics.items.add(hi - lo);
+      done->store(true, std::memory_order_release);
+    });
     // Labels the pool task as chunk `c` of this sweep — the join key
     // between the pool lifecycle events and the sweep DAG.
     if (task_id != 0) {
       obs::record_task_event(obs::TaskEventKind::kChunkTask, task_id,
                              sweep_id, c);
     }
-    ++local.chunks_scheduled;
-  };
-  std::size_t next_chunk = 0;
-  for (; next_chunk < std::min(chunks, window); ++next_chunk) {
-    schedule(next_chunk);
   }
-  bool stopped = false;
-  // next_chunk grows inside the loop as the window refills, so the
-  // bound re-reads it: the loop drains every chunk ever scheduled.
-  for (std::size_t front = 0; front < next_chunk; ++front) {
+  for (std::size_t front = 0; front < chunks; ++front) {
     // Tagged with the group: an assisting worker runs only this
     // sweep's chunks (plus its own deque's descendants), never an
     // unrelated task that could block or nest arbitrarily deep.
@@ -209,93 +143,38 @@ std::vector<R> sweep_map(std::size_t n,
           return chunk_done[front].load(std::memory_order_acquire);
         },
         group.tag());
-    if (!stopped) {
-      // Note for the analyzer: the chunk task publishes chunk_done
-      // BEFORE the pool records its kEnd, so this kMergeBegin may
-      // carry a timestamp slightly before the chunk's kEnd — the
-      // critical-path walk clamps such subtractions.
-      if (profiled) {
-        obs::record_task_event(obs::TaskEventKind::kMergeBegin, 0,
-                               sweep_id, front);
-      }
-      for (R& r : chunk_out[front]) {
-        merged.push_back(std::move(r));
-        if (stop_when && stop_when(merged.back())) {
-          local.stopped_early = true;
-          local.stop_index = merged.size() - 1;
-          stopped = true;
-          stop_flag.store(true, std::memory_order_relaxed);
-          detail::sweep_metrics().early_exits.add();
-          break;
-        }
-      }
-      if (profiled) {
-        obs::record_task_event(obs::TaskEventKind::kMergeEnd, 0,
-                               sweep_id, front);
-      }
+    // Note for the analyzer: the chunk task publishes chunk_done
+    // BEFORE the pool records its kEnd, so this kMergeBegin may carry
+    // a timestamp slightly before the chunk's kEnd — the critical-path
+    // walk clamps such subtractions.
+    if (profiled) {
+      obs::record_task_event(obs::TaskEventKind::kMergeBegin, 0, sweep_id,
+                             front);
     }
-    // Swap-with-empty, not clear(): merged chunks would otherwise keep
-    // their capacity and discarded chunks (the early-exit trigger and
-    // everything scheduled past it) their full contents until return.
+    for (R& r : chunk_out[front]) merged.push_back(std::move(r));
+    if (profiled) {
+      obs::record_task_event(obs::TaskEventKind::kMergeEnd, 0, sweep_id,
+                             front);
+    }
+    // Swap-with-empty, not clear(): a merged chunk would otherwise keep
+    // its capacity until return.
     std::vector<R>().swap(chunk_out[front]);
-    if (!stopped && next_chunk < chunks) {
-      schedule(next_chunk);
-      ++next_chunk;
-      detail::sweep_metrics().window_refills.add();
-    }
-    detail::sweep_metrics().occupancy.set(
-        static_cast<std::int64_t>(next_chunk - front - 1));
   }
   group.wait();  // defensive: every scheduled chunk is already done
-  local.items_produced = merged.size();
   if (profiled) {
     obs::record_task_event(obs::TaskEventKind::kSweepEnd, 0, sweep_id,
                            merged.size());
   }
-  if (stats != nullptr) *stats = local;
   return merged;
 }
 
-/// One sweep datapoint: the STIC it came from, its classification, the
-/// simulation outcome, and (optionally) pre-rendered table cells.
-struct SticRecord {
-  analysis::Stic stic;
-  analysis::ClassifiedStic cls;
-  sim::RunResult run;
-  /// When nonempty, to_table() emits these as one row.
-  std::vector<std::string> cells;
-};
-
-/// Computes one record from one STIC. Must be thread-safe: invoked
-/// concurrently from pool workers.
-using SticKernel = std::function<SticRecord(const analysis::Stic&)>;
-
-struct SticSweepResult {
-  /// Records in STIC order (truncated after an early-exit trigger).
-  std::vector<SticRecord> records;
-  SweepStats stats;
-};
-
-/// Runs the kernel over an explicit STIC list (enumerate_stics output
-/// or a hand-built case list) with chunked pool execution.
-[[nodiscard]] SticSweepResult run_stic_sweep(
-    const std::vector<analysis::Stic>& stics, const SticKernel& kernel,
-    const SweepConfig& config = {},
-    const std::function<bool(const SticRecord&)>& stop_when = {});
-
-/// Collects the records' `cells` rows (records with empty cells are
-/// skipped) into a Table, preserving sweep order.
-[[nodiscard]] support::Table to_table(std::vector<std::string> headers,
-                                      const std::vector<SticRecord>& records);
-
 /// Verifies every ordered STIC with delays 0..max_delay against
 /// Corollary 3.1 (analysis::verify_stic per STIC, on the sweep runner).
+/// The view classes and the all-pairs Shrink table are resolved once,
+/// through `sweep_config.cache`.
 [[nodiscard]] analysis::SweepSummary feasibility_sweep(
     const graph::Graph& g, std::uint64_t max_delay,
     const sim::AgentProgram& program, const sim::RunConfig& run_config,
     const SweepConfig& sweep_config = {});
-
-/// Early-exit predicate: first STIC classified infeasible.
-[[nodiscard]] bool stop_at_infeasible(const SticRecord& record);
 
 }  // namespace rdv::sweep

@@ -6,12 +6,14 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/feasibility.hpp"
 #include "analysis/optimal_search.hpp"
 #include "analysis/stics.hpp"
 #include "cache/artifact_cache.hpp"
 #include "cache/fingerprint.hpp"
 #include "graph/families/families.hpp"
 #include "graph/serialize.hpp"
+#include "support/table.hpp"
 #include "support/thread_pool.hpp"
 #include "sweep/sweep.hpp"
 #include "uxs/corpus.hpp"
@@ -170,51 +172,6 @@ TEST(ArtifactCache, EvictionUnderCapacityBound) {
   EXPECT_LE(stats.view_classes.entries, 2u);
 }
 
-TEST(ArtifactCache, ByteBudgetBoundsResidency) {
-  CacheConfig config;
-  config.shards = 1;  // deterministic eviction order
-  config.capacity_per_shard = 64;  // entry count never binds here
-  config.bytes_per_shard = 1;      // any second entry exceeds the budget
-  ArtifactCache cache(config);
-  const graph::Graph g1 = families::oriented_ring(5);
-  const graph::Graph g2 = families::path_graph(5);
-
-  (void)cache.view_classes(g1);
-  CacheStats stats = cache.stats();
-  // One oversized artifact is retained anyway (never evict down to
-  // nothing), so residency is exactly one entry...
-  EXPECT_EQ(stats.view_classes.entries, 1u);
-  EXPECT_GT(stats.view_classes.bytes, config.bytes_per_shard);
-  EXPECT_EQ(stats.view_classes.evictions, 0u);
-
-  // ...and inserting another evicts the LRU one, never both.
-  (void)cache.view_classes(g2);
-  stats = cache.stats();
-  EXPECT_EQ(stats.view_classes.entries, 1u);
-  EXPECT_EQ(stats.view_classes.evictions, 1u);
-
-  // The survivor is g2: re-requesting it hits, g1 misses again.
-  (void)cache.view_classes(g2);
-  EXPECT_EQ(cache.stats().view_classes.hits, 1u);
-  (void)cache.view_classes(g1);
-  EXPECT_EQ(cache.stats().view_classes.misses, 3u);
-}
-
-TEST(ArtifactCache, ByteBudgetKeepsEntriesThatFit) {
-  CacheConfig config;
-  config.shards = 1;
-  config.capacity_per_shard = 64;
-  config.bytes_per_shard = 1u << 20;  // roomy: nothing should evict
-  ArtifactCache cache(config);
-  for (std::uint32_t n = 4; n < 8; ++n) {
-    (void)cache.view_classes(families::oriented_ring(n));
-  }
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.view_classes.entries, 4u);
-  EXPECT_EQ(stats.view_classes.evictions, 0u);
-  EXPECT_LE(stats.view_classes.bytes, config.bytes_per_shard);
-}
-
 TEST(ArtifactCache, AllPairsShrinkComputedOncePerGraphAndMatchesOracle) {
   ArtifactCache cache;
   const graph::Graph g = families::random_connected(9, 10, 51);
@@ -323,35 +280,37 @@ TEST(SweepDeterminism, ByteIdenticalWithCacheOnOffAndAcrossThreads) {
   graphs.push_back(families::scrambled_ring(6, /*seed=*/11));
   graphs.push_back(families::path_graph(6));
 
-  const std::vector<std::string> headers = {"graph", "u", "v", "delay",
-                                            "feasible", "classes"};
+  const std::vector<std::string> headers = {
+      "graph", "u", "v", "delay", "shrink", "feasible", "classes"};
   // One full classification sweep over every graph's STICs, rendered to
   // CSV; `cache` and `pool` vary, bytes must not.
   const auto render = [&](ArtifactCache& cache, support::ThreadPool& pool) {
     support::Table table(headers);
     for (const graph::Graph& g : graphs) {
       const std::vector<Stic> stics = analysis::enumerate_stics(g, 2);
-      const sweep::SticKernel kernel = [&g, &cache](const Stic& stic) {
-        const auto classes = cached_view_classes(g, &cache);
-        const auto quotient = cached_quotient(g, &cache);
-        sweep::SticRecord record;
-        record.stic = stic;
-        record.cls = analysis::classify_stic(g, *classes, stic);
-        record.cells = {g.name(),
-                        std::to_string(stic.u),
-                        std::to_string(stic.v),
-                        std::to_string(stic.delay),
-                        record.cls.feasible ? "yes" : "no",
-                        std::to_string(quotient->class_count())};
-        return record;
-      };
+      // Every case resolves its view classes and Shrink table through
+      // the cache under test.
+      const std::function<analysis::SticCheck(std::size_t)> check =
+          [&](std::size_t i) {
+            analysis::SticCheck out;
+            out.cls = analysis::classify_stic(
+                *cached_view_classes(g, &cache),
+                *cached_all_pairs_shrink(g, &cache), stics[i]);
+            return out;
+          };
       sweep::SweepConfig config;
       config.pool = &pool;
       config.chunk_size = 3;
-      const sweep::SticSweepResult result =
-          sweep::run_stic_sweep(stics, kernel, config);
-      for (const sweep::SticRecord& record : result.records) {
-        table.add_row(record.cells);
+      const std::string classes =
+          std::to_string(cached_quotient(g, &cache)->class_count());
+      for (const analysis::SticCheck& c :
+           sweep::sweep_map<analysis::SticCheck>(stics.size(), check,
+                                                 config)) {
+        table.add_row({g.name(), std::to_string(c.cls.stic.u),
+                       std::to_string(c.cls.stic.v),
+                       std::to_string(c.cls.stic.delay),
+                       std::to_string(c.cls.shrink),
+                       c.cls.feasible ? "yes" : "no", classes});
       }
     }
     return table.to_csv();

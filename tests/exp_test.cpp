@@ -106,10 +106,9 @@ TEST(RunExperiment, MergesRowsInCaseOrderAndSkipsEmpty) {
   ExpContext ctx;
   ctx.sweep.pool = &pool;
   const ExpOutput output = run_experiment(e, ctx);
-  EXPECT_EQ(output.stats.items_total, 64u);
-  ASSERT_EQ(output.table.row_count(), 64u - 64u / 3);
+  EXPECT_EQ(output.items_total, 64u);
   // Declined (empty) rows are not "produced".
-  EXPECT_EQ(output.stats.items_produced, output.table.row_count());
+  ASSERT_EQ(output.table.row_count(), 64u - 64u / 3);
   // Rows come out in case order although cases ran on 4 threads.
   std::string expected;
   for (std::size_t i = 0; i < 64; ++i) {
@@ -160,7 +159,7 @@ TEST(RunExperiment, MergesRowsInCaseOrderAndSkipsEmpty) {
 /// experiment's rendered output is byte-identical at 1 vs N threads
 /// (including an oversubscribed 16-thread pool driving the pipelined
 /// scheduler with tiny chunks, so inner sweeps span many wave slots —
-/// and with every case on the pool, t1/t2's nested sweeps included)
+/// and with every case on the pool, t2's nested sweeps included)
 /// and with the artifact cache enabled, disabled, and
 /// eviction-thrashed — the same contract cache_test.cpp pins for raw
 /// sweeps.
@@ -223,7 +222,7 @@ TEST(ExpCensusStreaming, LogBytesIdenticalAcrossThreadCounts) {
       const ExpOutput output = run_experiment(*e, ctx);
       EXPECT_GE(output.table.row_count(), 1u);
       // One detail per case; every census case produces a row.
-      EXPECT_EQ(output.details.size(), output.stats.items_total);
+      EXPECT_EQ(output.details.size(), output.items_total);
       EXPECT_EQ(output.details.size(), output.table.row_count());
       {
         store::ResultLogWriter writer(path);
@@ -234,8 +233,8 @@ TEST(ExpCensusStreaming, LogBytesIdenticalAcrossThreadCounts) {
         store::ResultRecord summary;
         summary.experiment_id = e->id;
         summary.scale = scale_name(ctx.scale);
-        summary.items_total = output.stats.items_total;
-        summary.items_produced = output.stats.items_produced;
+        summary.items_total = output.items_total;
+        summary.items_produced = output.table.row_count();
         summary.headers = output.table.headers();
         summary.rows = output.table.rows();
         writer.append(summary);

@@ -359,9 +359,10 @@ TEST(TaskEvents, PoolLifecyclesPairSubmitPopBeginEnd) {
   {
     // Profiling off: no lifecycle id, the task still runs.
     support::ThreadPool off_pool(1);
+    support::TaskGroup off_group(off_pool);
     std::atomic<int> ran{0};
-    EXPECT_EQ(off_pool.submit([&ran] { ran.fetch_add(1); }), 0u);
-    off_pool.wait_idle();
+    EXPECT_EQ(off_group.submit([&ran] { ran.fetch_add(1); }), 0u);
+    off_group.wait();
     EXPECT_EQ(ran.load(), 1);
   }
   clear_task_events();

@@ -44,7 +44,7 @@ TEST(Shrink, SymmetricDoubleTreeIsOne) {
   for (std::uint32_t b : {1u, 2u, 3u}) {
     for (std::uint32_t t : {1u, 2u, 3u}) {
       const Graph g = families::symmetric_double_tree(b, t);
-      const auto pairs = cache::cached_symmetric_pairs(g);
+      const auto pairs = symmetric_pairs(g, *cache::cached_view_classes(g));
       ASSERT_FALSE(pairs.empty());
       for (const auto& [u, v] : pairs) {
         EXPECT_EQ(shrink(g, u, v), 1u)
@@ -98,7 +98,8 @@ TEST(Shrink, SymmetricPairsHavePositiveShrink) {
       families::oriented_torus(3, 3),
   };
   for (const Graph& g : corpus) {
-    for (const auto& [u, v] : cache::cached_symmetric_pairs(g)) {
+    const auto pairs = symmetric_pairs(g, *cache::cached_view_classes(g));
+    for (const auto& [u, v] : pairs) {
       EXPECT_GT(shrink(g, u, v), 0u) << g.name();
     }
   }

@@ -88,16 +88,6 @@ TEST(SplitMix, NextBelowInRangeAndCoversValues) {
   for (bool s : seen) EXPECT_TRUE(s);
 }
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
 TEST(TaskGroup, RunsAllTasksAndWaits) {
   ThreadPool pool(3);
   TaskGroup group(pool);
@@ -132,8 +122,8 @@ TEST(TaskGroup, ReusableAcrossBatches) {
 
 // The per-sweep completion-tracking contract (ROADMAP): waiting on one
 // group must NOT wait for the rest of the pool. Group B parks a task on
-// a gate; group A's wait() still returns — with wait_idle() this test
-// would deadlock.
+// a gate; group A's wait() still returns — a wait for the whole pool
+// would deadlock here.
 TEST(TaskGroup, WaitDoesNotWaitForOtherGroupsTasks) {
   ThreadPool pool(2);
   TaskGroup blocked(pool);
@@ -179,7 +169,7 @@ TEST(TaskGroup, NestedWaitInsideOneThreadPoolCompletes) {
 }
 
 // Three levels of nesting on a one-worker pool: outer case -> inner
-// sweep -> innermost chunk group, the shape of a t1/t2 case whose
+// sweep -> innermost chunk group, the shape of a t2 case whose
 // kernel sweeps (and whose kernel's kernel sweeps again).
 TEST(TaskGroup, DeeplyNestedWaitsOnOneThread) {
   ThreadPool pool(1);
