@@ -12,10 +12,13 @@
 #include "core/universal_rv.hpp"
 #include "graph/families/families.hpp"
 #include "obs/metrics.hpp"
+#include "support/splitmix.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 #include "sweep/sweep.hpp"
+#include "uxs/verifier.hpp"
 #include "views/refinement.hpp"
+#include "views/shrink.hpp"
 
 namespace rdv::sweep {
 namespace {
@@ -311,6 +314,113 @@ TEST(SticSweep, FeasibilitySweepResolvesShrinkThroughItsCache) {
       cache::global_cache().stats().all_pairs_shrink;
   EXPECT_EQ(global_after.hits, global_before.hits);
   EXPECT_EQ(global_after.misses, global_before.misses);
+}
+
+/// Every field of every SticCheck of feasibility_sweep over T2's graphs
+/// at T2's delays, phase caps and round caps, plus three seeded
+/// port-scrambled n = 4 graphs the corpus UXS explores (phase cap: the
+/// latest guaranteed phase over their feasible STICs), folded into one
+/// order-dependent digest. The constant was computed with the engine
+/// that simulated both agents of every STIC.
+class CheckDigest {
+ public:
+  void add(std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (x >> (8 * b)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void add(const analysis::SticCheck& c) {
+    add(c.cls.stic.u);
+    add(c.cls.stic.v);
+    add(c.cls.stic.delay);
+    add(c.cls.symmetric ? 1 : 0);
+    add(c.cls.shrink);
+    add(c.cls.feasible ? 1 : 0);
+    add(c.consistent ? 1 : 0);
+    add(c.run.met ? 1 : 0);
+    add(c.run.meet_from_later_start);
+    add(c.run.moves[0]);
+    add(c.run.moves[1]);
+    add(c.run.rounds_simulated);
+    add(c.run.edge_crossings);
+    add(c.run.final_pos[0]);
+    add(c.run.final_pos[1]);
+    add(c.run.programs_finished ? 1 : 0);
+    add(c.run.error.size());
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+struct GoldenCase {
+  graph::Graph g;
+  std::uint64_t max_delay;
+  std::uint64_t max_phases;
+  std::uint64_t max_rounds;
+};
+
+std::vector<GoldenCase> golden_cases() {
+  std::vector<GoldenCase> cases;
+  cases.push_back({families::two_node_graph(), 2, 60, 1u << 22});
+  cases.push_back({families::oriented_ring(3), 2, 120, 1u << 23});
+  cases.push_back({families::path_graph(3), 1, 120, 1u << 23});
+  cases.push_back({families::oriented_ring(4), 2, 150, 1u << 24});
+  cases.push_back({families::symmetric_double_tree(1, 1), 1, 150, 1u << 24});
+  constexpr std::uint32_t n = 4;
+  constexpr std::uint32_t max_extra = n * (n - 1) / 2 - (n - 1);
+  const auto y = cache::cached_uxs(n);
+  support::SplitMix64 rng(7);
+  for (int kind = 0; kind < 3; ++kind) {
+    for (;;) {
+      const std::uint64_t s = rng.next();
+      const auto extra = static_cast<std::uint32_t>(s % (max_extra + 1));
+      graph::Graph g = kind == 0 ? families::scrambled_ring(n, s)
+                                 : families::random_connected(n, extra, s);
+      if (!uxs::is_uxs_for(g, *y)) continue;
+      const auto classes = cache::cached_view_classes(g);
+      const auto shrink = cache::cached_all_pairs_shrink(g);
+      std::uint64_t phases = 0;
+      for (const Stic& stic : analysis::enumerate_stics(g, 1)) {
+        const bool sym = classes->symmetric(stic.u, stic.v);
+        const std::uint32_t d = shrink->at(stic.u, stic.v);
+        if (sym && stic.delay < d) continue;
+        phases = std::max(
+            phases, sym ? core::guaranteed_phase_symmetric(n, d, stic.delay)
+                        : core::guaranteed_phase_nonsymmetric(n, stic.delay));
+      }
+      cases.push_back({std::move(g), 1, phases, 1u << 24});
+      break;
+    }
+  }
+  return cases;
+}
+
+TEST(SticSweep, FeasibilitySweepGoldenOnT2AndSeededGraphs) {
+  CheckDigest digest;
+  std::uint64_t stics = 0;
+  std::uint64_t met = 0;
+  for (const GoldenCase& c : golden_cases()) {
+    core::UniversalOptions options;
+    options.max_phases = c.max_phases;
+    sim::RunConfig config;
+    config.max_rounds = c.max_rounds;
+    const analysis::SweepSummary summary = feasibility_sweep(
+        c.g, c.max_delay, core::universal_rv_program(options), config);
+    EXPECT_EQ(summary.inconsistent, 0u) << c.g.name();
+    digest.add(c.max_phases);
+    for (const analysis::SticCheck& check : summary.checks) {
+      ASSERT_TRUE(check.run.ok()) << check.run.error;
+      digest.add(check);
+      ++stics;
+      if (check.run.met) ++met;
+    }
+  }
+  EXPECT_EQ(stics, 168u);
+  EXPECT_EQ(met, 140u);
+  EXPECT_EQ(digest.value(), 0xdf4abe11487830d0ull) << std::hex << digest.value();
 }
 
 }  // namespace
