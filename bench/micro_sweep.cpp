@@ -34,7 +34,11 @@
 // cost of interning the theorem-regime graph). Each cell also reports
 // coroutine resumes per move (the sim.resumes counter over its moves):
 // walk segments run without resuming the agent, so this names the
-// cause when ns/move changes. Informational: no gate, only the
+// cause when ns/move changes. The engine generates each agent's path
+// alone and merges the paths; "gen ns/move" times generating every
+// cell's paths alone to the rounds their runs lasted (over the moves
+// generated), and "merge ns/round" the rest of the cell's time over the
+// rounds its runs merged. Informational: no gate, only the
 // sim_ns_per_move_* and sim_resumes_per_move_* trend fields.
 //
 // M8 — store layer cost per artifact: encode, save (header and payload
@@ -169,8 +173,11 @@ int main(int argc, char** argv) {
 
   const std::function<rdv::analysis::SticCheck(std::size_t)> kernel =
       [&](std::size_t i) {
-        return rdv::analysis::verify_stic(g, classes, shrink, stics[i],
-                                          program, run_config);
+        const Stic& stic = stics[i];
+        return rdv::analysis::verify_stic(
+            classes, shrink, stic,
+            rdv::sim::run_anonymous(g, program, stic.u, stic.v, stic.delay,
+                                    run_config));
       };
   const auto sweep_stics = [&](const rdv::sweep::SweepConfig& config) {
     (void)rdv::sweep::sweep_map<rdv::analysis::SticCheck>(stics.size(),
@@ -709,7 +716,30 @@ int main(int argc, char** argv) {
   };
   rdv::support::Table sim_table({"program", "topology", "runs", "moves",
                                  "rounds", "best ms", "ns/move",
-                                 "resumes/move"});
+                                 "resumes/move", "gen ns/move",
+                                 "merge ns/round"});
+  rdv::obs::Counter& sim_moves = rdv::obs::counter("sim.moves");
+  // Generates one agent's path alone for `rounds` rounds: its run's
+  // second agent never appears, so nothing is merged.
+  const auto solo = [](const rdv::graph::ITopology& topo,
+                       const rdv::sim::AgentProgram& program,
+                       rdv::graph::Node start, std::uint64_t rounds) {
+    rdv::sim::MultiRunConfig config;
+    config.max_rounds = rounds;
+    (void)rdv::sim::run_multi(
+        topo, {{program, start, 0}, {program, start, rounds + 1}}, config);
+  };
+  // The generation and merge columns of a cell whose runs took `ms`
+  // over `rounds` merged rounds, from `gen_ms` of generating their
+  // paths alone, which generated `gen_moves` moves per repetition.
+  const auto split = [](double ms, std::uint64_t rounds, double gen_ms,
+                        std::uint64_t gen_moves) {
+    const double gen = gen_moves > 0 ? gen_ms * 1e6 / gen_moves : 0;
+    const double merge =
+        rounds > 0 ? std::max(0.0, ms - gen_ms) * 1e6 / rounds : 0;
+    return std::vector<std::string>{rdv::support::format_double(gen, 1),
+                                    rdv::support::format_double(merge, 3)};
+  };
   rdv::core::UniversalOptions sim_universal;
   sim_universal.max_phases = 40;
   const auto universal_program = rdv::core::universal_rv_program(sim_universal);
@@ -740,6 +770,7 @@ int main(int argc, char** argv) {
       }
       std::uint64_t moves = 0;
       std::uint64_t rounds = 0;
+      std::vector<std::uint64_t> lasted(jobs.size());
       const std::uint64_t resumes_before = sim_resumes.value();
       const double ms = best_of_ms(repeats, [&] {
         moves = 0;
@@ -751,19 +782,36 @@ int main(int argc, char** argv) {
                                       s.delay, jobs[i].second);
           moves += r.moves[0] + r.moves[1];
           rounds += r.rounds_simulated;
+          lasted[i] = r.rounds_simulated;
         }
       });
       const double ns_per_move =
           moves > 0 ? ms * 1e6 / static_cast<double>(moves) : 0;
       const double resumes = resumes_per_move(resumes_before, moves);
+      const std::uint64_t gen_before = sim_moves.value();
+      const double gen_ms = best_of_ms(repeats, [&] {
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+          const Stic& s = arena.stics[i];
+          solo(*arena.topo, jobs[i].first, s.u, lasted[i]);
+          if (lasted[i] >= s.delay) {
+            solo(*arena.topo, jobs[i].first, s.v, lasted[i] - s.delay);
+          }
+        }
+      });
       sim_ns_per_move.emplace_back(algorithm + "_" + arena.key, ns_per_move);
       sim_resumes_per_move.emplace_back(algorithm + "_" + arena.key, resumes);
-      sim_table.add_row({algorithm, arena.topo->name(),
-                         std::to_string(arena.stics.size()),
-                         std::to_string(moves), std::to_string(rounds),
-                         rdv::support::format_double(ms, 3),
-                         rdv::support::format_double(ns_per_move, 1),
-                         rdv::support::format_double(resumes, 3)});
+      std::vector<std::string> row{algorithm, arena.topo->name(),
+                                   std::to_string(arena.stics.size()),
+                                   std::to_string(moves), std::to_string(rounds),
+                                   rdv::support::format_double(ms, 3),
+                                   rdv::support::format_double(ns_per_move, 1),
+                                   rdv::support::format_double(resumes, 3)};
+      for (std::string& cell :
+           split(ms, rounds, gen_ms,
+                 (sim_moves.value() - gen_before) / repeats)) {
+        row.push_back(std::move(cell));
+      }
+      sim_table.add_row(row);
     }
   }
   {
@@ -779,6 +827,7 @@ int main(int argc, char** argv) {
     std::size_t runs = 0;
     std::uint64_t moves = 0;
     std::uint64_t rounds = 0;
+    std::vector<std::uint64_t> lasted;
     const std::uint64_t resumes_before = sim_resumes.value();
     const double ms = best_of_ms(repeats, [&] {
       const families::QhatImplicitTopology topo(4 * kZ);
@@ -787,23 +836,40 @@ int main(int argc, char** argv) {
       runs = z.size();
       moves = 0;
       rounds = 0;
+      lasted.clear();
       for (const rdv::graph::Node v : z) {
         const rdv::sim::RunResult r = rdv::sim::run_anonymous(
             topo, program, topo.root(), v, 2 * kZ, config);
         moves += r.moves[0] + r.moves[1];
         rounds += r.rounds_simulated;
+        lasted.push_back(r.rounds_simulated);
       }
     });
     const double ns_per_move =
         moves > 0 ? ms * 1e6 / static_cast<double>(moves) : 0;
     const double resumes = resumes_per_move(resumes_before, moves);
+    const std::uint64_t gen_before = sim_moves.value();
+    const double gen_ms = best_of_ms(repeats, [&] {
+      const families::QhatImplicitTopology topo(4 * kZ);
+      const auto z = families::qhat_z_set(topo, topo.root(), kZ);
+      for (std::size_t i = 0; i < z.size(); ++i) {
+        solo(topo, program, topo.root(), lasted[i]);
+        solo(topo, program, z[i], lasted[i] - 2 * kZ);
+      }
+    });
     sim_ns_per_move.emplace_back("z_qhat24", ns_per_move);
     sim_resumes_per_move.emplace_back("z_qhat24", resumes);
-    sim_table.add_row({"dedicated_z(6)", name, std::to_string(runs),
-                       std::to_string(moves), std::to_string(rounds),
-                       rdv::support::format_double(ms, 3),
-                       rdv::support::format_double(ns_per_move, 1),
-                       rdv::support::format_double(resumes, 3)});
+    std::vector<std::string> row{"dedicated_z(6)", name, std::to_string(runs),
+                                 std::to_string(moves), std::to_string(rounds),
+                                 rdv::support::format_double(ms, 3),
+                                 rdv::support::format_double(ns_per_move, 1),
+                                 rdv::support::format_double(resumes, 3)};
+    for (std::string& cell :
+         split(ms, rounds, gen_ms,
+               (sim_moves.value() - gen_before) / repeats)) {
+      row.push_back(std::move(cell));
+    }
+    sim_table.add_row(row);
   }
   emit_table("micro_sweep_sim", "M7: simulator cost per agent move",
              sim_table);

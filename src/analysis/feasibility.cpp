@@ -1,16 +1,15 @@
 #include "analysis/feasibility.hpp"
 
+#include <utility>
+
 namespace rdv::analysis {
 
-SticCheck verify_stic(const graph::Graph& g,
-                      const views::ViewClasses& classes,
+SticCheck verify_stic(const views::ViewClasses& classes,
                       const views::AllPairsShrink& shrink, const Stic& stic,
-                      const sim::AgentProgram& program,
-                      const sim::RunConfig& config) {
+                      sim::RunResult run) {
   SticCheck check;
   check.cls = classify_stic(classes, shrink, stic);
-  check.run = sim::run_anonymous(g, program, stic.u, stic.v, stic.delay,
-                                 config);
+  check.run = std::move(run);
   check.consistent =
       check.run.ok() && (check.run.met == check.cls.feasible);
   return check;

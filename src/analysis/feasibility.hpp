@@ -21,14 +21,11 @@ struct SticCheck {
   bool consistent = false;
 };
 
-/// Runs the program on one STIC and compares with the prediction,
-/// classified from g's view classes and all-pairs Shrink table.
-[[nodiscard]] SticCheck verify_stic(const graph::Graph& g,
-                                    const views::ViewClasses& classes,
+/// Classifies one STIC from g's view classes and all-pairs Shrink table
+/// and checks `run`, the program's run on it, against the prediction.
+[[nodiscard]] SticCheck verify_stic(const views::ViewClasses& classes,
                                     const views::AllPairsShrink& shrink,
-                                    const Stic& stic,
-                                    const sim::AgentProgram& program,
-                                    const sim::RunConfig& config);
+                                    const Stic& stic, sim::RunResult run);
 
 /// Result of sweep::feasibility_sweep over one graph.
 struct SweepSummary {

@@ -6,6 +6,7 @@
 #include "core/asymm_rv.hpp"
 #include "core/bounds.hpp"
 #include "core/symm_rv.hpp"
+#include "obs/metrics.hpp"
 #include "support/saturating.hpp"
 
 namespace rdv::core {
@@ -22,12 +23,27 @@ UniversalOptions::UniversalOptions()
 
 namespace {
 
+/// The UXS copies taken from the provider, one per phase (never per
+/// move): what sharing the provider's Uxs instead would save.
+struct ProviderMetrics {
+  obs::Counter& calls = obs::counter("uxs.provider_calls");
+  obs::Counter& bytes_copied = obs::counter("uxs.provider_bytes_copied");
+};
+
+ProviderMetrics& provider_metrics() {
+  static ProviderMetrics metrics;
+  return metrics;
+}
+
 Proc universal_body(Mailbox& mb, UniversalOptions options) {
   for (std::uint64_t P = 1; P <= options.max_phases; ++P) {
     const PhaseTriple t = phase_decode(P);
     // Shrink is a distance within the graph, so it must be < n.
     if (t.d >= t.n) continue;
     const uxs::Uxs y = options.provider(static_cast<std::uint32_t>(t.n));
+    provider_metrics().calls.add();
+    provider_metrics().bytes_copied.add(y.length() * sizeof(std::uint64_t) +
+                                        y.provenance().size());
     const std::uint64_t M = y.length();
 
     // --- AsymmRV arm: budget A + delta, then level to 2(A + delta) ---

@@ -47,6 +47,12 @@ class QhatImplicitTopology final : public ITopology {
     const Step memo = adj_[v][p];
     return memo.to != kNoNode ? memo : resolve(v, p);
   }
+  /// The memoized step, or kNoNode before the edge is resolved.
+  [[nodiscard]] Step peek(Node v, Port p) const override {
+    assert(v < adj_.size());
+    assert(p < 4);
+    return adj_[v][p];
+  }
   [[nodiscard]] std::string name() const override;
 
   /// The root r of the construction (node id 0).

@@ -45,6 +45,12 @@ class ITopology {
   /// Traverse the edge with local port p (p < degree(v)) at node v.
   [[nodiscard]] virtual Step step(Node v, Port p) const = 0;
 
+  /// step(v, p) when taking it changes nothing; otherwise a Step whose
+  /// `to` is kNoNode. A lazily materialized topology creates nodes only
+  /// in step, so the simulator runs ahead on peek and takes a step that
+  /// would create one only once its run is known to reach that round.
+  [[nodiscard]] virtual Step peek(Node v, Port p) const { return step(v, p); }
+
   /// Human-readable family name for tables and traces.
   [[nodiscard]] virtual std::string name() const = 0;
 };

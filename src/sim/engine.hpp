@@ -2,11 +2,18 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "graph/topology.hpp"
 #include "sim/agent.hpp"
+#include "sim/multi_engine.hpp"
 #include "sim/trace.hpp"
+
+namespace rdv::graph {
+class Graph;
+}  // namespace rdv::graph
 
 /// Synchronous two-agent rendezvous engine (the model of Section 1).
 ///
@@ -17,19 +24,27 @@
 /// edge in opposite directions do NOT meet (but the engine counts such
 /// crossings for diagnostics). The reported rendezvous time is counted
 /// from the later agent's start, the paper's cost measure.
+///
+/// A run is the k = 2 case of run_multi, stopping on its pair: each
+/// agent's path is generated alone and the paths are merged. A path
+/// depends only on the program and the start node, so
+/// run_anonymous_all serves every run of one graph that starts at a
+/// node from that node's one path.
+///
+/// The sim.* counters count the work: sim.runs the runs merged,
+/// sim.paths the single-agent paths generated, sim.windows the windows
+/// they were generated in, sim.moves and sim.rounds the moves and
+/// rounds generated (with shared paths fewer than the runs' own; a
+/// stretch in which every agent rests is skipped, not generated), and
+/// sim.resumes and sim.segments the coroutine resumes and walk
+/// segments.
 namespace rdv::sim {
 
-struct RunConfig {
-  /// Hard cap on absolute rounds; runs that do not meet by the cap are
-  /// reported as not met. (Budgets inside algorithms saturate, so the
-  /// cap is the only thing bounding a run on an infeasible STIC.)
-  std::uint64_t max_rounds = 1'000'000;
-  /// Abort threshold for agents issuing zero-round waits back-to-back.
-  std::uint32_t max_zero_wait_spin = 1u << 20;
-  /// Record a bounded move trace for diagnostics.
-  bool record_trace = false;
-  std::size_t trace_limit = 4096;
-};
+/// max_rounds caps absolute rounds: a run that does not meet by the cap
+/// is reported as not met. (Budgets inside algorithms saturate, so the
+/// cap is the only thing bounding a run on an infeasible STIC.) The
+/// stop pair is set by the two-agent calls themselves.
+using RunConfig = MultiRunConfig;
 
 struct RunResult {
   bool met = false;
@@ -75,5 +90,26 @@ struct RunResult {
                                       graph::Node start_later,
                                       std::uint64_t delay,
                                       const RunConfig& config = {});
+
+/// The STIC [(earlier, later), delay] of one anonymous run.
+struct PairStarts {
+  graph::Node earlier = 0;
+  graph::Node later = 0;
+  std::uint64_t delay = 0;
+};
+
+/// Runs fn(i) for every i < n, in any order and on any threads.
+using FanOut = std::function<void(std::size_t n,
+                                  const std::function<void(std::size_t)>& fn)>;
+
+/// run_anonymous on every given STIC of g, element i for runs[i]: the
+/// same results, from one path per start node, each extended only while
+/// a run still needs it. Long windows generate their paths, then merge
+/// their runs, through `fan_out` (on the calling thread when empty);
+/// the program must then be callable from several threads at once.
+[[nodiscard]] std::vector<RunResult> run_anonymous_all(
+    const graph::Graph& g, const AgentProgram& program,
+    const std::vector<PairStarts>& runs, const RunConfig& config = {},
+    const FanOut& fan_out = {});
 
 }  // namespace rdv::sim

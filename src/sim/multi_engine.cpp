@@ -1,13 +1,16 @@
 #include "sim/multi_engine.hpp"
 
 #include <algorithm>
-#include <array>
+#include <deque>
+#include <functional>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <type_traits>
 
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
+#include "sim/engine.hpp"
 #include "support/saturating.hpp"
 
 namespace rdv::sim {
@@ -19,523 +22,830 @@ using graph::Port;
 using support::kRoundInfinity;
 using support::sat_add;
 
-/// Process-wide simulator series, bumped once per run in finish() —
-/// never per move, so the hot loop stays free of atomics.
-struct SimMetrics {
-  obs::Counter& runs = obs::counter("sim.runs");
-  obs::Counter& moves = obs::counter("sim.moves");
-  obs::Counter& rounds = obs::counter("sim.rounds");
-  obs::Counter& resumes = obs::counter("sim.resumes");
-  obs::Counter& segments = obs::counter("sim.segments");
+/// Rounds per window: the first, doubling up to the last; windows at
+/// least kFanOutWindow long fan their paths and runs out. Constants, so
+/// the work done (and every sim.* counter) is the same at any thread
+/// count; a run that meets early stops in its first window, and a path
+/// holds at most a window plus its runs' delays.
+constexpr std::uint64_t kFirstWindow = 16;
+constexpr std::uint64_t kMaxWindow = std::uint64_t{1} << 16;
+constexpr std::uint64_t kFanOutWindow = std::uint64_t{1} << 13;
+
+/// Topologies other than an explicit Graph may materialize nodes when
+/// stepped, so their paths run ahead on ITopology::peek only.
+template <class Topo>
+constexpr bool kLazy = !std::is_same_v<Topo, graph::Graph>;
+
+/// Agent i of a run follows path `path`, appearing at round `start`.
+struct Track {
+  std::size_t path;
+  std::uint64_t start;
 };
 
-SimMetrics& sim_metrics() {
-  static SimMetrics metrics;
-  return metrics;
+/// The port of step `step` of segment s, leaving a node of the given
+/// degree that the previous step entered by `entry`.
+Port segment_port(const Segment& s, std::uint32_t step, Port entry,
+                  Port degree) {
+  switch (s.kind) {
+    case Segment::Kind::kUxs:
+      return step == 0
+                 ? 0
+                 : static_cast<Port>((entry + s.terms[step - 1]) % degree);
+    case Segment::Kind::kPorts:
+      return s.ports[step];
+    case Segment::Kind::kRetrace:
+      break;
+  }
+  return s.ports[s.length - 1 - step];
 }
 
-struct AgentState {
-  Mailbox mailbox;
-  std::optional<Proc> proc;
-  Node pos = graph::kNoNode;
-  Node start_node = graph::kNoNode;
-  std::uint64_t start_round = 0;
-  /// Round the current move or wait completes; kRoundInfinity before
-  /// the start and after the program ends.
-  std::uint64_t busy_until = kRoundInfinity;
-  Node move_target = graph::kNoNode;
-  Port move_port = 0;
-  /// Entry port the next observation reports: set when the action is
-  /// chosen, so delivering it is a plain copy.
-  std::optional<Port> arrival_entry;
-  bool started = false;
-  bool finished = false;
-  bool action_is_move = false;
-  /// Walking mailbox.segment(); the move completing at busy_until is
-  /// its step `segment_step`.
-  bool in_segment = false;
-  std::uint32_t segment_step = 0;
-  /// Round of the agent's next resume: the end of its segment, or of
-  /// its move or wait. Set when the action is chosen.
-  std::uint64_t resume_at = kRoundInfinity;
+template <class Topo, class Cell>
+class Merge;
+
+/// One agent's path, generated alone: for each round of its own clock
+/// (0 = its appearance) the node it occupies, as a Cell (the narrowest
+/// type that holds every node id), whether a move landed then and, when
+/// a trace is recorded, the port the move took. Rounds [base, hi) are
+/// held; the move chosen at hi - 1 lands when round hi is generated.
+template <class Topo, class Cell>
+class Path {
+ public:
+  enum class State : std::uint8_t { kUnstarted, kMove, kWait, kDone, kError };
+
+  Path(const Topo& g, const AgentProgram& program, Node start,
+       const MultiRunConfig& config)
+      : g_(g), program_(program), config_(config), pos_(start) {}
+  Path(const Path&) = delete;
+  Path& operator=(const Path&) = delete;
+
+  /// Generates the rounds before `until`, stopping early at an error or
+  /// at a step that waits for take_step().
+  void generate(std::uint64_t until) {
+    if (until <= hi || blocked) return;
+    reserve(until);
+    if (state == State::kUnstarted) spawn();
+    while (hi < until && !blocked && state != State::kError) {
+      if (state == State::kMove) {
+        walk(until);
+      } else if (state == State::kWait && busy_until_ < until) {
+        fill(busy_until_ + 1);
+        resume(busy_until_);
+      } else {
+        fill(until);
+      }
+    }
+  }
+
+  /// Takes the step chosen at hi - 1 without generating its round: the
+  /// run has reached that round (generate() waits on the step), or ended
+  /// in it after the choice.
+  void take_step() {
+    blocked = false;
+    if (state == State::kMove) (void)g_.step(pos_, port_);
+  }
+
+  /// Drops the rounds before `keep`.
+  void trim(std::uint64_t keep) {
+    const std::size_t shift = std::min(keep, hi) - std::min(base, keep);
+    if (shift == 0) return;
+    const std::size_t used = hi - base;
+    moves_before_base = moves_through(base + shift - 1);
+    std::copy(nodes.begin() + shift, nodes.begin() + used, nodes.begin());
+    std::copy(moved.begin() + shift, moved.begin() + used, moved.begin());
+    if (!ports.empty()) {
+      std::copy(ports.begin() + shift, ports.begin() + used, ports.begin());
+    }
+    base += shift;
+  }
+
+  /// Jumps to round `to` over rounds in which the agent stays put,
+  /// keeping `history` rounds before it.
+  void skip_to(std::uint64_t to, std::uint64_t history) {
+    trim(hi);
+    base = hi = to - std::min(to, history);
+    reserve(to);
+    fill(to);
+  }
+
+  [[nodiscard]] Node node(std::uint64_t t) const { return nodes[t - base]; }
+  [[nodiscard]] std::uint64_t moves_through(std::uint64_t t) const {
+    return std::accumulate(moved.begin(), moved.begin() + (t + 1 - base),
+                           moves_before_base);
+  }
+  /// Resting: no move lands after static_since, and nothing happens
+  /// before idle_until() (the end of its wait).
+  [[nodiscard]] bool idle() const {
+    return state == State::kWait || state == State::kDone;
+  }
+  [[nodiscard]] std::uint64_t idle_until() const {
+    return state == State::kWait ? busy_until_ : kRoundInfinity;
+  }
+  /// The error message, naming the agent as agent i of its run.
+  [[nodiscard]] std::string error(std::size_t i) const {
+    return error_indexed_ ? "agent " + std::to_string(i) + " " + error_
+                          : error_;
+  }
+
+  // The record and the state the merger reads.
+  std::vector<Cell> nodes;
+  std::vector<std::uint8_t> moved;
+  std::vector<Port> ports;
+  std::uint64_t base = 0;
+  std::uint64_t hi = 0;
+  std::uint64_t moves_before_base = 0;
+  State state = State::kUnstarted;
+  bool blocked = false;
+  /// Lazy topologies: the run this path is agent `agent` of, which says
+  /// whether it reaches a round, so that a step chosen then may
+  /// materialize a node without waiting.
+  Merge<Topo, Cell>* run = nullptr;
+  std::size_t agent = 0;
+  /// The round the program ended (kDone) or failed (kError).
+  std::uint64_t end_round = 0;
+  std::uint64_t static_since = 0;
+  // Work done, for the sim.* counters.
   std::uint64_t moves = 0;
-  std::uint32_t zero_wait_spin = 0;
+  std::uint64_t rounds = 0;
+  std::uint64_t resumes = 0;
+  std::uint64_t segments = 0;
+
+ private:
+  /// Windows double, so growing to the exact need reallocates a few
+  /// times and holds at most a window plus the runs' delays.
+  void reserve(std::uint64_t until) {
+    const std::size_t need = until - base;
+    if (nodes.size() >= need) return;
+    nodes.resize(need);
+    moved.resize(need);
+    if (config_.record_trace) ports.resize(need);
+  }
+
+  /// The agent stays at its node up to `end`.
+  void fill(std::uint64_t end) {
+    std::fill(nodes.begin() + (hi - base), nodes.begin() + (end - base),
+              static_cast<Cell>(pos_));
+    std::fill(moved.begin() + (hi - base), moved.begin() + (end - base), 0);
+    rounds += end - hi;
+    hi = end;
+  }
+
+  void spawn() {
+    fill(1);
+    const Observation initial{g_.degree(pos_), std::nullopt, 0};
+    mailbox_.set_initial(initial);
+    proc_.emplace(program_(mailbox_, initial));
+    ++resumes;
+    proc_->start();
+    collect(0);
+  }
+
+  /// Lands the move in flight at hi and, in a walk segment, the steps
+  /// after it up to `until`; resumes the program once the single move
+  /// or the whole segment has landed.
+  void walk(std::uint64_t until) {
+    // Everything the loop touches is local: a store through a narrow
+    // Cell may alias any object, which would reload members per move.
+    const Topo& g = g_;
+    const Segment seg = mailbox_.segment();
+    const bool single = !in_segment_;
+    Cell* const cells = nodes.data();
+    std::uint8_t* const flags = moved.data();
+    Port* const taken = config_.record_trace ? ports.data() : nullptr;
+    const std::size_t first = hi - base;
+    const std::size_t last = until - base;
+    std::size_t i = first;
+    Node pos = pos_;
+    Port port = port_;
+    Port entry = 0;
+    std::uint32_t step = step_;
+    bool landed = false;
+    for (;;) {
+      graph::Step next;
+      if constexpr (kLazy<Topo>) {
+        next = g.peek(pos, port);
+        if (next.to == graph::kNoNode) {
+          // The state a run that ends now settles from.
+          hi = base + i;
+          pos_ = pos;
+          port_ = port;
+          if (run == nullptr || !run->reaches(agent, hi - 1)) {
+            blocked = true;
+            break;
+          }
+          next = g.step(pos, port);
+        }
+      } else {
+        next = g.step(pos, port);
+      }
+      pos = next.to;
+      entry = next.entry_port;
+      cells[i] = static_cast<Cell>(pos);
+      flags[i] = 1;
+      if (taken != nullptr) taken[i] = port;
+      ++i;
+      if (!single && seg.entries != nullptr) seg.entries[step] = entry;
+      if (single || ++step == seg.length) {
+        in_segment_ = false;
+        landed = true;
+        break;
+      }
+      const Port degree = g.degree(pos);
+      port = segment_port(seg, step, entry, degree);
+      if (seg.degrees != nullptr) seg.degrees[step] = degree;
+      if (port >= degree) {
+        pos_ = pos;
+        take(base + i - 1, port, degree);
+        break;
+      }
+      if (i == last) break;
+    }
+    if (i > first) entry_ = entry;
+    moves += i - first;
+    rounds += i - first;
+    hi = base + i;
+    pos_ = pos;
+    step_ = step;
+    if (state == State::kMove) port_ = port;
+    if (landed) resume(hi - 1);
+  }
+
+  void resume(std::uint64_t t) {
+    ++resumes;
+    mailbox_.deliver_and_resume(Observation{g_.degree(pos_), entry_, t});
+    collect(t);
+  }
+
+  void fail(std::uint64_t t, std::string error, bool indexed) {
+    state = State::kError;
+    end_round = t;
+    error_ = std::move(error);
+    error_indexed_ = indexed;
+  }
+
+  /// Takes port p at round t from a node of the given degree, or fails
+  /// with the model's port-range error. The check runs when the move is
+  /// chosen, whether by the coroutine or by a segment.
+  void take(std::uint64_t t, Port p, Port degree) {
+    if (p >= degree) {
+      std::ostringstream err;
+      err << "used port " << p << " at a degree-" << degree << " node";
+      fail(t, err.str(), true);
+      return;
+    }
+    port_ = p;
+    state = State::kMove;
+    zero_spin_ = 0;
+  }
+
+  /// Runs the program at round t until it chooses its next action.
+  void collect(std::uint64_t t) {
+    for (;;) {
+      if (proc_->done()) {
+        try {
+          proc_->rethrow_if_failed();
+        } catch (const std::exception& e) {
+          fail(t, std::string("threw: ") + e.what(), true);
+          return;
+        }
+        state = State::kDone;
+        end_round = static_since = t;
+        return;
+      }
+      if (!mailbox_.has_pending()) {
+        fail(t, "agent suspended without an action", false);
+        return;
+      }
+      const Action action = mailbox_.take_action();
+      if (action.kind == Action::Kind::kMove) {
+        take(t, action.port, g_.degree(pos_));
+        return;
+      }
+      if (action.kind == Action::Kind::kSegment) {
+        ++segments;
+        const Segment& seg = mailbox_.segment();
+        if (seg.length > 0) {
+          in_segment_ = true;
+          step_ = 0;
+          const Port degree = g_.degree(pos_);
+          if (seg.degrees != nullptr) seg.degrees[0] = degree;
+          take(t, segment_port(seg, 0, entry_.value_or(0), degree), degree);
+          return;
+        }
+        // An empty segment is a zero-length wait.
+      } else if (action.wait_rounds > 0) {
+        state = State::kWait;
+        entry_.reset();
+        busy_until_ = sat_add(t, action.wait_rounds);
+        static_since = t;
+        zero_spin_ = 0;
+        return;
+      }
+      if (++zero_spin_ > config_.max_zero_wait_spin) {
+        fail(t, "agent spun on zero-length waits", false);
+        return;
+      }
+      ++resumes;
+      mailbox_.deliver_and_resume(
+          Observation{g_.degree(pos_), std::nullopt, t});
+    }
+  }
+
+  const Topo& g_;
+  const AgentProgram& program_;
+  const MultiRunConfig& config_;
+  Mailbox mailbox_;
+  std::optional<Proc> proc_;
+  Node pos_;
+  /// Entry port of the last move, for the next observation.
+  std::optional<Port> entry_;
+  bool in_segment_ = false;
+  std::uint32_t step_ = 0;  ///< The segment step in flight.
+  Port port_ = 0;           ///< The port of the move in flight.
+  std::uint64_t busy_until_ = 0;
+  std::uint32_t zero_spin_ = 0;
+  std::string error_;
+  bool error_indexed_ = false;
 };
 
-/// Per-agent storage: a fixed-size array when the agent count is known
-/// at compile time (K > 0), so every per-agent loop has a constant trip
-/// count; a vector sized once per run otherwise (K == 0).
-template <class T, std::size_t K>
-using PerAgent = std::conditional_t<K == 0, std::vector<T>, std::array<T, K>>;
-
-/// The one engine body. `Topo` is the static type the runner calls
-/// degree/step on: `graph::Graph` (final, accessors inline) for explicit
-/// graphs, `ITopology` for everything else. Nothing is allocated per
-/// event: the per-event scratch (`old_pos_`, `moved_`) is sized once.
-///
-/// Rounds in which no agent needs its coroutine — every unfinished
-/// agent is mid-segment or waiting past the round, and nobody spawns —
-/// run in a lockstep burst: move, check crossings, choose each
-/// segment's next port, check meetings, next round. The general loop
-/// (spawns, resumes, event scheduling) runs only at the rounds between
-/// bursts.
-template <class Topo, std::size_t K>
-class MultiRunner {
+/// The one merger: a run's agents, each a Track over a Path, merged
+/// round by round into a MultiRunResult in the header's order.
+template <class Topo, class Cell>
+class Merge {
  public:
-  MultiRunner(const Topo& g, const MultiRunConfig& config, std::size_t k)
-      : g_(g), config_(config) {
-    if constexpr (K == 0) {
-      agents_.resize(k);
-      old_pos_.resize(k);
-      moved_.resize(k);
-      walkers_.resize(k);
-    }
+  using P = Path<Topo, Cell>;
+
+  Merge(std::deque<P>& paths, std::vector<Track> tracks,
+        const MultiRunConfig& config, std::uint64_t cap)
+      : tracks_(std::move(tracks)),
+        config_(&config),
+        cap_(cap),
+        spawned_(tracks_.size(), 0) {
+    const std::size_t k = tracks_.size();
+    for (const Track& tr : tracks_) paths_.push_back(&paths[tr.path]);
     if (config.record_trace) result_.trace.enable(config.trace_limit);
     result_.first_meeting.assign(k * k, kNever);
     result_.moves.assign(k, 0);
     result_.final_pos.assign(k, graph::kNoNode);
   }
 
-  MultiRunResult run(const std::vector<AgentSpec>& specs) {
-    const std::size_t k = agents_.size();
-    for (std::size_t i = 0; i < k; ++i) {
-      agents_[i].start_node = specs[i].start;
-      agents_[i].start_round = specs[i].start_round;
+  [[nodiscard]] const std::vector<Track>& tracks() const { return tracks_; }
+  void skip_to(std::uint64_t round) { r_ = round; }
+  MultiRunResult take_result() { return std::move(result_); }
+
+  /// Whether the run reaches round c of agent i's path, merged as far
+  /// as that. No while another path waits on a step or has one chosen
+  /// then and not taken: advance() takes those in the round's order.
+  bool reaches(std::size_t i, std::uint64_t c) {
+    const std::uint64_t t = c + tracks_[i].start;
+    if (r_ > t) return true;
+    for (std::size_t j = 0; j < tracks_.size(); ++j) {
+      const P& p = path(j);
+      if (j != i && (p.blocked || (p.state == P::State::kMove &&
+                                   p.hi + tracks_[j].start == t + 1))) {
+        return false;
+      }
     }
+    return !merge_to(t + 1) && r_ > t;
+  }
 
-    unstarted_ = k;
-    std::uint64_t round = 0;
-    for (;;) {
-      // Spawn agents whose starting round arrived; once all have, the
-      // scan is skipped for the rest of the run.
-      for (std::size_t i = 0; unstarted_ > 0 && i < k; ++i) {
-        AgentState& a = agents_[i];
-        if (!a.started && a.start_round == round) {
-          a.started = true;
-          --unstarted_;
-          a.pos = a.start_node;
-          result_.trace.record(round, static_cast<std::uint32_t>(i), a.pos,
-                               kNoPort);
-          const Observation initial{g_.degree(a.pos), std::nullopt, 0};
-          a.mailbox.set_initial(initial);
-          a.proc.emplace(specs[i].program(a.mailbox, initial));
-          ++resumes_;
-          a.proc->start();
-          collect(i, round);
-          if (!result_.ok()) return finish(round);
+  /// Merges the rounds before `window_end`; true once the run has
+  /// ended. A path of a lazy topology that waits on a step is taken on
+  /// once the run has reached the round the step was chosen in (in the
+  /// round's agent order) and generated on to the window's end.
+  bool advance(std::uint64_t window_end) {
+    for (bool unblocked = true; unblocked;) {
+      if (merge_to(window_end)) return true;
+      unblocked = false;
+      for_each_choice(r_ - 1, 2 * tracks_.size(), [&](P& p, const Track& tr) {
+        if (p.blocked && p.hi + tr.start == r_) {
+          p.take_step();
+          p.generate(window_end - tr.start);
+          unblocked = true;
         }
-      }
-
-      if (meetings_end_run(round)) return finish(round);
-
-      // Termination, the next event round, and the horizon: the first
-      // round at which some agent must be resumed or spawned.
-      bool everything_done = unstarted_ == 0;
-      std::uint64_t next = kRoundInfinity;
-      std::uint64_t horizon = kRoundInfinity;
-      for (std::size_t i = 0; i < k; ++i) {
-        const AgentState& a = agents_[i];
-        if (!a.started) {
-          next = std::min(next, a.start_round);
-          horizon = std::min(horizon, a.start_round);
-        } else if (!a.finished) {
-          everything_done = false;
-          next = std::min(next, a.busy_until);
-          horizon = std::min(horizon, a.resume_at);
-        }
-      }
-      if (everything_done) {
-        result_.programs_finished = true;
-        return finish(round);
-      }
-
-      // Advance to the next event, or stop at the cap.
-      if (next > config_.max_rounds || next == kRoundInfinity) {
-        return finish(config_.max_rounds);
-      }
-      if (next < horizon) {
-        // Lockstep burst over the rounds before the horizon; its last
-        // round's meeting check is the general loop's above.
-        const std::uint64_t last = std::min(horizon - 1, config_.max_rounds);
-        const std::uint64_t ended = burst(next, last);
-        if (ended != kNever) return finish(ended);
-        round = last;
-        continue;
-      }
-      round = next;
-      if (!advance(round)) return finish(round);
+      });
     }
+    return false;
+  }
+
+  /// The first round at which something can happen, when every agent
+  /// has been resting since before r_ - 1; r_ otherwise.
+  [[nodiscard]] std::uint64_t quiet_until() const {
+    std::uint64_t until = cap_;
+    for (std::size_t i = 0; i < tracks_.size(); ++i) {
+      const P& p = path(i);
+      if (spawned_[i] == 0 || !p.idle() ||
+          p.static_since + tracks_[i].start >= r_) {
+        return r_;
+      }
+      until = std::min(until, sat_add(p.idle_until(), tracks_[i].start));
+    }
+    return until;
   }
 
  private:
-  /// Records this round's first meetings; true when the run ends here
-  /// (gathering, or the configured pair met).
-  bool meetings_end_run(std::uint64_t round) {
-    const std::size_t k = agents_.size();
-    bool all_same = true;
-    bool stop_pair_met = false;
-    for (std::size_t i = 0; i < k; ++i) {
-      if (!agents_[i].started) continue;
-      if (agents_[i].pos != agents_[0].pos) all_same = false;
-      for (std::size_t j = i + 1; j < k; ++j) {
-        if (!agents_[j].started) continue;
-        if (agents_[i].pos == agents_[j].pos) {
-          auto& cell = result_.first_meeting[i * k + j];
-          if (cell == kNever) cell = round;
-          if (static_cast<int>(i) == config_.stop_on_pair_a &&
-              static_cast<int>(j) == config_.stop_on_pair_b) {
-            stop_pair_met = true;
-          }
-        }
-      }
-    }
-    if (unstarted_ == 0 && all_same) {
-      result_.gathered = true;
-      result_.gather_round_absolute = round;
-      std::uint64_t last_start = 0;
-      for (const AgentState& a : agents_) {
-        last_start = std::max(last_start, a.start_round);
-      }
-      result_.gather_from_last_start = round - last_start;
-      return true;
-    }
-    return stop_pair_met;
+  [[nodiscard]] P& path(std::size_t i) const { return *paths_[i]; }
+  [[nodiscard]] Node pos(std::size_t i, std::uint64_t t) const {
+    return spawned_[i] != 0 ? path(i).node(t - tracks_[i].start)
+                            : graph::kNoNode;
   }
 
-  /// Completes the actions due at `round`: moves land, swaps count as
-  /// crossings, then each due agent (in index order) takes its
-  /// segment's next step or is resumed. False on a program error.
-  bool advance(std::uint64_t round) {
-    const std::size_t k = agents_.size();
-    for (std::size_t i = 0; i < k; ++i) {
-      old_pos_[i] = agents_[i].pos;
-      moved_[i] = 0;
+  /// Merges the rounds before `end` that every agent's path holds;
+  /// true once the run has ended.
+  bool merge_to(std::uint64_t end) {
+    for (std::size_t i = 0; i < tracks_.size(); ++i) {
+      if (tracks_[i].start < end) {
+        end = std::min(end, path(i).hi + tracks_[i].start);
+      }
     }
-    for (std::size_t i = 0; i < k; ++i) {
-      AgentState& a = agents_[i];
-      if (!due(a, round)) continue;
-      if (a.action_is_move) {
-        a.pos = a.move_target;
-        ++a.moves;
-        moved_[i] = 1;
-        result_.trace.record(round, static_cast<std::uint32_t>(i), a.pos,
-                             a.move_port);
+    // Two agents and no trace: the rounds between events are scanned in
+    // bulk; otherwise every round is merged alone.
+    const bool bulk = tracks_.size() == 2 && !config_->record_trace;
+    std::uint64_t next = bulk ? next_event() : 0;
+    while (!ended_ && r_ < end) {
+      const std::uint64_t stop = std::min(end, next);
+      if (r_ < stop) {
+        if (spawned_[0] == 0 || spawned_[1] == 0) {
+          r_ = stop;  // one agent present: nothing to merge
+        } else {
+          scan_pair(stop);
+        }
+      } else if (!event()) {
+        ++r_;
+        if (bulk) next = next_event();
+      }
+    }
+    return ended_;
+  }
+
+  /// The next round that must be merged alone: an appearance, an error,
+  /// the end of the last program, or the cap.
+  [[nodiscard]] std::uint64_t next_event() const {
+    std::uint64_t next = std::min(cap_, programs_end());
+    for (std::size_t i = 0; i < tracks_.size(); ++i) {
+      const P& p = path(i);
+      if (spawned_[i] == 0) next = std::min(next, tracks_[i].start);
+      if (p.state == P::State::kError) {
+        next = std::min(next, p.end_round + tracks_[i].start);
+      }
+    }
+    return next;
+  }
+
+  /// The round by which every program has ended, or kNever while one
+  /// still runs.
+  [[nodiscard]] std::uint64_t programs_end() const {
+    std::uint64_t last = 0;
+    for (std::size_t i = 0; i < tracks_.size(); ++i) {
+      const P& p = path(i);
+      if (p.state != P::State::kDone) return kNever;
+      last = std::max(last, p.end_round + tracks_[i].start);
+    }
+    return last;
+  }
+
+  /// Rounds [r_, stop) of two present agents, with no event among them:
+  /// blocks of 64 rounds are checked for a shared node and counted for
+  /// crossings in one branch-free pass each.
+  bool scan_pair(std::uint64_t stop) {
+    const P& pa = path(0);
+    const P& pb = path(1);
+    const Cell* a = pa.nodes.data() + (r_ - tracks_[0].start - pa.base);
+    const Cell* b = pb.nodes.data() + (r_ - tracks_[1].start - pb.base);
+    const std::uint64_t n = stop - r_;
+    std::uint64_t crossings = 0;
+    for (std::uint64_t off = 0; off < n; off += 64) {
+      const Cell* x = a + off;
+      const Cell* y = b + off;
+      const std::uint64_t len = std::min<std::uint64_t>(64, n - off);
+      unsigned hit = 0;
+      unsigned cross = 0;
+      for (std::uint64_t j = 0; j < len; ++j) {
+        hit |= static_cast<unsigned>(x[j] == y[j]);
+        cross += static_cast<unsigned>((x[j] == y[j - 1]) & (y[j] == x[j - 1]));
+      }
+      if (hit != 0) {
+        std::uint64_t j = 0;
+        for (cross = 0; x[j] != y[j]; ++j) {
+          cross += static_cast<unsigned>((x[j] == y[j - 1]) &
+                                         (y[j] == x[j - 1]));
+        }
+        result_.edge_crossings += crossings + cross;
+        r_ += off + j;
+        meetings(r_);  // both agents present: a meeting ends the run
+        return end(r_, 4);
+      }
+      crossings += cross;
+    }
+    result_.edge_crossings += crossings;
+    r_ = stop;
+    return false;
+  }
+
+  /// Round r_ merged alone, in the header's order.
+  bool event() {
+    const std::uint64_t t = r_;
+    const std::size_t k = tracks_.size();
+    // The moves landing at t (agents appearing at t are not present
+    // yet): trace events, then crossings.
+    for (std::size_t i = 0; config_->record_trace && i < k; ++i) {
+      const P& p = path(i);
+      const std::uint64_t local = t - tracks_[i].start;
+      if (spawned_[i] != 0 && p.moved[local - p.base] != 0) {
+        result_.trace.record(t, static_cast<std::uint32_t>(i), pos(i, t),
+                             p.ports[local - p.base]);
       }
     }
     for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t j = i + 1; j < k; ++j) {
-        if (moved_[i] && moved_[j] && agents_[i].pos == old_pos_[j] &&
-            agents_[j].pos == old_pos_[i] &&
-            agents_[i].pos != agents_[j].pos) {
+      for (std::size_t j = i + 1; spawned_[i] != 0 && j < k; ++j) {
+        const Node pi = pos(i, t);
+        const Node pj = pos(j, t);
+        if (spawned_[j] != 0 && pi != pj && pi == pos(j, t - 1) &&
+            pj == pos(i, t - 1)) {
           ++result_.edge_crossings;
         }
       }
     }
     for (std::size_t i = 0; i < k; ++i) {
-      AgentState& a = agents_[i];
-      if (!due(a, round)) continue;
-      if (a.in_segment) {
-        const Segment& s = a.mailbox.segment();
-        if (s.entries != nullptr) s.entries[a.segment_step] = *a.arrival_entry;
-        if (++a.segment_step < s.length) {
-          if (!segment_step(i, round)) return false;
-          continue;
-        }
-        a.in_segment = false;
+      const P& p = path(i);
+      if (spawned_[i] != 0 && p.state == P::State::kError &&
+          p.end_round + tracks_[i].start == t) {
+        return fail(i, t, i);
       }
-      Observation obs;
-      obs.degree = g_.degree(a.pos);
-      obs.entry_port = a.arrival_entry;
-      obs.clock = round - a.start_round;
-      ++resumes_;
-      a.mailbox.deliver_and_resume(obs);
-      collect(i, round);
-      if (!result_.ok()) return false;
+    }
+    for (std::size_t i = 0; i < k; ++i) {
+      if (tracks_[i].start != t) continue;
+      spawned_[i] = 1;
+      result_.trace.record(t, static_cast<std::uint32_t>(i), pos(i, t),
+                           kNoPort);
+      const P& p = path(i);
+      if (p.state == P::State::kError && p.end_round == 0) {
+        return fail(i, t, k + i);
+      }
+    }
+    if (meetings(t)) return end(t, 2 * k);
+    // Every agent has appeared by then: each ended at or after its start.
+    if (programs_end() == t) {
+      result_.programs_finished = true;
+      return end(t, 2 * k);
+    }
+    return t == cap_ && end(t, 2 * k);
+  }
+
+  /// Records round t's first meetings; true when the run ends here
+  /// (gathering, or the configured pair met).
+  bool meetings(std::uint64_t t) {
+    const std::size_t k = tracks_.size();
+    bool all_same = true;
+    bool stop_pair_met = false;
+    std::size_t unspawned = 0;
+    const Node first = k > 0 ? pos(0, t) : graph::kNoNode;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (spawned_[i] == 0) {
+        ++unspawned;
+        continue;
+      }
+      const Node pi = pos(i, t);
+      all_same &= pi == first;
+      for (std::size_t j = i + 1; j < k; ++j) {
+        if (spawned_[j] == 0 || pi != pos(j, t)) continue;
+        auto& cell = result_.first_meeting[i * k + j];
+        if (cell == kNever) cell = t;
+        stop_pair_met |= static_cast<int>(i) == config_->stop_on_pair_a &&
+                         static_cast<int>(j) == config_->stop_on_pair_b;
+      }
+    }
+    if (unspawned == 0 && all_same) {
+      result_.gathered = true;
+      result_.gather_round_absolute = t;
+      std::uint64_t last_start = 0;
+      for (const Track& tr : tracks_) {
+        last_start = std::max(last_start, tr.start);
+      }
+      result_.gather_from_last_start = t - last_start;
+      return true;
+    }
+    return stop_pair_met;
+  }
+
+  bool fail(std::size_t i, std::uint64_t t, std::size_t order) {
+    result_.error = path(i).error(i);
+    return end(t, order);
+  }
+
+  /// Ends the run at round t. The agents before position `order` of the
+  /// round's agent order chose their next action at t: their steps are
+  /// taken.
+  bool end(std::uint64_t t, std::size_t order) {
+    if constexpr (kLazy<Topo>) {
+      for_each_choice(t, order, [&](P& p, const Track& tr) {
+        if (p.hi + tr.start == t + 1) p.take_step();
+      });
+    }
+    ended_ = true;
+    result_.rounds_simulated = t;
+    for (std::size_t i = 0; i < tracks_.size(); ++i) {
+      if (spawned_[i] == 0) continue;
+      result_.moves[i] = path(i).moves_through(t - tracks_[i].start);
+      result_.final_pos[i] = pos(i, t);
     }
     return true;
   }
 
-  /// An agent walking a segment through a burst, copied out of its
-  /// AgentState for the burst's length.
-  struct Walker {
-    Segment segment;
-    std::uint32_t agent;
-    std::uint32_t step;  ///< The step in flight.
-    Node from;
-    Node pos;
-    Node target;
-    Port port;
-    Port entry;
-  };
-
-  /// The lockstep burst: rounds first..last, in which every due agent
-  /// is mid-segment and no segment ends. Each round moves the walkers,
-  /// counts crossings, chooses each walker's next step (in agent
-  /// order, with the per-move port check) and, except at `last`,
-  /// checks meetings. Returns the round the run ended at (a program
-  /// error, or a meeting that ends the run), or kNever.
-  std::uint64_t burst(std::uint64_t first, std::uint64_t last) {
-    std::size_t n = 0;
-    for (const AgentState& a : agents_) n += a.in_segment ? 1 : 0;
-    // A lone walker gets a one-element local array: with its count fixed
-    // the compiler keeps it in registers, which halves its cost per move.
-    if (n == 1) {
-      std::array<Walker, 1> walker;
-      return burst_over(walker, 1, first, last);
-    }
-    return burst_over(walkers_, n, first, last);
-  }
-
-  template <class Walkers>
-  std::uint64_t burst_over(Walkers& walkers, std::size_t n,
-                           std::uint64_t first, std::uint64_t last) {
-    const std::size_t k = agents_.size();
-    for (std::size_t i = 0, j = 0; i < k; ++i) {
-      const AgentState& a = agents_[i];
-      if (!a.in_segment) continue;
-      walkers[j++] = Walker{a.mailbox.segment(),
-                            static_cast<std::uint32_t>(i),
-                            a.segment_step,
-                            a.pos,
-                            a.pos,
-                            a.move_target,
-                            a.move_port,
-                            *a.arrival_entry};
-    }
-    std::uint64_t ended = kNever;
-    std::uint64_t round = first;
-    for (;; ++round) {
-      for (std::size_t j = 0; j < n; ++j) {
-        Walker& w = walkers[j];
-        w.from = w.pos;
-        w.pos = w.target;
-        result_.trace.record(round, w.agent, w.pos, w.port);
-      }
-      for (std::size_t j = 0; j < n; ++j) {
-        for (std::size_t l = j + 1; l < n; ++l) {
-          const Walker& a = walkers[j];
-          const Walker& b = walkers[l];
-          if (a.pos == b.from && b.pos == a.from && a.pos != b.pos) {
-            ++result_.edge_crossings;
-          }
-        }
-      }
-      bool stepped = true;
-      for (std::size_t j = 0; j < n; ++j) {
-        Walker& w = walkers[j];
-        const Segment& seg = w.segment;
-        if (seg.entries != nullptr) seg.entries[w.step] = w.entry;
-        const std::uint32_t step = ++w.step;
-        const Port degree = g_.degree(w.pos);
-        const Port port = segment_port(seg, step, w.entry, degree);
-        if (seg.degrees != nullptr) seg.degrees[step] = degree;
-        if (port >= degree) {
-          port_error(w.agent, port, degree);
-          stepped = false;
-          break;
-        }
-        const graph::Step next = g_.step(w.pos, port);
-        w.target = next.to;
-        w.port = port;
-        w.entry = next.entry_port;
-      }
-      if (!stepped) {
-        ended = round;
-        break;
-      }
-      if (round == last) break;
-      // Only a walker can have come to share a node; the full scan
-      // runs when one did. Walker positions reach agents_ only then, so
-      // the scan of the others never reads a position just stored.
-      bool alone = true;
-      for (std::size_t j = 0; j < n; ++j) {
-        for (std::size_t l = j + 1; l < n; ++l) {
-          alone &= walkers[j].pos != walkers[l].pos;
-        }
-        for (std::size_t i = 0; i < k; ++i) {
-          const AgentState& a = agents_[i];
-          alone &= a.in_segment || !a.started || a.pos != walkers[j].pos;
-        }
-      }
-      if (!alone) {
-        for (std::size_t j = 0; j < n; ++j) {
-          agents_[walkers[j].agent].pos = walkers[j].pos;
-        }
-        if (meetings_end_run(round)) {
-          ended = round;
-          break;
-        }
-      }
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      const Walker& w = walkers[j];
-      AgentState& a = agents_[w.agent];
-      a.pos = w.pos;
-      a.moves += round - first + 1;
-      a.segment_step = w.step;
-      a.move_target = w.target;
-      a.move_port = w.port;
-      a.arrival_entry = w.entry;
-      a.busy_until = round + 1;
-    }
-    return ended;
-  }
-
-  /// Reports the model's port-range error for agent i and stops it.
-  void port_error(std::size_t i, Port p, Port degree) {
-    std::ostringstream err;
-    err << "agent " << i << " used port " << p << " at a degree-" << degree
-        << " node";
-    result_.error = err.str();
-    agents_[i].finished = true;
-  }
-
-  static bool due(const AgentState& a, std::uint64_t round) {
-    return a.busy_until == round;
-  }
-
-  /// Takes port p from agent i's node this round, or reports the
-  /// model's port-range error. The check runs when the move is chosen,
-  /// whether by the coroutine or by a segment.
-  bool take_port(std::size_t i, Port p, Port degree, std::uint64_t round) {
-    AgentState& a = agents_[i];
-    if (p >= degree) {
-      port_error(i, p, degree);
-      return false;
-    }
-    const graph::Step s = g_.step(a.pos, p);
-    a.move_target = s.to;
-    a.move_port = p;
-    a.arrival_entry = s.entry_port;
-    a.action_is_move = true;
-    a.busy_until = round + 1;
-    if (!a.in_segment) a.resume_at = a.busy_until;
-    a.zero_wait_spin = 0;
-    return true;
-  }
-
-  /// The port of step `step` of segment s, leaving a node of the given
-  /// degree that the previous step entered by `entry`.
-  static Port segment_port(const Segment& s, std::uint32_t step, Port entry,
-                           Port degree) {
-    switch (s.kind) {
-      case Segment::Kind::kUxs:
-        return step == 0 ? 0
-                         : static_cast<Port>((entry + s.terms[step - 1]) %
-                                             degree);
-      case Segment::Kind::kPorts:
-        return s.ports[step];
-      case Segment::Kind::kRetrace:
-        break;
-    }
-    return s.ports[s.length - 1 - step];
-  }
-
-  /// Chooses and takes step `segment_step` of agent i's segment.
-  bool segment_step(std::size_t i, std::uint64_t round) {
-    AgentState& a = agents_[i];
-    const Segment& s = a.mailbox.segment();
-    const Port degree = g_.degree(a.pos);
-    const Port port =
-        segment_port(s, a.segment_step, a.arrival_entry.value_or(0), degree);
-    if (s.degrees != nullptr) s.degrees[a.segment_step] = degree;
-    return take_port(i, port, degree, round);
-  }
-
-  void collect(std::size_t i, std::uint64_t round) {
-    AgentState& a = agents_[i];
-    for (;;) {
-      if (a.proc->done()) {
-        try {
-          a.proc->rethrow_if_failed();
-        } catch (const std::exception& e) {
-          std::ostringstream err;
-          err << "agent " << i << " threw: " << e.what();
-          result_.error = err.str();
-        }
-        a.finished = true;
-        a.busy_until = kRoundInfinity;
-        return;
-      }
-      if (!a.mailbox.has_pending()) {
-        result_.error = "agent suspended without an action";
-        a.finished = true;
-        return;
-      }
-      const Action action = a.mailbox.take_action();
-      if (action.kind == Action::Kind::kMove) {
-        take_port(i, action.port, g_.degree(a.pos), round);
-        return;
-      }
-      if (action.kind == Action::Kind::kSegment) {
-        ++segments_;
-        if (a.mailbox.segment().length > 0) {
-          a.in_segment = true;
-          a.segment_step = 0;
-          a.resume_at = round + a.mailbox.segment().length;
-          segment_step(i, round);
-          return;
-        }
-        // An empty segment is a zero-length wait.
-      } else if (action.wait_rounds > 0) {
-        a.action_is_move = false;
-        a.arrival_entry.reset();
-        a.busy_until = sat_add(round, action.wait_rounds);
-        a.resume_at = a.busy_until;
-        a.zero_wait_spin = 0;
-        return;
-      }
-      if (++a.zero_wait_spin > config_.max_zero_wait_spin) {
-        result_.error = "agent spun on zero-length waits";
-        a.finished = true;
-        return;
-      }
-      const Observation obs{g_.degree(a.pos), std::nullopt,
-                            round - a.start_round};
-      ++resumes_;
-      a.mailbox.deliver_and_resume(obs);
+  /// Calls fn on the first `order` agents choosing at round t, in the
+  /// round's order: the agents already present by index, then those
+  /// appearing at t by index.
+  template <class Fn>
+  void for_each_choice(std::uint64_t t, std::size_t order, Fn fn) {
+    const std::size_t k = tracks_.size();
+    for (std::size_t o = 0; o < order; ++o) {
+      const std::size_t i = o < k ? o : o - k;
+      const Track& tr = tracks_[i];
+      if (tr.start <= t && (tr.start == t) == (o >= k)) fn(path(i), tr);
     }
   }
 
-  MultiRunResult finish(std::uint64_t rounds) {
-    result_.rounds_simulated = rounds;
-    std::uint64_t moves = 0;
-    for (std::size_t i = 0; i < agents_.size(); ++i) {
-      result_.moves[i] = agents_[i].moves;
-      result_.final_pos[i] = agents_[i].pos;
-      moves += agents_[i].moves;
-    }
-    SimMetrics& metrics = sim_metrics();
-    metrics.runs.add();
-    metrics.moves.add(moves);
-    metrics.rounds.add(rounds);
-    metrics.resumes.add(resumes_);
-    metrics.segments.add(segments_);
-    return std::move(result_);
-  }
-
-  const Topo& g_;
-  const MultiRunConfig& config_;
+  std::vector<P*> paths_;  ///< Each agent's path.
+  std::vector<Track> tracks_;
+  const MultiRunConfig* config_;
+  std::uint64_t cap_;
+  std::vector<std::uint8_t> spawned_;
+  std::uint64_t r_ = 0;
+  bool ended_ = false;
   MultiRunResult result_;
-  PerAgent<AgentState, K> agents_{};
-  PerAgent<Node, K> old_pos_{};
-  PerAgent<std::uint8_t, K> moved_{};
-  PerAgent<Walker, K> walkers_{};
-  std::size_t unstarted_ = 0;
-  /// Coroutine resumes and segments issued this run, for SimMetrics.
-  std::uint64_t resumes_ = 0;
-  std::uint64_t segments_ = 0;
 };
 
-/// Picks the agent-count specialization: the two-agent rendezvous path
-/// (run_pair / run_anonymous) gets fixed-size storage.
-template <class Topo>
-MultiRunResult run_on(const Topo& g, const std::vector<AgentSpec>& agents,
-                      const MultiRunConfig& config) {
-  if (agents.size() == 2) {
-    return MultiRunner<Topo, 2>(g, config, 2).run(agents);
+using PathSpec = std::pair<const AgentProgram*, Node>;
+
+/// Generates the paths window by window and merges every run, each
+/// path extended only while an open run still needs it.
+template <class Topo, class Cell>
+std::vector<MultiRunResult> simulate(
+    const Topo& g, const std::vector<PathSpec>& specs,
+    const std::vector<std::vector<Track>>& runs, const MultiRunConfig& config,
+    const FanOut& fan_out) {
+  using P = Path<Topo, Cell>;
+  const std::uint64_t cap = std::min(config.max_rounds, kRoundInfinity - 1);
+  std::deque<P> paths;
+  for (const auto& [program, start] : specs) {
+    paths.emplace_back(g, *program, start, config);
   }
-  return MultiRunner<Topo, 0>(g, config, agents.size()).run(agents);
+  std::vector<Merge<Topo, Cell>> merges;
+  merges.reserve(runs.size());
+  for (const auto& tracks : runs) {
+    merges.emplace_back(paths, tracks, config, cap);
+    // A path of a lazy topology belongs to its one run.
+    for (std::size_t i = 0; kLazy<Topo> && i < tracks.size(); ++i) {
+      paths[tracks[i].path].run = &merges.back();
+      paths[tracks[i].path].agent = i;
+    }
+  }
+  std::vector<std::size_t> open(merges.size());
+  std::iota(open.begin(), open.end(), std::size_t{0});
+
+  // Per path, over the open runs' agents appearing before `end`: the
+  // round to generate to, the first round to keep, and their starts.
+  struct Need {
+    std::uint64_t until = 0;
+    std::uint64_t keep = kNever;
+    std::uint64_t min_start = kNever;
+    std::uint64_t max_start = 0;
+  };
+  std::vector<Need> need(paths.size());
+  std::vector<std::size_t> used;
+  const auto plan = [&](std::uint64_t r, std::uint64_t end) {
+    std::fill(need.begin(), need.end(), Need{});
+    for (const std::size_t m : open) {
+      for (const Track& tr : merges[m].tracks()) {
+        if (tr.start >= end) continue;
+        Need& n = need[tr.path];
+        n.until = std::max(n.until, end - tr.start);
+        n.keep = std::min(n.keep, r > tr.start ? r - 1 - tr.start : 0);
+        n.min_start = std::min(n.min_start, tr.start);
+        n.max_start = std::max(n.max_start, tr.start);
+      }
+    }
+    used.clear();
+    for (std::size_t p = 0; p < paths.size(); ++p) {
+      if (need[p].until != 0) used.push_back(p);
+    }
+  };
+
+  std::vector<std::uint8_t> ended;
+  std::uint64_t windows = 0;
+  std::uint64_t r = 0;
+  for (std::uint64_t window = kFirstWindow; !open.empty();
+       window = std::min(2 * window, kMaxWindow)) {
+    // A window's paths, then its runs, are independent of each other.
+    const auto spread = [&](std::size_t n,
+                            const std::function<void(std::size_t)>& fn) {
+      if (fan_out && window >= kFanOutWindow && n > 1) return fan_out(n, fn);
+      for (std::size_t i = 0; i < n; ++i) fn(i);
+    };
+    const std::uint64_t end = std::min(sat_add(r, window), cap) + 1;
+    plan(r, end);
+    for (const std::size_t p : used) paths[p].trim(need[p].keep);
+    windows += used.size();
+    spread(used.size(), [&](std::size_t i) {
+      paths[used[i]].generate(need[used[i]].until);
+    });
+    ended.assign(open.size(), 0);
+    spread(open.size(), [&](std::size_t i) {
+      ended[i] = merges[open[i]].advance(end) ? 1 : 0;
+    });
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < open.size(); ++i) {
+      if (ended[i] == 0) open[kept++] = open[i];
+    }
+    open.resize(kept);
+    r = end;
+    // Skip the rounds in which every agent of every open run rests.
+    std::uint64_t quiet = cap;
+    for (const std::size_t m : open) {
+      quiet = std::min(quiet, merges[m].quiet_until());
+    }
+    if (open.empty() || quiet <= r) continue;
+    plan(r, kRoundInfinity);
+    for (const std::size_t p : used) {
+      paths[p].skip_to(quiet - need[p].min_start,
+                       need[p].max_start - need[p].min_start + 1);
+    }
+    for (const std::size_t m : open) merges[m].skip_to(quiet);
+    r = quiet;
+  }
+
+  // Process-wide series, bumped once per call, never per move.
+  static obs::Counter& run_count = obs::counter("sim.runs");
+  static obs::Counter& path_count = obs::counter("sim.paths");
+  static obs::Counter& window_count = obs::counter("sim.windows");
+  static obs::Counter& moves = obs::counter("sim.moves");
+  static obs::Counter& rounds = obs::counter("sim.rounds");
+  static obs::Counter& resumes = obs::counter("sim.resumes");
+  static obs::Counter& segments = obs::counter("sim.segments");
+  run_count.add(merges.size());
+  window_count.add(windows);
+  for (const P& p : paths) {
+    if (p.state == P::State::kUnstarted) continue;
+    path_count.add();
+    moves.add(p.moves);
+    rounds.add(p.rounds);
+    resumes.add(p.resumes);
+    segments.add(p.segments);
+  }
+  std::vector<MultiRunResult> results;
+  for (auto& m : merges) results.push_back(m.take_result());
+  return results;
+}
+
+/// One dispatch per call: an explicit Graph is simulated through its
+/// final type (degree/step inline) with the narrowest node cells.
+std::vector<MultiRunResult> run_all(
+    const ITopology& g, const std::vector<PathSpec>& specs,
+    const std::vector<std::vector<Track>>& runs, MultiRunConfig config,
+    const FanOut& fan_out = {}) {
+  // The meeting scan only visits ordered pairs (i < j); normalize the
+  // stop pair so callers may pass it in either order.
+  if (config.stop_on_pair_a > config.stop_on_pair_b) {
+    std::swap(config.stop_on_pair_a, config.stop_on_pair_b);
+  }
+  const auto* explicit_graph = dynamic_cast<const graph::Graph*>(&g);
+  if (explicit_graph == nullptr) {
+    return simulate<ITopology, Node>(g, specs, runs, config, fan_out);
+  }
+  if (explicit_graph->size() <= 0x100) {
+    return simulate<graph::Graph, std::uint8_t>(*explicit_graph, specs, runs,
+                                                config, fan_out);
+  }
+  if (explicit_graph->size() <= 0x10000) {
+    return simulate<graph::Graph, std::uint16_t>(*explicit_graph, specs, runs,
+                                                 config, fan_out);
+  }
+  return simulate<graph::Graph, Node>(*explicit_graph, specs, runs, config,
+                                      fan_out);
+}
+
+/// The two-agent view of a run that stopped on its pair.
+RunResult to_pair(MultiRunResult&& multi, std::uint64_t delay) {
+  RunResult out;
+  const std::uint64_t meeting = multi.meeting_of(0, 1, 2);
+  out.met = meeting != kNever;
+  if (out.met) {
+    out.meet_round_absolute = meeting;
+    out.meet_from_later_start = meeting - delay;
+  }
+  out.rounds_simulated = multi.rounds_simulated;
+  out.edge_crossings = multi.edge_crossings;
+  out.moves = {multi.moves[0], multi.moves[1]};
+  out.final_pos = {multi.final_pos[0], multi.final_pos[1]};
+  out.programs_finished = multi.programs_finished;
+  out.error = std::move(multi.error);
+  out.trace = std::move(multi.trace);
+  return out;
+}
+
+RunConfig stop_on_pair(RunConfig config) {
+  config.stop_on_pair_a = 0;
+  config.stop_on_pair_b = 1;
+  return config;
 }
 
 }  // namespace
@@ -543,18 +853,61 @@ MultiRunResult run_on(const Topo& g, const std::vector<AgentSpec>& agents,
 MultiRunResult run_multi(const ITopology& g,
                          const std::vector<AgentSpec>& agents,
                          const MultiRunConfig& config) {
-  // The meeting scan only visits ordered pairs (i < j); normalize the
-  // stop pair so callers may pass it in either order.
-  MultiRunConfig normalized = config;
-  if (normalized.stop_on_pair_a > normalized.stop_on_pair_b) {
-    std::swap(normalized.stop_on_pair_a, normalized.stop_on_pair_b);
+  std::vector<PathSpec> specs;
+  std::vector<Track> tracks;
+  for (std::size_t i = 0; i < agents.size(); ++i) {
+    specs.emplace_back(&agents[i].program, agents[i].start);
+    tracks.push_back(Track{i, agents[i].start_round});
   }
-  // One dispatch per run: an explicit Graph is simulated through its
-  // final type, so degree/step inline into the event loop.
-  if (const auto* explicit_graph = dynamic_cast<const graph::Graph*>(&g)) {
-    return run_on(*explicit_graph, agents, normalized);
+  return std::move(run_all(g, specs, {tracks}, config).front());
+}
+
+RunResult run_pair(const ITopology& g, const AgentProgram& program_earlier,
+                   const AgentProgram& program_later, Node start_earlier,
+                   Node start_later, std::uint64_t delay,
+                   const RunConfig& config) {
+  return to_pair(std::move(run_all(g,
+                                   {{&program_earlier, start_earlier},
+                                    {&program_later, start_later}},
+                                   {{Track{0, 0}, Track{1, delay}}},
+                                   stop_on_pair(config))
+                               .front()),
+                 delay);
+}
+
+RunResult run_anonymous(const ITopology& g, const AgentProgram& program,
+                        Node start_earlier, Node start_later,
+                        std::uint64_t delay, const RunConfig& config) {
+  return run_pair(g, program, program, start_earlier, start_later, delay,
+                  config);
+}
+
+std::vector<RunResult> run_anonymous_all(const graph::Graph& g,
+                                         const AgentProgram& program,
+                                         const std::vector<PairStarts>& runs,
+                                         const RunConfig& config,
+                                         const FanOut& fan_out) {
+  std::vector<std::size_t> path_of(g.size(), kNever);
+  std::vector<PathSpec> specs;
+  std::vector<std::vector<Track>> tracks;
+  const auto path = [&](Node v) {
+    if (path_of[v] == kNever) {
+      path_of[v] = specs.size();
+      specs.emplace_back(&program, v);
+    }
+    return path_of[v];
+  };
+  for (const PairStarts& run : runs) {
+    tracks.push_back(
+        {Track{path(run.earlier), 0}, Track{path(run.later), run.delay}});
   }
-  return run_on(g, agents, normalized);
+  std::vector<MultiRunResult> multi =
+      run_all(g, specs, tracks, stop_on_pair(config), fan_out);
+  std::vector<RunResult> out;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    out.push_back(to_pair(std::move(multi[i]), runs[i].delay));
+  }
+  return out;
 }
 
 }  // namespace rdv::sim

@@ -12,7 +12,24 @@
 /// "gathering" generalization (Section 1 cites [25, 37, 43]): several
 /// anonymous agents with adversarial starting rounds; gathering is all
 /// of them at one node in one round. The two-agent engine
-/// (sim/engine.hpp) is a thin wrapper over this runner.
+/// (sim/engine.hpp) runs on the same code.
+///
+/// Generate, then merge. An agent perceives only degrees, entry ports
+/// and its own clock, never the other agents, so its path — the node it
+/// occupies at each round of its own clock, and whether a move landed
+/// there — depends only on its program and its start node. The engine
+/// generates each agent's path alone, one window of rounds at a time
+/// (windows start at 16 rounds and double up to 65,536), and one merger
+/// derives everything else from the k paths: meetings, crossings,
+/// per-agent moves, final positions, programs_finished, errors and the
+/// trace. Within a round the merger applies, in this order: the moves
+/// landing then (trace events in agent order, crossings); errors of the
+/// agents choosing their next action then, in agent order; the agents
+/// appearing then, in agent order (an error of one stops the appearances
+/// after it); meetings and gathering; every program having ended; the
+/// round cap. A path is generated past the round its run ends only as
+/// far as its window reaches, and never through a step that would
+/// materialize a node of a lazy topology (see ITopology::peek).
 namespace rdv::sim {
 
 struct AgentSpec {
@@ -22,8 +39,11 @@ struct AgentSpec {
 };
 
 struct MultiRunConfig {
+  /// Hard cap on absolute rounds.
   std::uint64_t max_rounds = 1'000'000;
+  /// Abort threshold for agents issuing zero-round waits back-to-back.
   std::uint32_t max_zero_wait_spin = 1u << 20;
+  /// Record a bounded move trace for diagnostics.
   bool record_trace = false;
   std::size_t trace_limit = 4096;
   /// Stop as soon as the given pair (indices into the spec vector) has

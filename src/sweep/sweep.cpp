@@ -25,14 +25,31 @@ analysis::SweepSummary feasibility_sweep(const graph::Graph& g,
       cache.all_pairs_shrink(g, fp);
   const std::vector<analysis::Stic> stics =
       analysis::enumerate_stics(g, max_delay);
+  // One path per start node serves every STIC: the runs are resolved
+  // together, long windows fanned out on the sweep's pool.
+  const sim::FanOut fan_out = [&](std::size_t n,
+                                  const std::function<void(std::size_t)>& fn) {
+    (void)sweep_map<char>(
+        n,
+        [&](std::size_t i) {
+          fn(i);
+          return char{0};
+        },
+        sweep_config);
+  };
+  std::vector<sim::PairStarts> starts;
+  starts.reserve(stics.size());
+  for (const analysis::Stic& stic : stics) {
+    starts.push_back({stic.u, stic.v, stic.delay});
+  }
+  std::vector<sim::RunResult> runs =
+      sim::run_anonymous_all(g, program, starts, run_config, fan_out);
   analysis::SweepSummary summary;
-  summary.checks = sweep_map<analysis::SticCheck>(
-      stics.size(),
-      [&](std::size_t i) {
-        return analysis::verify_stic(g, *classes, *shrink, stics[i], program,
-                                     run_config);
-      },
-      sweep_config);
+  summary.checks.reserve(stics.size());
+  for (std::size_t i = 0; i < stics.size(); ++i) {
+    summary.checks.push_back(analysis::verify_stic(*classes, *shrink, stics[i],
+                                                   std::move(runs[i])));
+  }
   for (const analysis::SticCheck& check : summary.checks) {
     if (check.cls.feasible) {
       ++summary.feasible;

@@ -169,9 +169,11 @@ std::vector<R> sweep_map(std::size_t n,
 }
 
 /// Verifies every ordered STIC with delays 0..max_delay against
-/// Corollary 3.1 (analysis::verify_stic per STIC, on the sweep runner).
-/// The view classes and the all-pairs Shrink table are resolved once,
-/// through `sweep_config.cache`.
+/// Corollary 3.1: sim::run_anonymous_all simulates every STIC from one
+/// shared path per start node, fanning long windows out through
+/// sweep_map on `sweep_config`, and analysis::verify_stic checks each
+/// run. The view classes and the all-pairs Shrink table are resolved
+/// once, through `sweep_config.cache`.
 [[nodiscard]] analysis::SweepSummary feasibility_sweep(
     const graph::Graph& g, std::uint64_t max_delay,
     const sim::AgentProgram& program, const sim::RunConfig& run_config,

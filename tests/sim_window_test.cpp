@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
