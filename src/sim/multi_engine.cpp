@@ -5,6 +5,7 @@
 #include <functional>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <type_traits>
 
@@ -22,13 +23,16 @@ using graph::Port;
 using support::kRoundInfinity;
 using support::sat_add;
 
-/// Rounds per window: the first, doubling up to the last; windows at
-/// least kFanOutWindow long fan their paths and runs out. Constants, so
-/// the work done (and every sim.* counter) is the same at any thread
-/// count; a run that meets early stops in its first window, and a path
-/// holds at most a window plus its runs' delays.
+/// Rounds per window: an eighth of the rounds before it, at least the
+/// first and at most the last. Constants, so the work done (and every
+/// sim.* counter) is the same at any thread count; a run is generated
+/// at most a window (so about an eighth) past its end, and a path holds
+/// at most a window plus its runs' delays.
 constexpr std::uint64_t kFirstWindow = 16;
 constexpr std::uint64_t kMaxWindow = std::uint64_t{1} << 16;
+/// Windows longer than this fan their paths, then their runs, out when
+/// the caller gives a FanOut: a path's window then takes tens of
+/// microseconds or more, well over the cost of handing it to a pool.
 constexpr std::uint64_t kFanOutWindow = std::uint64_t{1} << 13;
 
 /// Topologies other than an explicit Graph may materialize nodes when
@@ -104,6 +108,15 @@ class Path {
     if (state == State::kMove) (void)g_.step(pos_, port_);
   }
 
+  /// Jumps to round `to` over rounds in which the agent stays put,
+  /// keeping `history` rounds before it.
+  void skip_to(std::uint64_t to, std::uint64_t history) {
+    trim(hi);
+    base = hi = to - std::min(to, history);
+    reserve(to);
+    fill(to);
+  }
+
   /// Drops the rounds before `keep`.
   void trim(std::uint64_t keep) {
     const std::size_t shift = std::min(keep, hi) - std::min(base, keep);
@@ -118,27 +131,16 @@ class Path {
     base += shift;
   }
 
-  /// Jumps to round `to` over rounds in which the agent stays put,
-  /// keeping `history` rounds before it.
-  void skip_to(std::uint64_t to, std::uint64_t history) {
-    trim(hi);
-    base = hi = to - std::min(to, history);
-    reserve(to);
-    fill(to);
-  }
-
   [[nodiscard]] Node node(std::uint64_t t) const { return nodes[t - base]; }
   [[nodiscard]] std::uint64_t moves_through(std::uint64_t t) const {
     return std::accumulate(moved.begin(), moved.begin() + (t + 1 - base),
                            moves_before_base);
   }
-  /// Resting: no move lands after static_since, and nothing happens
-  /// before idle_until() (the end of its wait).
-  [[nodiscard]] bool idle() const {
-    return state == State::kWait || state == State::kDone;
-  }
+  /// Resting since static_since: nothing happens before idle_until()
+  /// (the end of its wait, or never once the program has ended).
   [[nodiscard]] std::uint64_t idle_until() const {
-    return state == State::kWait ? busy_until_ : kRoundInfinity;
+    if (state == State::kWait) return busy_until_;
+    return state == State::kDone ? kRoundInfinity : 0;
   }
   /// The error message, naming the agent as agent i of its run.
   [[nodiscard]] std::string error(std::size_t i) const {
@@ -170,8 +172,9 @@ class Path {
   std::uint64_t segments = 0;
 
  private:
-  /// Windows double, so growing to the exact need reallocates a few
-  /// times and holds at most a window plus the runs' delays.
+  /// Growing to the exact need reallocates rarely (resize grows the
+  /// capacity geometrically) and holds at most a window plus the runs'
+  /// delays.
   void reserve(std::uint64_t until) {
     const std::size_t need = until - base;
     if (nodes.size() >= need) return;
@@ -203,6 +206,19 @@ class Path {
   /// after it up to `until`; resumes the program once the single move
   /// or the whole segment has landed.
   void walk(std::uint64_t until) {
+    if (!in_segment_ && !kLazy<Topo>) {  // one move: no loop to set up
+      const graph::Step next = g_.step(pos_, port_);
+      const std::size_t i = hi - base;
+      nodes[i] = static_cast<Cell>(next.to);
+      moved[i] = 1;
+      if (config_.record_trace) ports[i] = port_;
+      pos_ = next.to;
+      entry_ = next.entry_port;
+      ++moves;
+      ++rounds;
+      resume(hi++);
+      return;
+    }
     // Everything the loop touches is local: a store through a narrow
     // Cell may alias any object, which would reload members per move.
     const Topo& g = g_;
@@ -374,21 +390,22 @@ class Merge {
  public:
   using P = Path<Topo, Cell>;
 
-  Merge(std::deque<P>& paths, std::vector<Track> tracks,
+  Merge(const std::vector<P*>& paths, std::span<const Track> tracks,
         const MultiRunConfig& config, std::uint64_t cap)
-      : tracks_(std::move(tracks)),
+      : paths_(paths.data()),
+        tracks_(tracks),
         config_(&config),
         cap_(cap),
-        spawned_(tracks_.size(), 0) {
-    const std::size_t k = tracks_.size();
-    for (const Track& tr : tracks_) paths_.push_back(&paths[tr.path]);
+        spawned_(tracks.size(), 0) {
+    const std::size_t k = tracks.size();
     if (config.record_trace) result_.trace.enable(config.trace_limit);
     result_.first_meeting.assign(k * k, kNever);
     result_.moves.assign(k, 0);
     result_.final_pos.assign(k, graph::kNoNode);
   }
 
-  [[nodiscard]] const std::vector<Track>& tracks() const { return tracks_; }
+  [[nodiscard]] std::span<const Track> tracks() const { return tracks_; }
+  [[nodiscard]] bool ended() const { return ended_; }
   void skip_to(std::uint64_t round) { r_ = round; }
   MultiRunResult take_result() { return std::move(result_); }
 
@@ -428,12 +445,12 @@ class Merge {
   }
 
   /// The first round at which something can happen, when every agent
-  /// has been resting since before r_ - 1; r_ otherwise.
+  /// has appeared and rests since before r_ - 1; r_ otherwise.
   [[nodiscard]] std::uint64_t quiet_until() const {
     std::uint64_t until = cap_;
     for (std::size_t i = 0; i < tracks_.size(); ++i) {
       const P& p = path(i);
-      if (spawned_[i] == 0 || !p.idle() ||
+      if (spawned_[i] == 0 || p.idle_until() == 0 ||
           p.static_since + tracks_[i].start >= r_) {
         return r_;
       }
@@ -443,7 +460,9 @@ class Merge {
   }
 
  private:
-  [[nodiscard]] P& path(std::size_t i) const { return *paths_[i]; }
+  [[nodiscard]] P& path(std::size_t i) const {
+    return *paths_[tracks_[i].path];
+  }
   [[nodiscard]] Node pos(std::size_t i, std::uint64_t t) const {
     return spawned_[i] != 0 ? path(i).node(t - tracks_[i].start)
                             : graph::kNoNode;
@@ -664,8 +683,8 @@ class Merge {
     }
   }
 
-  std::vector<P*> paths_;  ///< Each agent's path.
-  std::vector<Track> tracks_;
+  P* const* paths_;  ///< Every path of the call, indexed by Track::path.
+  std::span<const Track> tracks_;
   const MultiRunConfig* config_;
   std::uint64_t cap_;
   std::vector<std::uint8_t> spawned_;
@@ -676,34 +695,39 @@ class Merge {
 
 using PathSpec = std::pair<const AgentProgram*, Node>;
 
-/// Generates the paths window by window and merges every run, each
-/// path extended only while an open run still needs it.
+/// Generates the paths window by window and merges every run (each k
+/// consecutive tracks), each path extended only while an open run
+/// still needs it.
 template <class Topo, class Cell>
-std::vector<MultiRunResult> simulate(
-    const Topo& g, const std::vector<PathSpec>& specs,
-    const std::vector<std::vector<Track>>& runs, const MultiRunConfig& config,
-    const FanOut& fan_out) {
+std::vector<MultiRunResult> simulate(const Topo& g,
+                                     const std::vector<PathSpec>& specs,
+                                     const std::vector<Track>& tracks,
+                                     std::size_t k,
+                                     const MultiRunConfig& config,
+                                     const FanOut& fan_out) {
   using P = Path<Topo, Cell>;
   const std::uint64_t cap = std::min(config.max_rounds, kRoundInfinity - 1);
   std::deque<P> paths;
+  std::vector<P*> path_of;
   for (const auto& [program, start] : specs) {
-    paths.emplace_back(g, *program, start, config);
+    path_of.push_back(&paths.emplace_back(g, *program, start, config));
   }
+  // k = 0 is one run without agents.
+  const std::size_t runs = k == 0 ? 1 : tracks.size() / k;
   std::vector<Merge<Topo, Cell>> merges;
-  merges.reserve(runs.size());
-  for (const auto& tracks : runs) {
-    merges.emplace_back(paths, tracks, config, cap);
+  merges.reserve(runs);
+  for (std::size_t m = 0; m < runs; ++m) {
+    const std::span<const Track> run(tracks.data() + m * k, k);
+    merges.emplace_back(path_of, run, config, cap);
     // A path of a lazy topology belongs to its one run.
-    for (std::size_t i = 0; kLazy<Topo> && i < tracks.size(); ++i) {
-      paths[tracks[i].path].run = &merges.back();
-      paths[tracks[i].path].agent = i;
+    for (std::size_t i = 0; kLazy<Topo> && i < k; ++i) {
+      path_of[run[i].path]->run = &merges.back();
+      path_of[run[i].path]->agent = i;
     }
   }
-  std::vector<std::size_t> open(merges.size());
-  std::iota(open.begin(), open.end(), std::size_t{0});
-
-  // Per path, over the open runs' agents appearing before `end`: the
-  // round to generate to, the first round to keep, and their starts.
+  // Per path, over the open runs' agents: the round to generate to (for
+  // those appearing before the window's end), the first round to keep
+  // (0 for one yet to appear) and the range of their starts.
   struct Need {
     std::uint64_t until = 0;
     std::uint64_t keep = kNever;
@@ -711,66 +735,62 @@ std::vector<MultiRunResult> simulate(
     std::uint64_t max_start = 0;
   };
   std::vector<Need> need(paths.size());
-  std::vector<std::size_t> used;
   const auto plan = [&](std::uint64_t r, std::uint64_t end) {
     std::fill(need.begin(), need.end(), Need{});
-    for (const std::size_t m : open) {
-      for (const Track& tr : merges[m].tracks()) {
-        if (tr.start >= end) continue;
+    for (const auto& m : merges) {
+      for (std::size_t i = 0; !m.ended() && i < m.tracks().size(); ++i) {
+        const Track& tr = m.tracks()[i];
         Need& n = need[tr.path];
-        n.until = std::max(n.until, end - tr.start);
         n.keep = std::min(n.keep, r > tr.start ? r - 1 - tr.start : 0);
+        if (tr.start < end) n.until = std::max(n.until, end - tr.start);
         n.min_start = std::min(n.min_start, tr.start);
         n.max_start = std::max(n.max_start, tr.start);
       }
     }
-    used.clear();
-    for (std::size_t p = 0; p < paths.size(); ++p) {
-      if (need[p].until != 0) used.push_back(p);
-    }
   };
-
-  std::vector<std::uint8_t> ended;
   std::uint64_t windows = 0;
-  std::uint64_t r = 0;
-  for (std::uint64_t window = kFirstWindow; !open.empty();
-       window = std::min(2 * window, kMaxWindow)) {
+  for (std::uint64_t r = 0;;) {
+    const std::uint64_t window = std::clamp(r / 8, kFirstWindow, kMaxWindow);
+    const std::uint64_t end = std::min(sat_add(r, window), cap) + 1;
     // A window's paths, then its runs, are independent of each other.
     const auto spread = [&](std::size_t n,
                             const std::function<void(std::size_t)>& fn) {
-      if (fan_out && window >= kFanOutWindow && n > 1) return fan_out(n, fn);
+      if (fan_out && end - r > kFanOutWindow && n > 1) return fan_out(n, fn);
       for (std::size_t i = 0; i < n; ++i) fn(i);
     };
-    const std::uint64_t end = std::min(sat_add(r, window), cap) + 1;
     plan(r, end);
-    for (const std::size_t p : used) paths[p].trim(need[p].keep);
-    windows += used.size();
-    spread(used.size(), [&](std::size_t i) {
-      paths[used[i]].generate(need[used[i]].until);
+    spread(paths.size(), [&](std::size_t p) {
+      if (need[p].until == 0) return;
+      path_of[p]->trim(need[p].keep);
+      path_of[p]->generate(need[p].until);
     });
-    ended.assign(open.size(), 0);
-    spread(open.size(), [&](std::size_t i) {
-      ended[i] = merges[open[i]].advance(end) ? 1 : 0;
+    for (const Need& n : need) windows += n.until != 0 ? 1 : 0;
+    spread(merges.size(), [&](std::size_t m) {
+      if (!merges[m].ended()) (void)merges[m].advance(end);
     });
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < open.size(); ++i) {
-      if (ended[i] == 0) open[kept++] = open[i];
+    // Then the rounds in which every agent of every open run rests are
+    // skipped: each path jumps, keeping the rounds its runs still read.
+    r = cap;
+    for (const auto& m : merges) {
+      if (!m.ended()) r = std::min(r, m.quiet_until());
     }
-    open.resize(kept);
-    r = end;
-    // Skip the rounds in which every agent of every open run rests.
-    std::uint64_t quiet = cap;
-    for (const std::size_t m : open) {
-      quiet = std::min(quiet, merges[m].quiet_until());
+    if (r == cap && std::all_of(merges.begin(), merges.end(),
+                                [](const auto& m) { return m.ended(); })) {
+      break;
     }
-    if (open.empty() || quiet <= r) continue;
+    if (r <= end) {
+      r = end;
+      continue;
+    }
     plan(r, kRoundInfinity);
-    for (const std::size_t p : used) {
-      paths[p].skip_to(quiet - need[p].min_start,
+    for (std::size_t p = 0; p < paths.size(); ++p) {
+      if (need[p].until == 0) continue;
+      paths[p].skip_to(r - need[p].min_start,
                        need[p].max_start - need[p].min_start + 1);
     }
-    for (const std::size_t m : open) merges[m].skip_to(quiet);
-    r = quiet;
+    for (auto& m : merges) {
+      if (!m.ended()) m.skip_to(r);
+    }
   }
 
   // Process-wide series, bumped once per call, never per move.
@@ -798,10 +818,11 @@ std::vector<MultiRunResult> simulate(
 
 /// One dispatch per call: an explicit Graph is simulated through its
 /// final type (degree/step inline) with the narrowest node cells.
-std::vector<MultiRunResult> run_all(
-    const ITopology& g, const std::vector<PathSpec>& specs,
-    const std::vector<std::vector<Track>>& runs, MultiRunConfig config,
-    const FanOut& fan_out = {}) {
+std::vector<MultiRunResult> run_all(const ITopology& g,
+                                    const std::vector<PathSpec>& specs,
+                                    const std::vector<Track>& tracks,
+                                    std::size_t k, MultiRunConfig config,
+                                    const FanOut& fan_out = {}) {
   // The meeting scan only visits ordered pairs (i < j); normalize the
   // stop pair so callers may pass it in either order.
   if (config.stop_on_pair_a > config.stop_on_pair_b) {
@@ -809,17 +830,17 @@ std::vector<MultiRunResult> run_all(
   }
   const auto* explicit_graph = dynamic_cast<const graph::Graph*>(&g);
   if (explicit_graph == nullptr) {
-    return simulate<ITopology, Node>(g, specs, runs, config, fan_out);
+    return simulate<ITopology, Node>(g, specs, tracks, k, config, fan_out);
   }
   if (explicit_graph->size() <= 0x100) {
-    return simulate<graph::Graph, std::uint8_t>(*explicit_graph, specs, runs,
-                                                config, fan_out);
+    return simulate<graph::Graph, std::uint8_t>(*explicit_graph, specs,
+                                                tracks, k, config, fan_out);
   }
   if (explicit_graph->size() <= 0x10000) {
-    return simulate<graph::Graph, std::uint16_t>(*explicit_graph, specs, runs,
-                                                 config, fan_out);
+    return simulate<graph::Graph, std::uint16_t>(*explicit_graph, specs,
+                                                 tracks, k, config, fan_out);
   }
-  return simulate<graph::Graph, Node>(*explicit_graph, specs, runs, config,
+  return simulate<graph::Graph, Node>(*explicit_graph, specs, tracks, k, config,
                                       fan_out);
 }
 
@@ -859,7 +880,7 @@ MultiRunResult run_multi(const ITopology& g,
     specs.emplace_back(&agents[i].program, agents[i].start);
     tracks.push_back(Track{i, agents[i].start_round});
   }
-  return std::move(run_all(g, specs, {tracks}, config).front());
+  return std::move(run_all(g, specs, tracks, tracks.size(), config).front());
 }
 
 RunResult run_pair(const ITopology& g, const AgentProgram& program_earlier,
@@ -869,7 +890,7 @@ RunResult run_pair(const ITopology& g, const AgentProgram& program_earlier,
   return to_pair(std::move(run_all(g,
                                    {{&program_earlier, start_earlier},
                                     {&program_later, start_later}},
-                                   {{Track{0, 0}, Track{1, delay}}},
+                                   {Track{0, 0}, Track{1, delay}}, 2,
                                    stop_on_pair(config))
                                .front()),
                  delay);
@@ -889,7 +910,7 @@ std::vector<RunResult> run_anonymous_all(const graph::Graph& g,
                                          const FanOut& fan_out) {
   std::vector<std::size_t> path_of(g.size(), kNever);
   std::vector<PathSpec> specs;
-  std::vector<std::vector<Track>> tracks;
+  std::vector<Track> tracks;
   const auto path = [&](Node v) {
     if (path_of[v] == kNever) {
       path_of[v] = specs.size();
@@ -898,11 +919,11 @@ std::vector<RunResult> run_anonymous_all(const graph::Graph& g,
     return path_of[v];
   };
   for (const PairStarts& run : runs) {
-    tracks.push_back(
-        {Track{path(run.earlier), 0}, Track{path(run.later), run.delay}});
+    tracks.push_back(Track{path(run.earlier), 0});
+    tracks.push_back(Track{path(run.later), run.delay});
   }
   std::vector<MultiRunResult> multi =
-      run_all(g, specs, tracks, stop_on_pair(config), fan_out);
+      run_all(g, specs, tracks, 2, stop_on_pair(config), fan_out);
   std::vector<RunResult> out;
   for (std::size_t i = 0; i < runs.size(); ++i) {
     out.push_back(to_pair(std::move(multi[i]), runs[i].delay));

@@ -19,7 +19,8 @@
 /// occupies at each round of its own clock, and whether a move landed
 /// there — depends only on its program and its start node. The engine
 /// generates each agent's path alone, one window of rounds at a time
-/// (windows start at 16 rounds and double up to 65,536), and one merger
+/// (a window is an eighth of the rounds before it, from 16 up to 65,536
+/// rounds), and one merger
 /// derives everything else from the k paths: meetings, crossings,
 /// per-agent moves, final positions, programs_finished, errors and the
 /// trace. Within a round the merger applies, in this order: the moves

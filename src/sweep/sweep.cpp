@@ -26,7 +26,8 @@ analysis::SweepSummary feasibility_sweep(const graph::Graph& g,
   const std::vector<analysis::Stic> stics =
       analysis::enumerate_stics(g, max_delay);
   // One path per start node serves every STIC: the runs are resolved
-  // together, long windows fanned out on the sweep's pool.
+  // together, long windows fanned out on the sweep's pool (a graph's
+  // few paths would otherwise bound the wall on one thread).
   const sim::FanOut fan_out = [&](std::size_t n,
                                   const std::function<void(std::size_t)>& fn) {
     (void)sweep_map<char>(

@@ -172,8 +172,9 @@ std::vector<R> sweep_map(std::size_t n,
 /// Corollary 3.1: sim::run_anonymous_all simulates every STIC from one
 /// shared path per start node, fanning long windows out through
 /// sweep_map on `sweep_config`, and analysis::verify_stic checks each
-/// run. The view classes and the all-pairs Shrink table are resolved
-/// once, through `sweep_config.cache`.
+/// run. The view classes and the
+/// all-pairs Shrink table are resolved once, through
+/// `sweep_config.cache`.
 [[nodiscard]] analysis::SweepSummary feasibility_sweep(
     const graph::Graph& g, std::uint64_t max_delay,
     const sim::AgentProgram& program, const sim::RunConfig& run_config,

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -374,6 +375,48 @@ TEST(SimWindow, ErrorsInSpawnRounds) {
     digest.add(run_multi(g, both, config));
   }
   EXPECT_EQ(digest.value(), 0xc510e7c2c7a24185ull) << std::hex << digest.value();
+}
+
+// run_anonymous_all serves runs from shared paths, dropping the rounds
+// no open run needs any more: delays that reach several windows past
+// the first, next to runs that last to the cap on the same paths, give
+// each run what run_anonymous gives it alone. The last pass runs long
+// enough for windows to fan out, here in reverse order.
+TEST(SimWindow, SharedPathsMatchSingleRunsAcrossLongDelays) {
+  const Graph g = families::oriented_ring(4);
+  std::vector<PairStarts> starts;
+  for (const std::uint64_t delay :
+       {0u, 1u, 15u, 16u, 17u, 60u, 200u, 1000u, 5000u}) {
+    for (Node u = 0; u < 4; ++u) {
+      for (Node v = 0; v < 4; ++v) starts.push_back({u, v, delay});
+    }
+  }
+  const FanOut reverse = [](std::size_t n,
+                            const std::function<void(std::size_t)>& fn) {
+    for (std::size_t i = n; i-- > 0;) fn(i);
+  };
+  for (const int pass : {0, 1, 2}) {
+    for (const AgentProgram& program :
+         {segment_walker(3, 0, 1), segment_walker(5, 1, 2),
+          walker(7, 0, 40, 1)}) {
+      const RunConfig config =
+          config_with(pass == 2 ? 100000 : 20000, pass == 1, 300);
+      const std::vector<RunResult> shared = run_anonymous_all(
+          g, program, starts, config, pass == 2 ? reverse : FanOut{});
+      ASSERT_EQ(shared.size(), starts.size());
+      for (std::size_t i = 0; i < starts.size(); ++i) {
+        const PairStarts& s = starts[i];
+        Digest alone;
+        alone.add(
+            run_anonymous(g, program, s.earlier, s.later, s.delay, config));
+        Digest together;
+        together.add(shared[i]);
+        EXPECT_EQ(together.value(), alone.value())
+            << "STIC [(" << s.earlier << ", " << s.later << "), " << s.delay
+            << "]";
+      }
+    }
+  }
 }
 
 }  // namespace
