@@ -35,11 +35,11 @@
 // coroutine resumes per move (the sim.resumes counter over its moves):
 // walk segments run without resuming the agent, so this names the
 // cause when ns/move changes. The engine generates each agent's path
-// alone and merges the paths; "gen ns/move" times generating every
-// cell's paths alone to the rounds their runs lasted (over the moves
-// generated), and "merge ns/round" the rest of the cell's time over the
-// rounds its runs merged. Informational: no gate, only the
-// sim_ns_per_move_* and sim_resumes_per_move_* trend fields.
+// alone and merges the paths; "gen ns/move" is the engine's own
+// sim.generate_ns over the moves it generated (sim.moves), and "merge
+// ns/round" its sim.merge_ns over the rounds the cell's runs merged.
+// Informational: no gate, only the sim_ns_per_move_* and
+// sim_resumes_per_move_* trend fields.
 //
 // M8 — store layer cost per artifact: encode, save (header and payload
 // to a temp file, fsync, rename), load (exact-size read, header and
@@ -719,24 +719,20 @@ int main(int argc, char** argv) {
                                  "resumes/move", "gen ns/move",
                                  "merge ns/round"});
   rdv::obs::Counter& sim_moves = rdv::obs::counter("sim.moves");
-  // Generates one agent's path alone for `rounds` rounds: its run's
-  // second agent never appears, so nothing is merged.
-  const auto solo = [](const rdv::graph::ITopology& topo,
-                       const rdv::sim::AgentProgram& program,
-                       rdv::graph::Node start, std::uint64_t rounds) {
-    rdv::sim::MultiRunConfig config;
-    config.max_rounds = rounds;
-    (void)rdv::sim::run_multi(
-        topo, {{program, start, 0}, {program, start, rounds + 1}}, config);
-  };
-  // The generation and merge columns of a cell whose runs took `ms`
-  // over `rounds` merged rounds, from `gen_ms` of generating their
-  // paths alone, which generated `gen_moves` moves per repetition.
-  const auto split = [](double ms, std::uint64_t rounds, double gen_ms,
-                        std::uint64_t gen_moves) {
-    const double gen = gen_moves > 0 ? gen_ms * 1e6 / gen_moves : 0;
+  rdv::obs::Counter& sim_generate_ns = rdv::obs::counter("sim.generate_ns");
+  rdv::obs::Counter& sim_merge_ns = rdv::obs::counter("sim.merge_ns");
+  // The generation and merge columns of a cell whose `repeats`
+  // repetitions merged `rounds` rounds each, from the engine's counters
+  // as they stood before the cell.
+  const auto split = [&](std::uint64_t moves_before,
+                         std::uint64_t generate_before,
+                         std::uint64_t merge_before, std::uint64_t rounds) {
+    const double moves = static_cast<double>(sim_moves.value() - moves_before);
+    const double merged = static_cast<double>(rounds) * repeats;
+    const double gen =
+        moves > 0 ? (sim_generate_ns.value() - generate_before) / moves : 0;
     const double merge =
-        rounds > 0 ? std::max(0.0, ms - gen_ms) * 1e6 / rounds : 0;
+        merged > 0 ? (sim_merge_ns.value() - merge_before) / merged : 0;
     return std::vector<std::string>{rdv::support::format_double(gen, 1),
                                     rdv::support::format_double(merge, 3)};
   };
@@ -770,8 +766,10 @@ int main(int argc, char** argv) {
       }
       std::uint64_t moves = 0;
       std::uint64_t rounds = 0;
-      std::vector<std::uint64_t> lasted(jobs.size());
       const std::uint64_t resumes_before = sim_resumes.value();
+      const std::uint64_t moves_before = sim_moves.value();
+      const std::uint64_t generate_before = sim_generate_ns.value();
+      const std::uint64_t merge_before = sim_merge_ns.value();
       const double ms = best_of_ms(repeats, [&] {
         moves = 0;
         rounds = 0;
@@ -782,22 +780,11 @@ int main(int argc, char** argv) {
                                       s.delay, jobs[i].second);
           moves += r.moves[0] + r.moves[1];
           rounds += r.rounds_simulated;
-          lasted[i] = r.rounds_simulated;
         }
       });
       const double ns_per_move =
           moves > 0 ? ms * 1e6 / static_cast<double>(moves) : 0;
       const double resumes = resumes_per_move(resumes_before, moves);
-      const std::uint64_t gen_before = sim_moves.value();
-      const double gen_ms = best_of_ms(repeats, [&] {
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-          const Stic& s = arena.stics[i];
-          solo(*arena.topo, jobs[i].first, s.u, lasted[i]);
-          if (lasted[i] >= s.delay) {
-            solo(*arena.topo, jobs[i].first, s.v, lasted[i] - s.delay);
-          }
-        }
-      });
       sim_ns_per_move.emplace_back(algorithm + "_" + arena.key, ns_per_move);
       sim_resumes_per_move.emplace_back(algorithm + "_" + arena.key, resumes);
       std::vector<std::string> row{algorithm, arena.topo->name(),
@@ -807,8 +794,7 @@ int main(int argc, char** argv) {
                                    rdv::support::format_double(ns_per_move, 1),
                                    rdv::support::format_double(resumes, 3)};
       for (std::string& cell :
-           split(ms, rounds, gen_ms,
-                 (sim_moves.value() - gen_before) / repeats)) {
+           split(moves_before, generate_before, merge_before, rounds)) {
         row.push_back(std::move(cell));
       }
       sim_table.add_row(row);
@@ -827,8 +813,10 @@ int main(int argc, char** argv) {
     std::size_t runs = 0;
     std::uint64_t moves = 0;
     std::uint64_t rounds = 0;
-    std::vector<std::uint64_t> lasted;
     const std::uint64_t resumes_before = sim_resumes.value();
+    const std::uint64_t moves_before = sim_moves.value();
+    const std::uint64_t generate_before = sim_generate_ns.value();
+    const std::uint64_t merge_before = sim_merge_ns.value();
     const double ms = best_of_ms(repeats, [&] {
       const families::QhatImplicitTopology topo(4 * kZ);
       const auto z = families::qhat_z_set(topo, topo.root(), kZ);
@@ -836,27 +824,16 @@ int main(int argc, char** argv) {
       runs = z.size();
       moves = 0;
       rounds = 0;
-      lasted.clear();
       for (const rdv::graph::Node v : z) {
         const rdv::sim::RunResult r = rdv::sim::run_anonymous(
             topo, program, topo.root(), v, 2 * kZ, config);
         moves += r.moves[0] + r.moves[1];
         rounds += r.rounds_simulated;
-        lasted.push_back(r.rounds_simulated);
       }
     });
     const double ns_per_move =
         moves > 0 ? ms * 1e6 / static_cast<double>(moves) : 0;
     const double resumes = resumes_per_move(resumes_before, moves);
-    const std::uint64_t gen_before = sim_moves.value();
-    const double gen_ms = best_of_ms(repeats, [&] {
-      const families::QhatImplicitTopology topo(4 * kZ);
-      const auto z = families::qhat_z_set(topo, topo.root(), kZ);
-      for (std::size_t i = 0; i < z.size(); ++i) {
-        solo(topo, program, topo.root(), lasted[i]);
-        solo(topo, program, z[i], lasted[i] - 2 * kZ);
-      }
-    });
     sim_ns_per_move.emplace_back("z_qhat24", ns_per_move);
     sim_resumes_per_move.emplace_back("z_qhat24", resumes);
     std::vector<std::string> row{"dedicated_z(6)", name, std::to_string(runs),
@@ -865,8 +842,7 @@ int main(int argc, char** argv) {
                                  rdv::support::format_double(ns_per_move, 1),
                                  rdv::support::format_double(resumes, 3)};
     for (std::string& cell :
-         split(ms, rounds, gen_ms,
-               (sim_moves.value() - gen_before) / repeats)) {
+         split(moves_before, generate_before, merge_before, rounds)) {
       row.push_back(std::move(cell));
     }
     sim_table.add_row(row);

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <numeric>
+#include <tuple>
 #include <type_traits>
 #include <unordered_map>
 
@@ -155,6 +157,55 @@ void append_histogram_lines(std::string& out, const HistogramSnapshot& hist) {
          std::to_string(hist.count) + " samples\n";
 }
 
+/// The executions of profile.tasks (at index i) and, after them, of
+/// profile.merges (at index tasks.size() + i), each less what nested in
+/// it on its thread: a task waiting on a sweep runs chunks and merges
+/// itself (work-assisting) and parks between them, and that time is
+/// theirs, not the waiting task's.
+std::vector<std::uint64_t> self_micros(const Profile& profile) {
+  struct Slice {
+    std::uint32_t tid;
+    std::uint64_t begin;
+    std::uint64_t end;
+    std::size_t index;
+  };
+  std::vector<Slice> slices;
+  std::vector<std::uint64_t> self;
+  for (const TaskProfile& t : profile.tasks) {
+    if (t.begin_t != 0 && t.end_t != 0) {
+      slices.push_back({t.exec_tid, t.begin_t, t.end_t, self.size()});
+    }
+    self.push_back(t.exec_micros());
+  }
+  for (const MergeProfile& m : profile.merges) {
+    slices.push_back({m.tid, m.begin_t, m.end_t, self.size()});
+    self.push_back(m.micros());
+  }
+  for (const ParkInterval& p : profile.parks) {
+    slices.push_back({p.tid, p.begin_t, p.end_t, self.size()});
+    self.push_back(clamped_sub(p.end_t, p.begin_t));
+  }
+  // Per thread, by begin and enclosing first: a slice nests in the
+  // innermost open slice that ends after it begins.
+  std::sort(slices.begin(), slices.end(), [](const Slice& a, const Slice& b) {
+    return std::tie(a.tid, a.begin, b.end) < std::tie(b.tid, b.begin, a.end);
+  });
+  std::vector<const Slice*> open;
+  for (const Slice& s : slices) {
+    while (!open.empty() &&
+           (open.back()->tid != s.tid || open.back()->end <= s.begin)) {
+      open.pop_back();
+    }
+    if (!open.empty()) {
+      const std::uint64_t nested = std::min(s.end, open.back()->end) - s.begin;
+      std::uint64_t& outer = self[open.back()->index];
+      outer -= std::min(outer, nested);
+    }
+    open.push_back(&s);
+  }
+  return self;
+}
+
 /// Per-thread busy/park aggregation shared by report and diff.
 struct ThreadUsage {
   std::uint64_t busy_micros = 0;
@@ -165,17 +216,13 @@ struct ThreadUsage {
 
 std::map<std::uint32_t, ThreadUsage> thread_usage(const Profile& profile) {
   std::map<std::uint32_t, ThreadUsage> usage;
+  for (const auto& [tid, busy] : thread_busy_micros(profile)) {
+    usage[tid].busy_micros = busy;
+  }
   for (const TaskProfile& t : profile.tasks) {
-    if (t.begin_t == 0 || t.end_t == 0) continue;
-    ThreadUsage& u = usage[t.exec_tid];
-    u.busy_micros += t.exec_micros();
-    ++u.tasks;
+    if (t.begin_t != 0 && t.end_t != 0) ++usage[t.exec_tid].tasks;
   }
-  for (const MergeProfile& m : profile.merges) {
-    ThreadUsage& u = usage[m.tid];
-    u.busy_micros += m.micros();
-    ++u.merges;
-  }
+  for (const MergeProfile& m : profile.merges) ++usage[m.tid].merges;
   for (const ParkInterval& p : profile.parks) {
     usage[p.tid].park_micros += clamped_sub(p.end_t, p.begin_t);
   }
@@ -199,12 +246,26 @@ std::uint64_t stolen_task_count(const Profile& profile) {
 }
 
 std::uint64_t total_exec_micros(const Profile& profile) {
-  std::uint64_t total = 0;
-  for (const TaskProfile& t : profile.tasks) total += t.exec_micros();
-  return total;
+  const std::vector<std::uint64_t> self = self_micros(profile);
+  return std::accumulate(self.begin(), self.begin() + profile.tasks.size(),
+                         std::uint64_t{0});
 }
 
 }  // namespace
+
+std::map<std::uint32_t, std::uint64_t> thread_busy_micros(
+    const Profile& profile) {
+  const std::vector<std::uint64_t> self = self_micros(profile);
+  std::map<std::uint32_t, std::uint64_t> busy;
+  for (std::size_t i = 0; i < profile.tasks.size(); ++i) {
+    const TaskProfile& t = profile.tasks[i];
+    if (t.begin_t != 0 && t.end_t != 0) busy[t.exec_tid] += self[i];
+  }
+  for (std::size_t i = 0; i < profile.merges.size(); ++i) {
+    busy[profile.merges[i].tid] += self[profile.tasks.size() + i];
+  }
+  return busy;
+}
 
 Profile build_profile(const std::vector<TaskEvent>& events) {
   Profile profile;

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -111,6 +112,13 @@ struct Profile {
 /// Reconstructs the profile from a drained event stream
 /// (drain_task_events output; any (t, tid, seq)-sorted order works).
 [[nodiscard]] Profile build_profile(const std::vector<TaskEvent>& events);
+
+/// Busy micros per thread id: its task executions and merges, less the
+/// tasks, merges and parks nested in them where a worker waiting inside
+/// one task runs others (work-assisting), so busy never exceeds the
+/// thread's wall, nor busy plus parked.
+[[nodiscard]] std::map<std::uint32_t, std::uint64_t> thread_busy_micros(
+    const Profile& profile);
 
 /// Cumulative cv wakeups divided by tasks actually executed — the
 /// thundering-herd factor of the single-cv pool (1.0 would be the

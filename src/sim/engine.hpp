@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -31,13 +30,32 @@ class Graph;
 /// run_anonymous_all serves every run of one graph that starts at a
 /// node from that node's one path.
 ///
+/// Image paths. A port-preserving automorphism φ
+/// (graph/automorphism.hpp) keeps degrees and entry ports, so an agent
+/// started at φ(x) perceives what one started at x does, round by
+/// round, and P_φ(x)(t) = φ(P_x(t)) for moves, self-loops and port
+/// errors alike. run_anonymous_all therefore generates one path per
+/// automorphism orbit of start nodes, from the orbit's least node (its
+/// representative); every other start node x of the orbit gets an image
+/// path: after each window it holds the representative's rounds with
+/// every node mapped through the automorphism taking it to x, and its
+/// moved flags, ports, state and error unchanged. The run
+/// [(φ(u), φ(v)), δ] is likewise the run [(u, v), δ] with every node
+/// mapped through φ, so each orbit of runs is merged once, with the
+/// earlier agent at a representative, and its other runs are copies
+/// with final positions and trace nodes mapped. Lazy topologies never
+/// get images.
+///
 /// The sim.* counters count the work: sim.runs the runs merged,
-/// sim.paths the single-agent paths generated, sim.windows the windows
-/// they were generated in, sim.moves and sim.rounds the moves and
-/// rounds generated (with shared paths fewer than the runs' own; a
-/// stretch in which every agent rests is skipped, not generated), and
-/// sim.resumes and sim.segments the coroutine resumes and walk
-/// segments.
+/// sim.paths the single-agent paths generated, sim.images the paths
+/// produced by relabeling instead, sim.windows the windows paths were
+/// generated in, sim.moves and sim.rounds the moves and rounds
+/// generated (with shared paths fewer than the runs' own; a stretch in
+/// which every agent rests is skipped, not generated), sim.resumes and
+/// sim.segments the coroutine resumes and walk segments, and
+/// sim.generate_ns and sim.merge_ns the wall time spent generating and
+/// relabeling paths and merging runs (one clock read after each per
+/// window).
 namespace rdv::sim {
 
 /// max_rounds caps absolute rounds: a run that does not meet by the cap
@@ -98,18 +116,12 @@ struct PairStarts {
   std::uint64_t delay = 0;
 };
 
-/// Runs fn(i) for every i < n, in any order and on any threads.
-using FanOut = std::function<void(std::size_t n,
-                                  const std::function<void(std::size_t)>& fn)>;
-
 /// run_anonymous on every given STIC of g, element i for runs[i]: the
-/// same results, from one path per start node, each extended only while
-/// a run still needs it. Long windows generate their paths, then merge
-/// their runs, through `fan_out` (on the calling thread when empty);
-/// the program must then be callable from several threads at once.
+/// same results, field for field, from one generated path per orbit of
+/// start nodes (see above), each extended only while a run still needs
+/// it, and one merge per orbit of runs.
 [[nodiscard]] std::vector<RunResult> run_anonymous_all(
     const graph::Graph& g, const AgentProgram& program,
-    const std::vector<PairStarts>& runs, const RunConfig& config = {},
-    const FanOut& fan_out = {});
+    const std::vector<PairStarts>& runs, const RunConfig& config = {});
 
 }  // namespace rdv::sim

@@ -1,17 +1,22 @@
 #include "sim/multi_engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <deque>
 #include <functional>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <span>
 #include <sstream>
+#include <tuple>
 #include <type_traits>
 
+#include "graph/automorphism.hpp"
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
+#include "support/map_cells.hpp"
 #include "support/saturating.hpp"
 
 namespace rdv::sim {
@@ -30,10 +35,6 @@ using support::sat_add;
 /// at most a window plus its runs' delays.
 constexpr std::uint64_t kFirstWindow = 16;
 constexpr std::uint64_t kMaxWindow = std::uint64_t{1} << 16;
-/// Windows longer than this fan their paths, then their runs, out when
-/// the caller gives a FanOut: a path's window then takes tens of
-/// microseconds or more, well over the cost of handing it to a pool.
-constexpr std::uint64_t kFanOutWindow = std::uint64_t{1} << 13;
 
 /// Topologies other than an explicit Graph may materialize nodes when
 /// stepped, so their paths run ahead on ITopology::peek only.
@@ -115,6 +116,24 @@ class Path {
     base = hi = to - std::min(to, history);
     reserve(to);
     fill(to);
+  }
+
+  /// Makes this path the image of `rep`'s under an automorphism: rep's
+  /// rounds with every node mapped through `map`, and their state.
+  void mirror(const Path& rep, std::span<const Cell> map) {
+    base = rep.base;
+    hi = rep.hi;
+    moves_before_base = rep.moves_before_base;
+    reserve(hi);
+    support::map_cells(rep.nodes.data(), nodes.data(), hi - base, map);
+    std::copy_n(rep.moved.begin(), hi - base, moved.begin());
+    std::copy_n(rep.ports.begin(), ports.empty() ? 0 : hi - base, ports.begin());
+    state = rep.state;
+    end_round = rep.end_round;
+    static_since = rep.static_since;
+    busy_until_ = rep.busy_until_;
+    error_ = rep.error_;
+    error_indexed_ = rep.error_indexed_;
   }
 
   /// Drops the rounds before `keep`.
@@ -695,22 +714,39 @@ class Merge {
 
 using PathSpec = std::pair<const AgentProgram*, Node>;
 
-/// Generates the paths window by window and merges every run (each k
-/// consecutive tracks), each path extended only while an open run
-/// still needs it.
+/// Path `path` is the image of path `rep` under the automorphism `map`
+/// (an explicit graph's node ids).
+struct Image {
+  std::size_t path;
+  std::size_t rep;
+  std::vector<Node> map;
+};
+
+/// Generates the paths window by window, relabels the images, and
+/// merges every run (each k consecutive tracks); each path is extended
+/// only while an open run still needs it or its images.
 template <class Topo, class Cell>
 std::vector<MultiRunResult> simulate(const Topo& g,
                                      const std::vector<PathSpec>& specs,
                                      const std::vector<Track>& tracks,
                                      std::size_t k,
                                      const MultiRunConfig& config,
-                                     const FanOut& fan_out) {
+                                     const std::vector<Image>& images) {
   using P = Path<Topo, Cell>;
+  using Clock = std::chrono::steady_clock;
   const std::uint64_t cap = std::min(config.max_rounds, kRoundInfinity - 1);
   std::deque<P> paths;
   std::vector<P*> path_of;
   for (const auto& [program, start] : specs) {
     path_of.push_back(&paths.emplace_back(g, *program, start, config));
+  }
+  // group[p]: the path generated for p, p itself or its representative.
+  std::vector<std::size_t> group(paths.size());
+  std::iota(group.begin(), group.end(), std::size_t{0});
+  std::vector<std::vector<Cell>> cell_maps;
+  for (const Image& image : images) {
+    group[image.path] = image.rep;
+    cell_maps.emplace_back(image.map.begin(), image.map.end());
   }
   // k = 0 is one run without agents.
   const std::size_t runs = k == 0 ? 1 : tracks.size() / k;
@@ -725,9 +761,10 @@ std::vector<MultiRunResult> simulate(const Topo& g,
       path_of[run[i].path]->agent = i;
     }
   }
-  // Per path, over the open runs' agents: the round to generate to (for
-  // those appearing before the window's end), the first round to keep
-  // (0 for one yet to appear) and the range of their starts.
+  // Per generated path, over the open runs' agents on it and its images:
+  // the round to generate to (for those appearing before the window's
+  // end), the first round to keep (0 for one yet to appear) and the
+  // range of their starts.
   struct Need {
     std::uint64_t until = 0;
     std::uint64_t keep = kNever;
@@ -740,7 +777,7 @@ std::vector<MultiRunResult> simulate(const Topo& g,
     for (const auto& m : merges) {
       for (std::size_t i = 0; !m.ended() && i < m.tracks().size(); ++i) {
         const Track& tr = m.tracks()[i];
-        Need& n = need[tr.path];
+        Need& n = need[group[tr.path]];
         n.keep = std::min(n.keep, r > tr.start ? r - 1 - tr.start : 0);
         if (tr.start < end) n.until = std::max(n.until, end - tr.start);
         n.min_start = std::min(n.min_start, tr.start);
@@ -749,25 +786,35 @@ std::vector<MultiRunResult> simulate(const Topo& g,
     }
   };
   std::uint64_t windows = 0;
+  // Wall time generating (and relabeling) and merging, one clock read
+  // after each per window.
+  std::uint64_t generate_ns = 0;
+  std::uint64_t merge_ns = 0;
+  Clock::time_point lap = Clock::now();
+  const auto split = [&lap](std::uint64_t& into) {
+    const Clock::time_point now = Clock::now();
+    into += std::chrono::nanoseconds(now - lap).count();
+    lap = now;
+  };
   for (std::uint64_t r = 0;;) {
     const std::uint64_t window = std::clamp(r / 8, kFirstWindow, kMaxWindow);
     const std::uint64_t end = std::min(sat_add(r, window), cap) + 1;
-    // A window's paths, then its runs, are independent of each other.
-    const auto spread = [&](std::size_t n,
-                            const std::function<void(std::size_t)>& fn) {
-      if (fan_out && end - r > kFanOutWindow && n > 1) return fan_out(n, fn);
-      for (std::size_t i = 0; i < n; ++i) fn(i);
-    };
     plan(r, end);
-    spread(paths.size(), [&](std::size_t p) {
-      if (need[p].until == 0) return;
-      path_of[p]->trim(need[p].keep);
-      path_of[p]->generate(need[p].until);
-    });
-    for (const Need& n : need) windows += n.until != 0 ? 1 : 0;
-    spread(merges.size(), [&](std::size_t m) {
-      if (!merges[m].ended()) (void)merges[m].advance(end);
-    });
+    for (std::size_t p = 0; p < paths.size(); ++p) {
+      if (group[p] != p || need[p].until == 0) continue;
+      ++windows;
+      paths[p].trim(need[p].keep);
+      paths[p].generate(need[p].until);
+    }
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      if (need[images[i].rep].until == 0) continue;
+      paths[images[i].path].mirror(paths[images[i].rep], cell_maps[i]);
+    }
+    split(generate_ns);
+    for (auto& m : merges) {
+      if (!m.ended()) (void)m.advance(end);
+    }
+    split(merge_ns);
     // Then the rounds in which every agent of every open run rests are
     // skipped: each path jumps, keeping the rounds its runs still read.
     r = cap;
@@ -796,6 +843,9 @@ std::vector<MultiRunResult> simulate(const Topo& g,
   // Process-wide series, bumped once per call, never per move.
   static obs::Counter& run_count = obs::counter("sim.runs");
   static obs::Counter& path_count = obs::counter("sim.paths");
+  static obs::Counter& image_count = obs::counter("sim.images");
+  static obs::Counter& generate_time = obs::counter("sim.generate_ns");
+  static obs::Counter& merge_time = obs::counter("sim.merge_ns");
   static obs::Counter& window_count = obs::counter("sim.windows");
   static obs::Counter& moves = obs::counter("sim.moves");
   static obs::Counter& rounds = obs::counter("sim.rounds");
@@ -803,8 +853,15 @@ std::vector<MultiRunResult> simulate(const Topo& g,
   static obs::Counter& segments = obs::counter("sim.segments");
   run_count.add(merges.size());
   window_count.add(windows);
-  for (const P& p : paths) {
+  generate_time.add(generate_ns);
+  merge_time.add(merge_ns);
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const P& p = paths[i];
     if (p.state == P::State::kUnstarted) continue;
+    if (group[i] != i) {
+      image_count.add();
+      continue;
+    }
     path_count.add();
     moves.add(p.moves);
     rounds.add(p.rounds);
@@ -822,7 +879,7 @@ std::vector<MultiRunResult> run_all(const ITopology& g,
                                     const std::vector<PathSpec>& specs,
                                     const std::vector<Track>& tracks,
                                     std::size_t k, MultiRunConfig config,
-                                    const FanOut& fan_out = {}) {
+                                    const std::vector<Image>& images = {}) {
   // The meeting scan only visits ordered pairs (i < j); normalize the
   // stop pair so callers may pass it in either order.
   if (config.stop_on_pair_a > config.stop_on_pair_b) {
@@ -830,18 +887,18 @@ std::vector<MultiRunResult> run_all(const ITopology& g,
   }
   const auto* explicit_graph = dynamic_cast<const graph::Graph*>(&g);
   if (explicit_graph == nullptr) {
-    return simulate<ITopology, Node>(g, specs, tracks, k, config, fan_out);
+    return simulate<ITopology, Node>(g, specs, tracks, k, config, images);
   }
   if (explicit_graph->size() <= 0x100) {
     return simulate<graph::Graph, std::uint8_t>(*explicit_graph, specs,
-                                                tracks, k, config, fan_out);
+                                                tracks, k, config, images);
   }
   if (explicit_graph->size() <= 0x10000) {
     return simulate<graph::Graph, std::uint16_t>(*explicit_graph, specs,
-                                                 tracks, k, config, fan_out);
+                                                 tracks, k, config, images);
   }
   return simulate<graph::Graph, Node>(*explicit_graph, specs, tracks, k, config,
-                                      fan_out);
+                                      images);
 }
 
 /// The two-agent view of a run that stopped on its pair.
@@ -906,8 +963,22 @@ RunResult run_anonymous(const ITopology& g, const AgentProgram& program,
 std::vector<RunResult> run_anonymous_all(const graph::Graph& g,
                                          const AgentProgram& program,
                                          const std::vector<PairStarts>& runs,
-                                         const RunConfig& config,
-                                         const FanOut& fan_out) {
+                                         const RunConfig& config) {
+  // An automorphism φ carries the run [(u, v), δ] to [(φ(u), φ(v)), δ],
+  // node for node. So each orbit of runs is merged once, with the
+  // earlier agent at the least node of its orbit (its representative),
+  // and only representatives' paths are generated: every other start
+  // node follows the image of its representative's path.
+  const std::vector<Node> rep = graph::automorphism_orbits(g);
+  // carry[v]: the automorphism taking rep[v] to v.
+  std::vector<std::vector<Node>> carry(g.size());
+  const auto carried = [&](Node v) -> const std::vector<Node>& {
+    if (carry[v].empty()) {
+      carry[v].resize(g.size());
+      graph::TreeWalk(g, rep[v]).candidate(v, carry[v]);
+    }
+    return carry[v];
+  };
   std::vector<std::size_t> path_of(g.size(), kNever);
   std::vector<PathSpec> specs;
   std::vector<Track> tracks;
@@ -918,15 +989,37 @@ std::vector<RunResult> run_anonymous_all(const graph::Graph& g,
     }
     return path_of[v];
   };
-  for (const PairStarts& run : runs) {
-    tracks.push_back(Track{path(run.earlier), 0});
-    tracks.push_back(Track{path(run.later), run.delay});
+  std::map<std::tuple<Node, Node, std::uint64_t>, std::size_t> merged;
+  std::vector<std::size_t> merged_as(runs.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto& [earlier, later, delay] = runs[i];
+    const std::vector<Node>& phi = carried(earlier);
+    const auto back = static_cast<Node>(
+        std::find(phi.begin(), phi.end(), later) - phi.begin());
+    const auto [it, fresh] =
+        merged.try_emplace({rep[earlier], back, delay}, merged.size());
+    merged_as[i] = it->second;
+    if (fresh) {
+      tracks.push_back(Track{path(rep[earlier]), 0});
+      tracks.push_back(Track{path(back), delay});
+    }
+  }
+  std::vector<Image> images;
+  for (std::size_t p = 0; p < specs.size(); ++p) {
+    const Node v = specs[p].second;
+    if (v != rep[v]) images.push_back(Image{p, path(rep[v]), carried(v)});
   }
   std::vector<MultiRunResult> multi =
-      run_all(g, specs, tracks, 2, stop_on_pair(config), fan_out);
+      run_all(g, specs, tracks, 2, stop_on_pair(config), images);
   std::vector<RunResult> out;
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    out.push_back(to_pair(std::move(multi[i]), runs[i].delay));
+    const std::size_t m = merged_as[i];
+    out.push_back(to_pair(MultiRunResult(multi[m]), runs[i].delay));
+    const std::vector<Node>& phi = carry[runs[i].earlier];
+    for (Node& v : out.back().final_pos) {
+      if (v != graph::kNoNode) v = phi[v];
+    }
+    out.back().trace.relabel(phi);
   }
   return out;
 }

@@ -30,7 +30,11 @@
 /// after it); meetings and gathering; every program having ended; the
 /// round cap. A path is generated past the round its run ends only as
 /// far as its window reaches, and never through a step that would
-/// materialize a node of a lazy topology (see ITopology::peek).
+/// materialize a node of a lazy topology (see ITopology::peek). An
+/// image path (sim/engine.hpp, explicit graphs only) is not generated:
+/// after each window it holds its representative's rounds with every
+/// node relabeled, and the merger reads it like any other path. The
+/// merge reads node ids as they are and never relabels per round.
 namespace rdv::sim {
 
 struct AgentSpec {

@@ -37,6 +37,10 @@ class Trace {
     return events_;
   }
   [[nodiscard]] bool truncated() const { return truncated_; }
+  /// Maps every event's node through `map`.
+  void relabel(const std::vector<graph::Node>& map) {
+    for (TraceEvent& e : events_) e.node = map[e.node];
+  }
 
   /// Multi-line human-readable rendering (for examples).
   [[nodiscard]] std::string to_string() const;

@@ -3,6 +3,8 @@
 #include <memory>
 
 #include "cache/artifact_cache.hpp"
+#include "graph/automorphism.hpp"
+#include "obs/metrics.hpp"
 #include "views/refinement.hpp"
 #include "views/shrink.hpp"
 
@@ -25,26 +27,25 @@ analysis::SweepSummary feasibility_sweep(const graph::Graph& g,
       cache.all_pairs_shrink(g, fp);
   const std::vector<analysis::Stic> stics =
       analysis::enumerate_stics(g, max_delay);
-  // One path per start node serves every STIC: the runs are resolved
-  // together, long windows fanned out on the sweep's pool (a graph's
-  // few paths would otherwise bound the wall on one thread).
-  const sim::FanOut fan_out = [&](std::size_t n,
-                                  const std::function<void(std::size_t)>& fn) {
-    (void)sweep_map<char>(
-        n,
-        [&](std::size_t i) {
-          fn(i);
-          return char{0};
-        },
-        sweep_config);
-  };
   std::vector<sim::PairStarts> starts;
   starts.reserve(stics.size());
   for (const analysis::Stic& stic : stics) {
     starts.push_back({stic.u, stic.v, stic.delay});
   }
   std::vector<sim::RunResult> runs =
-      sim::run_anonymous_all(g, program, starts, run_config, fan_out);
+      sim::run_anonymous_all(g, program, starts, run_config);
+  // Symmetric pairs in different automorphism orbits: their agents
+  // perceive the same, yet no image serves one from the other's path.
+  const std::vector<graph::Node> orbit = graph::automorphism_orbits(g);
+  std::uint64_t unshared = 0;
+  for (graph::Node u = 0; u < g.size(); ++u) {
+    for (graph::Node v = u + 1; v < g.size(); ++v) {
+      unshared += classes->symmetric(u, v) && orbit[u] != orbit[v] ? 1 : 0;
+    }
+  }
+  static obs::Counter& unshared_pairs =
+      obs::counter("sweep.unshared_symmetric_pairs");
+  unshared_pairs.add(unshared);
   analysis::SweepSummary summary;
   summary.checks.reserve(stics.size());
   for (std::size_t i = 0; i < stics.size(); ++i) {

@@ -5,6 +5,9 @@
 #include <bit>
 #include <cstddef>
 #include <queue>
+#include <span>
+
+#include "graph/automorphism.hpp"
 
 namespace rdv::views {
 
@@ -157,11 +160,9 @@ struct PortTables {
   /// BFS from src with caller-owned buffers of n entries: dist[v] is the
   /// hop distance (graph::kUnreachable where not reached), and
   /// order[0 .. reached) lists the reached nodes in discovery order.
-  /// Calls tree_edge(i, j, p) when order[j] discovers order[i] through
-  /// its port p. Returns the number of nodes reached.
-  template <typename TreeEdge>
+  /// Returns the number of nodes reached.
   std::size_t bfs(Node src, std::vector<std::uint32_t>& dist,
-                  std::vector<Node>& order, TreeEdge&& tree_edge) const {
+                  std::vector<Node>& order) const {
     std::fill(dist.begin(), dist.end(), graph::kUnreachable);
     dist[src] = 0;
     order[0] = src;
@@ -172,7 +173,6 @@ struct PortTables {
       for (Port p = 0; p < deg[v]; ++p)
         if (dist[sv[p]] == graph::kUnreachable) {
           dist[sv[p]] = dist[v] + 1;
-          tree_edge(tail, head, p);
           order[tail++] = sv[p];
         }
     }
@@ -191,45 +191,24 @@ struct PortTables {
 /// port-preserving automorphisms act transitively on its nodes, fills
 /// every cell of `values` and returns true; otherwise returns false
 /// and leaves `values` untouched.
-bool shrink_pair_orbits(const PortTables& t,
+bool shrink_pair_orbits(const Graph& g, const PortTables& t,
                         std::vector<std::uint32_t>& values) {
   const std::uint32_t n = t.n;
   const Port delta = t.maxdeg;
   if (std::any_of(t.deg.begin(), t.deg.end(),
                   [delta](Port d) { return d != delta; }))
     return false;
-  // A BFS tree from r = 0, its nodes indexed in discovery order:
-  // order[i] is reached from order[up[i]] through port via[i].
+  // BFS distances from r = 0, and its nodes in discovery order.
   std::vector<std::uint32_t> dist(n);
   std::vector<Node> order(n);
-  std::vector<std::uint32_t> up(n, 0);
-  std::vector<Port> via(n, 0);
-  const auto tree_edge = [&](std::size_t i, std::size_t j, Port p) {
-    up[i] = static_cast<std::uint32_t>(j);
-    via[i] = p;
-  };
-  if (t.bfs(0, dist, order, tree_edge) != n) return false;
-  // image[i] = ψ(order[i]) for the only map ψ with ψ(r) = a that can
-  // commute with every port step: ψ(x·p) = ψ(x)·p along the tree.
-  std::vector<Node> image(n);
-  const auto walk = [&](Node a) {
-    image[0] = a;
-    for (std::uint32_t i = 1; i < n; ++i)
-      image[i] = t.successors(image[up[i]])[via[i]];
-  };
-  // gen[p * n + x] = φ_p(x), the map walked from r·p, checked to commute
-  // with every port step at every node.
+  if (t.bfs(0, dist, order) != n) return false;
+  // gen[p * n + x] = φ_p(x) for the automorphism φ_p with φ_p(r) = r·p.
+  // When every φ_p exists, the automorphisms act transitively.
+  const graph::TreeWalk tree(g, 0);
   std::vector<Node> gen(static_cast<std::size_t>(delta) * n);
   for (Port p = 0; p < delta; ++p) {
-    Node* phi = &gen[static_cast<std::size_t>(p) * n];
-    walk(t.succ[p]);
-    for (std::uint32_t i = 0; i < n; ++i) phi[order[i]] = image[i];
-    for (Node x = 0; x < n; ++x) {
-      const Node* sx = t.successors(x);
-      const Node* sphi = t.successors(phi[x]);
-      for (Port q = 0; q < delta; ++q)
-        if (phi[sx[q]] != sphi[q]) return false;
-    }
+    const std::span<Node> phi(&gen[static_cast<std::size_t>(p) * n], n);
+    if (!tree.automorphism(t.succ[p], phi)) return false;
   }
   // orbit[x] = Shrink(r, x). Port p steps the orbit of (r, x) to the
   // orbit of (r, φ_p⁻¹(x·p)), so the orbits stepping to y under p are
@@ -259,13 +238,13 @@ bool shrink_pair_orbits(const PortTables& t,
     }
   }
   // Row a is the orbit table carried by the automorphism ψ_a with
-  // ψ_a(r) = a: Shrink(a, ψ_a(x)) = orbit[x].
-  std::vector<std::uint32_t> orbit_by_index(n);
-  for (std::uint32_t i = 0; i < n; ++i) orbit_by_index[i] = orbit[order[i]];
+  // ψ_a(r) = a: Shrink(a, ψ_a(x)) = orbit[x]. One map at a time: the
+  // rows never hold more than one.
+  std::vector<Node> psi(n);
   for (Node a = 0; a < n; ++a) {
-    walk(a);
+    tree.candidate(a, psi);
     std::uint32_t* row = &values[static_cast<std::size_t>(a) * n];
-    for (std::uint32_t i = 0; i < n; ++i) row[image[i]] = orbit_by_index[i];
+    for (Node x = 0; x < n; ++x) row[psi[x]] = orbit[x];
   }
   return true;
 }
@@ -460,7 +439,7 @@ class PairSweep {
     for (Node a = 0; a + 1 < n_; ++a) {
       if (!has_open(a)) continue;
       ++rows_;
-      t_.bfs(a, dist, queue, [](std::size_t, std::size_t, Port) {});
+      t_.bfs(a, dist, queue);
       for_each_open(a, [&](Node b) {
         values_[static_cast<std::size_t>(a) * n_ + b] = dist[b];
         values_[static_cast<std::size_t>(b) * n_ + a] = dist[b];
@@ -507,7 +486,7 @@ AllPairsShrink shrink_all_pairs(const Graph& g) {
   out.values.assign(static_cast<std::size_t>(n) * n, graph::kUnreachable);
   if (n == 0) return out;
   PairSweep sweep(g, out.values);
-  if (shrink_pair_orbits(sweep.tables(), out.values)) {
+  if (shrink_pair_orbits(g, sweep.tables(), out.values)) {
     transitive_tables.fetch_add(1, std::memory_order_relaxed);
     out.pairs_explored = static_cast<std::uint64_t>(n) * (n + 1) / 2;
     return out;

@@ -69,9 +69,9 @@ struct AllPairsShrink {
 /// into exactly n orbits, those of (r, x) for r = 0.
 ///  - The test: every node has the same degree D and a BFS tree from r
 ///    reaches all n nodes. For each neighbour a = r·p, the tree walk
-///    phi(r) = a, phi(x·q) = phi(x)·q along tree edges gives the only
-///    candidate map phi_a; it must commute with every port step at
-///    every node. Commuting makes phi_a an automorphism: its image is
+///    phi(r) = a, phi(x·q) = phi(x)·q along tree edges
+///    (graph::TreeWalk) gives the only candidate map phi_a; it must
+///    commute with every port step at every node. Commuting makes phi_a an automorphism: its image is
 ///    closed under every port step, hence is the whole connected graph,
 ///    so phi_a is onto and thus a bijection. Cost: O(D^2 * n).
 ///  - Why the D maps suffice: by induction on BFS distance, a node x

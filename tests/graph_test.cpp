@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "graph/automorphism.hpp"
 #include "graph/builder.hpp"
 #include "graph/families/families.hpp"
 #include "graph/serialize.hpp"
@@ -114,6 +118,59 @@ TEST(Walk, ReversePathReturnsHome) {
   const auto back = apply_ports(g, *fwd, reverse_path(entries));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, 0u);
+}
+
+// On the oriented ring the automorphisms are the rotations: the tree
+// walk from root r with image a is x -> x + a - r, and it commutes.
+TEST(Automorphism, RingRotationsFromAnyRoot) {
+  const Graph g = families::oriented_ring(5);
+  std::vector<Node> map(g.size());
+  for (Node r = 0; r < g.size(); ++r) {
+    const TreeWalk tree(g, r);
+    for (Node a = 0; a < g.size(); ++a) {
+      ASSERT_TRUE(tree.automorphism(a, map));
+      for (Node x = 0; x < g.size(); ++x) {
+        EXPECT_EQ(map[x], (x + a + g.size() - r) % g.size());
+      }
+    }
+  }
+  EXPECT_EQ(automorphism_orbits(g), std::vector<Node>(g.size(), 0));
+}
+
+// Transitive families have one orbit; a candidate map to a node of
+// another degree, or one that breaks a port step, is rejected.
+TEST(Automorphism, OrbitsAndRejectedCandidates) {
+  for (const Graph& g : {families::hypercube(3), families::oriented_torus(3, 4),
+                         families::two_node_graph()}) {
+    EXPECT_EQ(automorphism_orbits(g), std::vector<Node>(g.size(), 0))
+        << g.name();
+  }
+  // path(3): the middle node has degree 2, the ends degree 1.
+  const Graph path = families::path_graph(3);
+  const std::vector<Node> orbit = automorphism_orbits(path);
+  std::vector<Node> map(path.size());
+  for (Node x = 0; x < path.size(); ++x) {
+    if (path.degree(x) == 2) {
+      EXPECT_EQ(orbit[x], x);
+    }
+    EXPECT_TRUE(TreeWalk(path, x).automorphism(x, map));
+    for (Node y = 0; y < path.size(); ++y) {
+      if (path.degree(x) != path.degree(y)) {
+        EXPECT_FALSE(TreeWalk(path, x).automorphism(y, map)) << x << y;
+      }
+    }
+  }
+  // Scrambled rings are 2-regular: only the port steps tell their nodes
+  // apart. Seed 1 keeps a half-turn, seed 3 no map but the identity.
+  EXPECT_EQ(automorphism_orbits(families::scrambled_ring(6, 1)),
+            (std::vector<Node>{0, 1, 2, 0, 1, 2}));
+  EXPECT_EQ(automorphism_orbits(families::scrambled_ring(6, 3)),
+            (std::vector<Node>{0, 1, 2, 3, 4, 5}));
+  // A star's leaves share a degree, but port 0 of the centre leads to
+  // one leaf only, so no two nodes are carried onto each other.
+  const Graph star = families::star(4);
+  const std::vector<Node> alone = automorphism_orbits(star);
+  for (Node x = 0; x < star.size(); ++x) EXPECT_EQ(alone[x], x);
 }
 
 TEST(Serialize, TextRoundTrip) {

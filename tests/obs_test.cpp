@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -659,6 +660,84 @@ TEST(Profile, CriticalPathStagesTelescopeExactly) {
   const CriticalPath unknown = critical_path(profile, 999);
   EXPECT_EQ(unknown.total_micros, 0u);
   EXPECT_TRUE(unknown.steps.empty());
+}
+
+// A task that waits on a nested sweep runs that sweep's chunks and
+// merges on its own thread: their time counts once, as theirs.
+TEST(Profile, NestedExecCountsOnceOnItsThread) {
+  Profile profile = sample_profile();
+  // Task 13 on thread 1 encloses chunk 1 (task 12: [1030, 1400]), a
+  // park [1410, 1440] and a merge [1450, 1460] of a sweep it waits on,
+  // and a stray task on thread 2 overlaps it without nesting.
+  TaskProfile outer = profile.tasks[0];
+  outer.id = 13;
+  outer.is_chunk = false;
+  outer.begin_t = 1025;
+  outer.end_t = 1480;
+  TaskProfile other = outer;
+  other.id = 14;
+  other.exec_tid = 2;
+  profile.tasks.push_back(outer);
+  profile.tasks.push_back(other);
+  profile.tasks[0].exec_tid = 3;  // chunk 0 runs alone on thread 3
+  MergeProfile inner;
+  inner.sweep = 6;
+  inner.tid = 1;
+  inner.begin_t = 1450;
+  inner.end_t = 1460;
+  profile.merges.push_back(inner);
+  profile.parks.push_back(ParkInterval{1, 1410, 1440});
+  const auto busy = thread_busy_micros(profile);
+  ASSERT_EQ(busy.size(), 4u);
+  EXPECT_EQ(busy.at(0), 30u);   // the sweep's two merges
+  EXPECT_EQ(busy.at(1), 425u);  // outer's [1025, 1480] less the park
+  EXPECT_EQ(busy.at(2), 455u);
+  EXPECT_EQ(busy.at(3), 480u);
+  const std::string diff = render_profile_diff(profile, profile);
+  // Task self times 480 + 370 + 45 + 455 us; 1.76 ms counted twice.
+  EXPECT_NE(diff.find("1.35 ->"), std::string::npos) << diff;
+}
+
+// Nested sweeps on a 2-thread pool: every outer chunk waits on an inner
+// sweep and runs inner chunks meanwhile, yet no thread is busy for
+// longer than from its first execution's begin to its last one's end.
+TEST(Profile, NestedSweepsKeepEveryThreadWithinItsWall) {
+  clear_task_events();
+  set_task_events_enabled(true);
+  {
+    support::ThreadPool pool(2);
+    sweep::SweepConfig config;
+    config.pool = &pool;
+    config.chunk_size = 1;
+    const std::function<int(std::size_t)> outer = [&](std::size_t i) {
+      const std::vector<int> inner =
+          sweep::sweep_map<int>(8, busy_kernel(), config);
+      return inner[i % inner.size()];
+    };
+    (void)sweep::sweep_map<int>(4, outer, config);
+  }
+  set_task_events_enabled(false);
+  const Profile profile = build_profile(drain_task_events());
+  clear_task_events();
+  ASSERT_EQ(profile.dropped, 0u);
+  ASSERT_EQ(profile.sweeps.size(), 5u);
+  std::map<std::uint32_t, std::pair<std::uint64_t, std::uint64_t>> active;
+  const auto extend = [&](std::uint32_t tid, std::uint64_t b, std::uint64_t e) {
+    const auto it = active.try_emplace(tid, b, e).first;
+    it->second.first = std::min(it->second.first, b);
+    it->second.second = std::max(it->second.second, e);
+  };
+  for (const TaskProfile& t : profile.tasks) {
+    if (t.complete()) extend(t.exec_tid, t.begin_t, t.end_t);
+  }
+  for (const MergeProfile& m : profile.merges) extend(m.tid, m.begin_t, m.end_t);
+  std::size_t busy_threads = 0;
+  for (const auto& [tid, micros] : thread_busy_micros(profile)) {
+    const auto [first, last] = active.at(tid);
+    EXPECT_LE(micros, last - first) << "tid " << tid;
+    busy_threads += micros > 0 ? 1 : 0;
+  }
+  EXPECT_GE(busy_threads, 2u);
 }
 
 TEST(Profile, JsonRoundTripIsByteStable) {

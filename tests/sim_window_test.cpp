@@ -8,12 +8,19 @@
 // with the engine that advanced all agents of a run in lockstep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <numeric>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "core/universal_rv.hpp"
+#include "graph/automorphism.hpp"
 #include "graph/families/families.hpp"
+#include "obs/metrics.hpp"
 #include "graph/topology.hpp"
 #include "sim/engine.hpp"
 #include "sim/multi_engine.hpp"
@@ -381,7 +388,7 @@ TEST(SimWindow, ErrorsInSpawnRounds) {
 // no open run needs any more: delays that reach several windows past
 // the first, next to runs that last to the cap on the same paths, give
 // each run what run_anonymous gives it alone. The last pass runs long
-// enough for windows to fan out, here in reverse order.
+// enough to reach the longest windows.
 TEST(SimWindow, SharedPathsMatchSingleRunsAcrossLongDelays) {
   const Graph g = families::oriented_ring(4);
   std::vector<PairStarts> starts;
@@ -391,18 +398,14 @@ TEST(SimWindow, SharedPathsMatchSingleRunsAcrossLongDelays) {
       for (Node v = 0; v < 4; ++v) starts.push_back({u, v, delay});
     }
   }
-  const FanOut reverse = [](std::size_t n,
-                            const std::function<void(std::size_t)>& fn) {
-    for (std::size_t i = n; i-- > 0;) fn(i);
-  };
   for (const int pass : {0, 1, 2}) {
     for (const AgentProgram& program :
          {segment_walker(3, 0, 1), segment_walker(5, 1, 2),
           walker(7, 0, 40, 1)}) {
       const RunConfig config =
           config_with(pass == 2 ? 100000 : 20000, pass == 1, 300);
-      const std::vector<RunResult> shared = run_anonymous_all(
-          g, program, starts, config, pass == 2 ? reverse : FanOut{});
+      const std::vector<RunResult> shared =
+          run_anonymous_all(g, program, starts, config);
       ASSERT_EQ(shared.size(), starts.size());
       for (std::size_t i = 0; i < starts.size(); ++i) {
         const PairStarts& s = starts[i];
@@ -417,6 +420,130 @@ TEST(SimWindow, SharedPathsMatchSingleRunsAcrossLongDelays) {
       }
     }
   }
+}
+
+/// Leaves every node by (entry + 1) mod degree (port 0 at the start and
+/// after a rest), resting `rest` rounds after every `period` moves: the
+/// path follows what the agent perceives, not a fixed port list.
+AgentProgram rotor(std::uint64_t period, std::uint64_t rest) {
+  return [=](Mailbox& mb, Observation) -> Proc {
+    return [](Mailbox& mb2, std::uint64_t p, std::uint64_t r) -> Proc {
+      for (std::uint64_t i = 1;; ++i) {
+        const Observation& o = mb2.last();
+        co_await mb2.move(static_cast<Port>((o.entry_port.value_or(0) + 1) %
+                                            o.degree));
+        if (i % p == 0) co_await mb2.wait(r);
+      }
+    }(mb, period, rest);
+  };
+}
+
+/// The Cayley graph of S_k on the adjacent transpositions: port p swaps
+/// the entries at positions p and p + 1 and enters through port p.
+Graph bubble_sort_graph(std::uint32_t k) {
+  std::vector<std::uint32_t> perm(k);
+  std::iota(perm.begin(), perm.end(), 0u);
+  std::map<std::vector<std::uint32_t>, Node> id;
+  do {
+    id.emplace(perm, static_cast<Node>(id.size()));
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  std::vector<std::vector<graph::HalfEdge>> adj(id.size());
+  for (const auto& [node_perm, node] : id) {
+    for (Port p = 0; p + 1 < k; ++p) {
+      std::vector<std::uint32_t> next = node_perm;
+      std::swap(next[p], next[p + 1]);
+      adj[node].push_back({id.at(next), p});
+    }
+  }
+  return Graph(std::move(adj), "bubble-sort-" + std::to_string(k));
+}
+
+/// One view class, simple, and no automorphism but the identity: ports 0
+/// and 1 step x -> sigma(x) and back, port 2 is the involution tau.
+Graph cubic10() {
+  const std::vector<Node> sigma{6, 9, 7, 2, 8, 4, 1, 0, 3, 5};
+  const std::vector<Node> tau{4, 5, 8, 6, 0, 1, 3, 9, 2, 7};
+  std::vector<Node> inverse(sigma.size());
+  for (Node x = 0; x < sigma.size(); ++x) inverse[sigma[x]] = x;
+  std::vector<std::vector<graph::HalfEdge>> adj(sigma.size());
+  for (Node x = 0; x < sigma.size(); ++x) {
+    adj[x] = {{sigma[x], 1}, {inverse[x], 0}, {tau[x], 2}};
+  }
+  return Graph(std::move(adj), "cubic10");
+}
+
+// run_anonymous_all generates one path per automorphism orbit of start
+// nodes and merges one run per orbit of runs; every other run is served
+// by relabeling. Each run must still equal run_anonymous alone, field
+// by field with its trace, on T2's graphs and on transitive graphs
+// (hypercube, torus, Cayley graphs of S_3 and S_4), with a program that
+// follows its observations, one that walks segments, one that takes an
+// out-of-range port, and UniversalRV, at delays on both sides of the
+// first window edges. cubic10 has one view class but no automorphism
+// besides the identity, so its symmetric pairs share nothing.
+TEST(SimWindow, OrbitSharedRunsMatchSingleRuns) {
+  namespace fam = graph::families;
+  std::vector<Graph> graphs;
+  graphs.push_back(fam::two_node_graph());
+  graphs.push_back(fam::oriented_ring(3));
+  graphs.push_back(fam::path_graph(3));
+  graphs.push_back(fam::oriented_ring(4));
+  graphs.push_back(fam::symmetric_double_tree(1, 1));
+  graphs.push_back(fam::hypercube(3));
+  graphs.push_back(fam::oriented_torus(3, 3));
+  graphs.push_back(bubble_sort_graph(3));
+  graphs.push_back(bubble_sort_graph(4));
+  graphs.push_back(cubic10());
+  core::UniversalOptions universal;
+  universal.max_phases = 12;
+  const std::vector<AgentProgram> programs{
+      rotor(5, 3), segment_walker(3, 1, 2),
+      port_list_walker({0, 1, 1, 0, 0, 1, 9}, 1, 20),
+      core::universal_rv_program(universal)};
+  obs::Counter& paths = obs::counter("sim.paths");
+  obs::Counter& images = obs::counter("sim.images");
+  std::uint64_t errors = 0;
+  for (const Graph& g : graphs) {
+    SCOPED_TRACE(g.name());
+    const std::vector<Node> orbit = graph::automorphism_orbits(g);
+    const std::set<Node> orbits(orbit.begin(), orbit.end());
+    std::vector<PairStarts> starts;
+    for (const std::uint64_t delay : {0u, 1u, 15u, 16u, 17u, 130u}) {
+      for (Node u = 0; u < g.size(); ++u) {
+        for (Node v = 0; v < g.size(); ++v) {
+          if (u != v) starts.push_back({u, v, delay});
+        }
+      }
+    }
+    for (std::size_t p = 0; p < programs.size(); ++p) {
+      const RunConfig config = config_with(p == 3 ? 6000 : 1500, true, 40);
+      const std::uint64_t paths_before = paths.value();
+      const std::uint64_t images_before = images.value();
+      const std::vector<RunResult> shared =
+          run_anonymous_all(g, programs[p], starts, config);
+      EXPECT_EQ(paths.value() - paths_before, orbits.size());
+      EXPECT_EQ(images.value() - images_before, g.size() - orbits.size());
+      ASSERT_EQ(shared.size(), starts.size());
+      for (std::size_t i = 0; i < starts.size(); ++i) {
+        const PairStarts& s = starts[i];
+        const RunResult alone =
+            run_anonymous(g, programs[p], s.earlier, s.later, s.delay, config);
+        Digest a;
+        a.add(alone);
+        Digest b;
+        b.add(shared[i]);
+        EXPECT_EQ(b.value(), a.value())
+            << "program " << p << ", STIC [(" << s.earlier << ", " << s.later
+            << "), " << s.delay << "]";
+        if (!alone.ok()) ++errors;
+      }
+    }
+  }
+  // The port list fails on every graph, in every run whose agent gets
+  // to port 9 before the run ends.
+  EXPECT_GT(errors, 0u);
+  const std::vector<Node> alone = graph::automorphism_orbits(cubic10());
+  EXPECT_EQ(std::set<Node>(alone.begin(), alone.end()).size(), alone.size());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "support/bench_json.hpp"
 #include "support/env.hpp"
+#include "support/map_cells.hpp"
 #include "support/saturating.hpp"
 #include "support/splitmix.hpp"
 #include "support/table.hpp"
@@ -19,6 +20,33 @@
 
 namespace rdv::support {
 namespace {
+
+// Every table size and cell count around the 16-cell blocks of the
+// shuffle path, at every offset: the same cells as one lookup each.
+TEST(MapCells, MatchesOneLookupPerCell) {
+  SplitMix64 rng(7);
+  std::vector<std::uint8_t> src(80);
+  for (std::size_t size = 1; size <= 20; ++size) {
+    std::vector<std::uint8_t> table(size);
+    for (std::uint8_t& t : table) t = static_cast<std::uint8_t>(rng.next());
+    for (std::uint8_t& c : src) c = static_cast<std::uint8_t>(rng.next() % size);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t count = 0; offset + count <= src.size(); count += 3) {
+        std::vector<std::uint8_t> dst(count + 1, 0xab);
+        map_cells<std::uint8_t>(src.data() + offset, dst.data(), count, table);
+        for (std::size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(dst[i], table[src[offset + i]]) << size << " " << i;
+        }
+        EXPECT_EQ(dst[count], 0xab);
+      }
+    }
+  }
+  const std::vector<std::uint16_t> wide{3, 1, 2, 0};
+  const std::vector<std::uint16_t> cells{0, 1, 2, 3, 3};
+  std::vector<std::uint16_t> out(cells.size());
+  map_cells<std::uint16_t>(cells.data(), out.data(), cells.size(), wide);
+  EXPECT_EQ(out, (std::vector<std::uint16_t>{3, 1, 2, 0, 0}));
+}
 
 TEST(Saturating, AddSaturates) {
   EXPECT_EQ(sat_add(2, 3), 5u);
