@@ -4,21 +4,15 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "sim/engine.hpp"
 #include "views/refinement.hpp"
 #include "views/shrink.hpp"
 
 /// Space-time initial configurations (STICs) and their classification.
 namespace rdv::analysis {
 
-/// STIC [(u, v), delta]: u is the earlier agent's start node, v the
-/// later agent's, delta the delay between their starting rounds.
-struct Stic {
-  graph::Node u = 0;
-  graph::Node v = 0;
-  std::uint64_t delay = 0;
-
-  friend bool operator==(const Stic&, const Stic&) = default;
-};
+/// STIC [(u, v), delta], the simulator's (sim/engine.hpp).
+using Stic = sim::Stic;
 
 /// Classification per Corollary 3.1.
 struct ClassifiedStic {

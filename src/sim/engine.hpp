@@ -24,11 +24,12 @@ class Graph;
 /// crossings for diagnostics). The reported rendezvous time is counted
 /// from the later agent's start, the paper's cost measure.
 ///
-/// A run is the k = 2 case of run_multi, stopping on its pair: each
-/// agent's path is generated alone and the paths are merged. A path
-/// depends only on the program and the start node, so
-/// run_anonymous_all serves every run of one graph that starts at a
-/// node from that node's one path.
+/// A run is the k = 2 case of run_multi, which ends when the two agents
+/// gather, that is meet: each agent's path is generated alone and the
+/// paths are merged, 64 rounds at a time between events, whether or not
+/// a trace is recorded. A path depends only on the program and the
+/// start node, so run_anonymous_all serves every run of one graph that
+/// starts at a node from that node's one path.
 ///
 /// Image paths. A port-preserving automorphism φ
 /// (graph/automorphism.hpp) keeps degrees and entry ports, so an agent
@@ -60,8 +61,7 @@ namespace rdv::sim {
 
 /// max_rounds caps absolute rounds: a run that does not meet by the cap
 /// is reported as not met. (Budgets inside algorithms saturate, so the
-/// cap is the only thing bounding a run on an infeasible STIC.) The
-/// stop pair is set by the two-agent calls themselves.
+/// cap is the only thing bounding a run on an infeasible STIC.)
 using RunConfig = MultiRunConfig;
 
 struct RunResult {
@@ -109,11 +109,14 @@ struct RunResult {
                                       std::uint64_t delay,
                                       const RunConfig& config = {});
 
-/// The STIC [(earlier, later), delay] of one anonymous run.
-struct PairStarts {
-  graph::Node earlier = 0;
-  graph::Node later = 0;
+/// STIC [(u, v), delay]: u is the earlier agent's start node, v the
+/// later agent's, delay the rounds between their appearances.
+struct Stic {
+  graph::Node u = 0;
+  graph::Node v = 0;
   std::uint64_t delay = 0;
+
+  friend bool operator==(const Stic&, const Stic&) = default;
 };
 
 /// run_anonymous on every given STIC of g, element i for runs[i]: the
@@ -122,6 +125,6 @@ struct PairStarts {
 /// it, and one merge per orbit of runs.
 [[nodiscard]] std::vector<RunResult> run_anonymous_all(
     const graph::Graph& g, const AgentProgram& program,
-    const std::vector<PairStarts>& runs, const RunConfig& config = {});
+    const std::vector<Stic>& runs, const RunConfig& config = {});
 
 }  // namespace rdv::sim

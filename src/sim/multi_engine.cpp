@@ -36,8 +36,12 @@ using support::sat_add;
 constexpr std::uint64_t kFirstWindow = 16;
 constexpr std::uint64_t kMaxWindow = std::uint64_t{1} << 16;
 
+/// An agent that issues more zero-length waits back to back fails.
+constexpr std::uint32_t kMaxZeroWaitSpin = 1u << 20;
+
 /// Topologies other than an explicit Graph may materialize nodes when
-/// stepped, so their paths run ahead on ITopology::peek only.
+/// stepped, so their paths run ahead on ITopology::peek only: a step it
+/// cannot resolve blocks the path until the merger takes it.
 template <class Topo>
 constexpr bool kLazy = !std::is_same_v<Topo, graph::Graph>;
 
@@ -63,9 +67,6 @@ Port segment_port(const Segment& s, std::uint32_t step, Port entry,
   }
   return s.ports[s.length - 1 - step];
 }
-
-template <class Topo, class Cell>
-class Merge;
 
 /// One agent's path, generated alone: for each round of its own clock
 /// (0 = its appearance) the node it occupies, as a Cell (the narrowest
@@ -176,11 +177,6 @@ class Path {
   std::uint64_t moves_before_base = 0;
   State state = State::kUnstarted;
   bool blocked = false;
-  /// Lazy topologies: the run this path is agent `agent` of, which says
-  /// whether it reaches a round, so that a step chosen then may
-  /// materialize a node without waiting.
-  Merge<Topo, Cell>* run = nullptr;
-  std::size_t agent = 0;
   /// The round the program ended (kDone) or failed (kError).
   std::uint64_t end_round = 0;
   std::uint64_t static_since = 0;
@@ -259,15 +255,8 @@ class Path {
       if constexpr (kLazy<Topo>) {
         next = g.peek(pos, port);
         if (next.to == graph::kNoNode) {
-          // The state a run that ends now settles from.
-          hi = base + i;
-          pos_ = pos;
-          port_ = port;
-          if (run == nullptr || !run->reaches(agent, hi - 1)) {
-            blocked = true;
-            break;
-          }
-          next = g.step(pos, port);
+          blocked = true;
+          break;
         }
       } else {
         next = g.step(pos, port);
@@ -375,7 +364,7 @@ class Path {
         zero_spin_ = 0;
         return;
       }
-      if (++zero_spin_ > config_.max_zero_wait_spin) {
+      if (++zero_spin_ > kMaxZeroWaitSpin) {
         fail(t, "agent spun on zero-length waits", false);
         return;
       }
@@ -403,7 +392,8 @@ class Path {
 };
 
 /// The one merger: a run's agents, each a Track over a Path, merged
-/// round by round into a MultiRunResult in the header's order.
+/// round by round into a MultiRunResult in the header's order. It alone
+/// ends the run and takes the steps a lazy path is blocked on.
 template <class Topo, class Cell>
 class Merge {
  public:
@@ -428,25 +418,9 @@ class Merge {
   void skip_to(std::uint64_t round) { r_ = round; }
   MultiRunResult take_result() { return std::move(result_); }
 
-  /// Whether the run reaches round c of agent i's path, merged as far
-  /// as that. No while another path waits on a step or has one chosen
-  /// then and not taken: advance() takes those in the round's order.
-  bool reaches(std::size_t i, std::uint64_t c) {
-    const std::uint64_t t = c + tracks_[i].start;
-    if (r_ > t) return true;
-    for (std::size_t j = 0; j < tracks_.size(); ++j) {
-      const P& p = path(j);
-      if (j != i && (p.blocked || (p.state == P::State::kMove &&
-                                   p.hi + tracks_[j].start == t + 1))) {
-        return false;
-      }
-    }
-    return !merge_to(t + 1) && r_ > t;
-  }
-
   /// Merges the rounds before `window_end`; true once the run has
-  /// ended. A path of a lazy topology that waits on a step is taken on
-  /// once the run has reached the round the step was chosen in (in the
+  /// ended. A path of a lazy topology blocked on a step is taken on once
+  /// the run has reached the round the step was chosen in (in the
   /// round's agent order) and generated on to the window's end.
   bool advance(std::uint64_t window_end) {
     for (bool unblocked = true; unblocked;) {
@@ -495,18 +469,20 @@ class Merge {
         end = std::min(end, path(i).hi + tracks_[i].start);
       }
     }
-    // Two agents and no trace: the rounds between events are scanned in
-    // bulk; otherwise every round is merged alone.
-    const bool bulk = tracks_.size() == 2 && !config_->record_trace;
+    // Two agents: the rounds between events are scanned in bulk;
+    // otherwise every round is merged alone.
+    const bool bulk = tracks_.size() == 2;
     std::uint64_t next = bulk ? next_event() : 0;
     while (!ended_ && r_ < end) {
       const std::uint64_t stop = std::min(end, next);
       if (r_ < stop) {
+        const std::uint64_t from = r_;
         if (spawned_[0] == 0 || spawned_[1] == 0) {
           r_ = stop;  // one agent present: nothing to merge
         } else {
           scan_pair(stop);
         }
+        record_moves(from, ended_ ? r_ + 1 : r_);
       } else if (!event()) {
         ++r_;
         if (bulk) next = next_event();
@@ -579,20 +555,28 @@ class Merge {
     return false;
   }
 
+  /// The trace events of the moves landing in rounds [from, to), round
+  /// by round in agent order (agents appearing then are not present).
+  void record_moves(std::uint64_t from, std::uint64_t to) {
+    if (!config_->record_trace) return;
+    for (std::uint64_t t = from; t < to; ++t) {
+      for (std::size_t i = 0; i < tracks_.size(); ++i) {
+        const P& p = path(i);
+        const std::uint64_t local = t - tracks_[i].start;
+        if (spawned_[i] != 0 && p.moved[local - p.base] != 0) {
+          result_.trace.record(t, static_cast<std::uint32_t>(i), pos(i, t),
+                               p.ports[local - p.base]);
+        }
+      }
+    }
+  }
+
   /// Round r_ merged alone, in the header's order.
   bool event() {
     const std::uint64_t t = r_;
     const std::size_t k = tracks_.size();
-    // The moves landing at t (agents appearing at t are not present
-    // yet): trace events, then crossings.
-    for (std::size_t i = 0; config_->record_trace && i < k; ++i) {
-      const P& p = path(i);
-      const std::uint64_t local = t - tracks_[i].start;
-      if (spawned_[i] != 0 && p.moved[local - p.base] != 0) {
-        result_.trace.record(t, static_cast<std::uint32_t>(i), pos(i, t),
-                             p.ports[local - p.base]);
-      }
-    }
+    // The moves landing at t: trace events, then crossings.
+    record_moves(t, t + 1);
     for (std::size_t i = 0; i < k; ++i) {
       for (std::size_t j = i + 1; spawned_[i] != 0 && j < k; ++j) {
         const Node pi = pos(i, t);
@@ -629,12 +613,11 @@ class Merge {
     return t == cap_ && end(t, 2 * k);
   }
 
-  /// Records round t's first meetings; true when the run ends here
-  /// (gathering, or the configured pair met).
+  /// Records round t's first meetings; true when the agents gather
+  /// (with two agents, when they meet).
   bool meetings(std::uint64_t t) {
     const std::size_t k = tracks_.size();
     bool all_same = true;
-    bool stop_pair_met = false;
     std::size_t unspawned = 0;
     const Node first = k > 0 ? pos(0, t) : graph::kNoNode;
     for (std::size_t i = 0; i < k; ++i) {
@@ -648,8 +631,6 @@ class Merge {
         if (spawned_[j] == 0 || pi != pos(j, t)) continue;
         auto& cell = result_.first_meeting[i * k + j];
         if (cell == kNever) cell = t;
-        stop_pair_met |= static_cast<int>(i) == config_->stop_on_pair_a &&
-                         static_cast<int>(j) == config_->stop_on_pair_b;
       }
     }
     if (unspawned == 0 && all_same) {
@@ -662,7 +643,7 @@ class Merge {
       result_.gather_from_last_start = t - last_start;
       return true;
     }
-    return stop_pair_met;
+    return false;
   }
 
   bool fail(std::size_t i, std::uint64_t t, std::size_t order) {
@@ -753,13 +734,8 @@ std::vector<MultiRunResult> simulate(const Topo& g,
   std::vector<Merge<Topo, Cell>> merges;
   merges.reserve(runs);
   for (std::size_t m = 0; m < runs; ++m) {
-    const std::span<const Track> run(tracks.data() + m * k, k);
-    merges.emplace_back(path_of, run, config, cap);
-    // A path of a lazy topology belongs to its one run.
-    for (std::size_t i = 0; kLazy<Topo> && i < k; ++i) {
-      path_of[run[i].path]->run = &merges.back();
-      path_of[run[i].path]->agent = i;
-    }
+    merges.emplace_back(path_of, std::span(tracks).subspan(m * k, k), config,
+                        cap);
   }
   // Per generated path, over the open runs' agents on it and its images:
   // the round to generate to (for those appearing before the window's
@@ -878,13 +854,9 @@ std::vector<MultiRunResult> simulate(const Topo& g,
 std::vector<MultiRunResult> run_all(const ITopology& g,
                                     const std::vector<PathSpec>& specs,
                                     const std::vector<Track>& tracks,
-                                    std::size_t k, MultiRunConfig config,
+                                    std::size_t k,
+                                    const MultiRunConfig& config,
                                     const std::vector<Image>& images = {}) {
-  // The meeting scan only visits ordered pairs (i < j); normalize the
-  // stop pair so callers may pass it in either order.
-  if (config.stop_on_pair_a > config.stop_on_pair_b) {
-    std::swap(config.stop_on_pair_a, config.stop_on_pair_b);
-  }
   const auto* explicit_graph = dynamic_cast<const graph::Graph*>(&g);
   if (explicit_graph == nullptr) {
     return simulate<ITopology, Node>(g, specs, tracks, k, config, images);
@@ -901,7 +873,7 @@ std::vector<MultiRunResult> run_all(const ITopology& g,
                                       images);
 }
 
-/// The two-agent view of a run that stopped on its pair.
+/// The two-agent view of a run, which ends when its agents meet.
 RunResult to_pair(MultiRunResult&& multi, std::uint64_t delay) {
   RunResult out;
   const std::uint64_t meeting = multi.meeting_of(0, 1, 2);
@@ -918,12 +890,6 @@ RunResult to_pair(MultiRunResult&& multi, std::uint64_t delay) {
   out.error = std::move(multi.error);
   out.trace = std::move(multi.trace);
   return out;
-}
-
-RunConfig stop_on_pair(RunConfig config) {
-  config.stop_on_pair_a = 0;
-  config.stop_on_pair_b = 1;
-  return config;
 }
 
 }  // namespace
@@ -947,8 +913,7 @@ RunResult run_pair(const ITopology& g, const AgentProgram& program_earlier,
   return to_pair(std::move(run_all(g,
                                    {{&program_earlier, start_earlier},
                                     {&program_later, start_later}},
-                                   {Track{0, 0}, Track{1, delay}}, 2,
-                                   stop_on_pair(config))
+                                   {Track{0, 0}, Track{1, delay}}, 2, config)
                                .front()),
                  delay);
 }
@@ -962,7 +927,7 @@ RunResult run_anonymous(const ITopology& g, const AgentProgram& program,
 
 std::vector<RunResult> run_anonymous_all(const graph::Graph& g,
                                          const AgentProgram& program,
-                                         const std::vector<PairStarts>& runs,
+                                         const std::vector<Stic>& runs,
                                          const RunConfig& config) {
   // An automorphism φ carries the run [(u, v), δ] to [(φ(u), φ(v)), δ],
   // node for node. So each orbit of runs is merged once, with the
@@ -1010,12 +975,12 @@ std::vector<RunResult> run_anonymous_all(const graph::Graph& g,
     if (v != rep[v]) images.push_back(Image{p, path(rep[v]), carried(v)});
   }
   std::vector<MultiRunResult> multi =
-      run_all(g, specs, tracks, 2, stop_on_pair(config), images);
+      run_all(g, specs, tracks, 2, config, images);
   std::vector<RunResult> out;
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const std::size_t m = merged_as[i];
     out.push_back(to_pair(MultiRunResult(multi[m]), runs[i].delay));
-    const std::vector<Node>& phi = carry[runs[i].earlier];
+    const std::vector<Node>& phi = carry[runs[i].u];
     for (Node& v : out.back().final_pos) {
       if (v != graph::kNoNode) v = phi[v];
     }

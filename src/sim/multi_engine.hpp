@@ -28,13 +28,15 @@
 /// agents choosing their next action then, in agent order; the agents
 /// appearing then, in agent order (an error of one stops the appearances
 /// after it); meetings and gathering; every program having ended; the
-/// round cap. A path is generated past the round its run ends only as
-/// far as its window reaches, and never through a step that would
-/// materialize a node of a lazy topology (see ITopology::peek). An
-/// image path (sim/engine.hpp, explicit graphs only) is not generated:
-/// after each window it holds its representative's rounds with every
-/// node relabeled, and the merger reads it like any other path. The
-/// merge reads node ids as they are and never relabels per round.
+/// round cap. The merger alone ends a run; a path is generated past
+/// that round only as far as its window reaches. A path on a lazy
+/// topology stops at a step that would intern a node (one that
+/// ITopology::peek cannot resolve); the merger takes it once the run
+/// reaches that round, in the round's agent order. An image path
+/// (sim/engine.hpp, explicit graphs only) is not generated: after each
+/// window it holds its representative's rounds with every node
+/// relabeled, and the merger reads it like any other path. The merge
+/// reads node ids as they are and never relabels per round.
 namespace rdv::sim {
 
 struct AgentSpec {
@@ -46,15 +48,9 @@ struct AgentSpec {
 struct MultiRunConfig {
   /// Hard cap on absolute rounds.
   std::uint64_t max_rounds = 1'000'000;
-  /// Abort threshold for agents issuing zero-round waits back-to-back.
-  std::uint32_t max_zero_wait_spin = 1u << 20;
   /// Record a bounded move trace for diagnostics.
   bool record_trace = false;
   std::size_t trace_limit = 4096;
-  /// Stop as soon as the given pair (indices into the spec vector) has
-  /// met; -1 disables. Used by the pairwise wrapper.
-  int stop_on_pair_a = -1;
-  int stop_on_pair_b = -1;
 };
 
 inline constexpr std::uint64_t kNever = static_cast<std::uint64_t>(-1);
@@ -84,8 +80,8 @@ struct MultiRunResult {
   }
 };
 
-/// Runs all agents; terminates on gathering, on the configured pair
-/// meeting, on every program finishing, or at the round cap.
+/// Runs all agents; terminates on gathering, on an error, on every
+/// program finishing, or at the round cap.
 [[nodiscard]] MultiRunResult run_multi(const graph::ITopology& g,
                                        const std::vector<AgentSpec>& agents,
                                        const MultiRunConfig& config = {});

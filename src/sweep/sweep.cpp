@@ -27,13 +27,8 @@ analysis::SweepSummary feasibility_sweep(const graph::Graph& g,
       cache.all_pairs_shrink(g, fp);
   const std::vector<analysis::Stic> stics =
       analysis::enumerate_stics(g, max_delay);
-  std::vector<sim::PairStarts> starts;
-  starts.reserve(stics.size());
-  for (const analysis::Stic& stic : stics) {
-    starts.push_back({stic.u, stic.v, stic.delay});
-  }
   std::vector<sim::RunResult> runs =
-      sim::run_anonymous_all(g, program, starts, run_config);
+      sim::run_anonymous_all(g, program, stics, run_config);
   // Symmetric pairs in different automorphism orbits: their agents
   // perceive the same, yet no image serves one from the other's path.
   const std::vector<graph::Node> orbit = graph::automorphism_orbits(g);

@@ -166,9 +166,7 @@ TEST(Engine, ZeroWaitSpinAborts) {
       for (;;) co_await mb2.wait(0);
     }(mb);
   };
-  RunConfig config;
-  config.max_zero_wait_spin = 100;
-  const RunResult r = run_anonymous(g, prog, 0, 2, 0, config);
+  const RunResult r = run_anonymous(g, prog, 0, 2, 0);
   EXPECT_FALSE(r.ok());
 }
 
@@ -410,9 +408,7 @@ TEST(EngineSegments, EmptySegmentsSpinLikeZeroWaits) {
       for (;;) co_await mb2.retrace({});
     }(mb, &entries);
   };
-  RunConfig config;
-  config.max_zero_wait_spin = 100;
-  const RunResult r = run_anonymous(g, prog, 0, 2, 0, config);
+  const RunResult r = run_anonymous(g, prog, 0, 2, 0);
   EXPECT_EQ(r.error, "agent spun on zero-length waits");
   ASSERT_FALSE(entries.empty());
   EXPECT_EQ(entries[0], std::nullopt);

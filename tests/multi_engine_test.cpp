@@ -3,6 +3,8 @@
 #include "cache/artifact_cache.hpp"
 #include "core/explore.hpp"
 #include "graph/families/families.hpp"
+#include "graph/families/qhat_implicit.hpp"
+#include "sim/engine.hpp"
 #include "sim/multi_engine.hpp"
 #include "support/saturating.hpp"
 #include "uxs/uxs.hpp"
@@ -27,6 +29,21 @@ AgentProgram forward_forever() {
     return [](Mailbox& mb2) -> Proc {
       for (;;) co_await mb2.move(0);
     }(mb);
+  };
+}
+
+/// Execute a fixed script of actions, then halt.
+AgentProgram scripted(std::vector<Action> script) {
+  return [script = std::move(script)](Mailbox& mb, Observation) -> Proc {
+    return [](Mailbox& mb2, std::vector<Action> actions) -> Proc {
+      for (const Action& a : actions) {
+        if (a.kind == Action::Kind::kMove) {
+          co_await mb2.move(a.port);
+        } else {
+          co_await mb2.wait(a.wait_rounds);
+        }
+      }
+    }(mb, script);
   };
 }
 
@@ -158,63 +175,6 @@ TEST(MultiEngine, StaggeredSpawnsTracked) {
   EXPECT_EQ(r.moves[0], 0u);
 }
 
-TEST(MultiEngine, StopOnPairTerminatesBeforeGathering) {
-  // Same scenario as ThreeAgentsGatherOnPath (gathering at round 3),
-  // but the run must stop at round 1 when agents 0 and 1 first meet.
-  const Graph g = families::path_graph(3);
-  std::vector<AgentSpec> specs;
-  specs.push_back({step_once(0), 0, 0});  // 0 -> 1 at round 1
-  specs.push_back({sleeper(), 1, 0});     // stays at 1
-  specs.push_back({step_once(0), 2, 2});  // would reach 1 at round 3
-  MultiRunConfig config;
-  config.stop_on_pair_a = 0;
-  config.stop_on_pair_b = 1;
-  const MultiRunResult r = run_multi(g, specs, config);
-  ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_FALSE(r.gathered);
-  EXPECT_EQ(r.rounds_simulated, 1u);
-  EXPECT_EQ(r.meeting_of(0, 1, 3), 1u);
-  EXPECT_EQ(r.meeting_of(0, 2, 3), kNever);
-  EXPECT_EQ(r.meeting_of(1, 2, 3), kNever);
-}
-
-// Regression: the meeting scan visits ordered pairs (i < j) only, so a
-// reversed stop pair (a > b) used to never trigger and the run silently
-// continued to the cap.
-TEST(MultiEngine, StopOnPairIsOrderInsensitive) {
-  const Graph g = families::path_graph(3);
-  std::vector<AgentSpec> specs;
-  specs.push_back({step_once(0), 0, 0});
-  specs.push_back({sleeper(), 1, 0});
-  specs.push_back({step_once(0), 2, 2});
-  MultiRunConfig config;
-  config.stop_on_pair_a = 1;  // reversed on purpose
-  config.stop_on_pair_b = 0;
-  config.max_rounds = 100;
-  const MultiRunResult r = run_multi(g, specs, config);
-  ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_EQ(r.rounds_simulated, 1u);
-  EXPECT_EQ(r.meeting_of(0, 1, 3), 1u);
-}
-
-TEST(MultiEngine, StopOnPairStillReportsGatheringAtThatRound) {
-  // The stop pair (0, 2) first meets exactly when all three gather;
-  // gathering detection must win over the early stop.
-  const Graph g = families::path_graph(3);
-  std::vector<AgentSpec> specs;
-  specs.push_back({step_once(0), 0, 0});
-  specs.push_back({sleeper(), 1, 0});
-  specs.push_back({step_once(0), 2, 2});
-  MultiRunConfig config;
-  config.stop_on_pair_a = 0;
-  config.stop_on_pair_b = 2;
-  const MultiRunResult r = run_multi(g, specs, config);
-  ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_TRUE(r.gathered);
-  EXPECT_EQ(r.gather_round_absolute, 3u);
-  EXPECT_EQ(r.meeting_of(0, 2, 3), 3u);
-}
-
 TEST(MultiEngine, FirstMeetingMatrixForFourAgents) {
   // oriented_ring(4), port 0 = clockwise (+1 each round):
   //   agent 0: rotates from node 0 (position r mod 4)
@@ -290,6 +250,105 @@ TEST(MultiEngine, TraceLabelsAgentsPast255) {
   EXPECT_NE(r.trace.to_string().find("round 1: agent 299 moves via port 0 "
                                      "to node 0\n"),
             std::string::npos);
+}
+
+// Q-hat interns a node when a step first reaches it, handing out ids in
+// that order. The steps several agents choose in one round must intern
+// in the round's agent order (present agents by index, then those
+// appearing by index), and a run that ends in that round takes only the
+// steps chosen before its ending: every step on a meeting, the steps of
+// the agents before the failing one on an error. Every node's id is
+// pinned by its direction string (ports: N = 0, E = 1, S = 2, W = 3).
+std::vector<std::string> interned(
+    const families::QhatImplicitTopology& topo) {
+  std::vector<std::string> paths;
+  for (Node v = 0; v < topo.materialized(); ++v) {
+    std::string path;
+    for (const families::Dir d : topo.path_of(v)) {
+      path += families::dir_letter(d);
+    }
+    paths.push_back(path);
+  }
+  return paths;
+}
+
+TEST(MultiEngine, QhatInternsARoundsStepsInAgentOrderWhenTheRunGoesOn) {
+  // Round 1: agent 0 (present, at N) steps E, agent 1 (appearing at
+  // the root) steps W; round 2: both step N.
+  const families::QhatImplicitTopology pair_topo(3);
+  const RunResult pair = run_pair(
+      pair_topo,
+      scripted({Action::move(0), Action::move(1), Action::move(0)}),
+      scripted({Action::move(3), Action::move(0)}), 0, 0, 1);
+  ASSERT_TRUE(pair.ok()) << pair.error;
+  EXPECT_FALSE(pair.met);
+  EXPECT_TRUE(pair.programs_finished);
+  EXPECT_EQ(pair.rounds_simulated, 3u);
+  EXPECT_EQ(interned(pair_topo),
+            (std::vector<std::string>{"", "N", "NE", "W", "NEN", "WN"}));
+  // Round 1: agent 0 (present, at N) steps E, agents 1 and 2 (appearing
+  // at the root) step W and S.
+  const families::QhatImplicitTopology topo(3);
+  std::vector<AgentSpec> specs;
+  specs.push_back({scripted({Action::move(0), Action::move(1)}), 0, 0});
+  specs.push_back({scripted({Action::move(3)}), 0, 1});
+  specs.push_back({scripted({Action::move(2)}), 0, 1});
+  const MultiRunResult r = run_multi(topo, specs);
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_FALSE(r.gathered);
+  EXPECT_TRUE(r.programs_finished);
+  EXPECT_EQ(r.rounds_simulated, 2u);
+  EXPECT_EQ(r.meeting_of(1, 2, 3), 1u);
+  EXPECT_EQ(interned(topo),
+            (std::vector<std::string>{"", "N", "NE", "W", "S"}));
+}
+
+TEST(MultiEngine, QhatInternsEveryStepOfTheRoundTheAgentsMeet) {
+  // The agents gather at the root in round 1, where each steps away.
+  const families::QhatImplicitTopology pair_topo(3);
+  const RunResult pair = run_pair(
+      pair_topo, scripted({Action::wait(1), Action::move(0)}),
+      scripted({Action::move(1)}), 0, 0, 1);
+  ASSERT_TRUE(pair.ok()) << pair.error;
+  EXPECT_TRUE(pair.met);
+  EXPECT_EQ(pair.meet_round_absolute, 1u);
+  EXPECT_EQ(pair.rounds_simulated, 1u);
+  EXPECT_EQ(interned(pair_topo), (std::vector<std::string>{"", "N", "E"}));
+  const families::QhatImplicitTopology topo(3);
+  std::vector<AgentSpec> specs;
+  specs.push_back({scripted({Action::wait(1), Action::move(0)}), 0, 0});
+  specs.push_back({scripted({Action::wait(1), Action::move(1)}), 0, 0});
+  specs.push_back({scripted({Action::move(2)}), 0, 1});
+  const MultiRunResult r = run_multi(topo, specs);
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_TRUE(r.gathered);
+  EXPECT_EQ(r.gather_round_absolute, 1u);
+  EXPECT_EQ(r.rounds_simulated, 1u);
+  EXPECT_EQ(interned(topo), (std::vector<std::string>{"", "N", "E", "S"}));
+}
+
+TEST(MultiEngine, QhatInternsOnlyTheStepsBeforeAPortError) {
+  // Round 2: agent 0 (at N) uses port 9, agent 1 (at the root) steps E,
+  // which is never taken.
+  const families::QhatImplicitTopology pair_topo(3);
+  const RunResult pair = run_pair(
+      pair_topo, scripted({Action::move(0), Action::wait(1), Action::move(9)}),
+      scripted({Action::wait(1), Action::move(1)}), 0, 0, 1);
+  EXPECT_EQ(pair.error, "agent 0 used port 9 at a degree-4 node");
+  EXPECT_EQ(pair.rounds_simulated, 2u);
+  EXPECT_EQ(interned(pair_topo), (std::vector<std::string>{"", "N"}));
+  // Round 3: agent 0 (at N) steps N, agent 1 uses port 7 and agent 2
+  // steps E: only agent 0's step is taken.
+  const families::QhatImplicitTopology topo(3);
+  std::vector<AgentSpec> specs;
+  specs.push_back(
+      {scripted({Action::move(0), Action::wait(2), Action::move(0)}), 0, 0});
+  specs.push_back({scripted({Action::wait(2), Action::move(7)}), 0, 1});
+  specs.push_back({scripted({Action::wait(1), Action::move(1)}), 0, 2});
+  const MultiRunResult r = run_multi(topo, specs);
+  EXPECT_EQ(r.error, "agent 1 used port 7 at a degree-4 node");
+  EXPECT_EQ(r.rounds_simulated, 3u);
+  EXPECT_EQ(interned(topo), (std::vector<std::string>{"", "N", "NN"}));
 }
 
 }  // namespace

@@ -391,7 +391,7 @@ TEST(SimWindow, ErrorsInSpawnRounds) {
 // enough to reach the longest windows.
 TEST(SimWindow, SharedPathsMatchSingleRunsAcrossLongDelays) {
   const Graph g = families::oriented_ring(4);
-  std::vector<PairStarts> starts;
+  std::vector<Stic> starts;
   for (const std::uint64_t delay :
        {0u, 1u, 15u, 16u, 17u, 60u, 200u, 1000u, 5000u}) {
     for (Node u = 0; u < 4; ++u) {
@@ -408,14 +408,13 @@ TEST(SimWindow, SharedPathsMatchSingleRunsAcrossLongDelays) {
           run_anonymous_all(g, program, starts, config);
       ASSERT_EQ(shared.size(), starts.size());
       for (std::size_t i = 0; i < starts.size(); ++i) {
-        const PairStarts& s = starts[i];
+        const Stic& s = starts[i];
         Digest alone;
-        alone.add(
-            run_anonymous(g, program, s.earlier, s.later, s.delay, config));
+        alone.add(run_anonymous(g, program, s.u, s.v, s.delay, config));
         Digest together;
         together.add(shared[i]);
         EXPECT_EQ(together.value(), alone.value())
-            << "STIC [(" << s.earlier << ", " << s.later << "), " << s.delay
+            << "STIC [(" << s.u << ", " << s.v << "), " << s.delay
             << "]";
       }
     }
@@ -507,7 +506,7 @@ TEST(SimWindow, OrbitSharedRunsMatchSingleRuns) {
     SCOPED_TRACE(g.name());
     const std::vector<Node> orbit = graph::automorphism_orbits(g);
     const std::set<Node> orbits(orbit.begin(), orbit.end());
-    std::vector<PairStarts> starts;
+    std::vector<Stic> starts;
     for (const std::uint64_t delay : {0u, 1u, 15u, 16u, 17u, 130u}) {
       for (Node u = 0; u < g.size(); ++u) {
         for (Node v = 0; v < g.size(); ++v) {
@@ -525,15 +524,15 @@ TEST(SimWindow, OrbitSharedRunsMatchSingleRuns) {
       EXPECT_EQ(images.value() - images_before, g.size() - orbits.size());
       ASSERT_EQ(shared.size(), starts.size());
       for (std::size_t i = 0; i < starts.size(); ++i) {
-        const PairStarts& s = starts[i];
+        const Stic& s = starts[i];
         const RunResult alone =
-            run_anonymous(g, programs[p], s.earlier, s.later, s.delay, config);
+            run_anonymous(g, programs[p], s.u, s.v, s.delay, config);
         Digest a;
         a.add(alone);
         Digest b;
         b.add(shared[i]);
         EXPECT_EQ(b.value(), a.value())
-            << "program " << p << ", STIC [(" << s.earlier << ", " << s.later
+            << "program " << p << ", STIC [(" << s.u << ", " << s.v
             << "), " << s.delay << "]";
         if (!alone.ok()) ++errors;
       }
