@@ -218,27 +218,26 @@ int main(int argc, char** argv) {
   emit_table(
       "micro_sweep", "M2: sweep runner, sequential vs pooled", table);
 
-  // ---- M2b: pool scaling of the work-stealing scheduler --------------
+  // ---- M2b: pool scaling of the one-queue scheduler ------------------
   // The same kernel on dedicated pools of 1..16 workers (deliberately
   // past the core count: oversubscription must degrade gracefully, not
   // collapse), plus a nested variant — an outer sweep whose kernel
   // runs an inner sweep on the SAME pool, the t2 shape that the
   // work-assisting wait unlocked. One JSON datapoint per thread count,
-  // carrying the scheduler counters (steals, parks, wakeups) the pool
+  // carrying the scheduler counters (parks, wakeups) the pool
   // accumulated across both sweeps — the park/wakeup ratio is how a
   // trend reader spots thundering-herd regressions at high counts.
   struct ScalePoint {
     std::size_t threads;
     double flat_ms;
     double nested_ms;
-    std::uint64_t steals;
     std::uint64_t parks;
     std::uint64_t wakeups;
   };
   std::vector<ScalePoint> scaling;
   rdv::support::Table scale_table({"threads", "flat best ms",
                                    "flat STICs/s", "nested best ms",
-                                   "steals", "parks", "wakeups"});
+                                   "parks", "wakeups"});
   const std::vector<std::size_t> thread_counts =
       smoke ? std::vector<std::size_t>{1, 4}
             : std::vector<std::size_t>{1, 2, 4, 8, 16};
@@ -275,19 +274,17 @@ int main(int argc, char** argv) {
                                                  outer_config);
     });
     scaling.push_back(ScalePoint{threads, flat_ms, nested_ms,
-                                 pool.steal_count(), pool.park_count(),
-                                 pool.wakeup_count()});
+                                 pool.park_count(), pool.wakeup_count()});
     scale_table.add_row({std::to_string(threads),
                          rdv::support::format_double(flat_ms, 3),
                          rate(flat_ms, stics.size()),
                          rdv::support::format_double(nested_ms, 3),
-                         std::to_string(pool.steal_count()),
                          std::to_string(pool.park_count()),
                          std::to_string(pool.wakeup_count())});
   }
   emit_table(
       "micro_sweep_scaling",
-      "M2b: work-stealing pool scaling, flat and nested sweeps",
+      "M2b: pool scaling, flat and nested sweeps",
       scale_table);
 
   // ---- M3: uncached vs cached per-graph artifact resolution ----------
@@ -1022,7 +1019,6 @@ int main(int argc, char** argv) {
     json << "{\"threads\":" << scaling[i].threads
          << ",\"flat_ms\":" << scaling[i].flat_ms
          << ",\"nested_ms\":" << scaling[i].nested_ms
-         << ",\"steals\":" << scaling[i].steals
          << ",\"parks\":" << scaling[i].parks
          << ",\"wakeups\":" << scaling[i].wakeups << "}";
   }

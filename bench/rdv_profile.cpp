@@ -1,9 +1,9 @@
 // rdv_profile — analyze rdv_bench scheduler-profile sidecars.
 //
 // `rdv_bench --profile-out p.json` writes the reconstructed task
-// lifecycles (obs/profile.hpp, format 1); this CLI re-analyzes them:
+// lifecycles (obs/profile.hpp, format 2); this CLI re-analyzes them:
 // `report` prints critical-path attribution, thread utilization,
-// latency histograms and the thundering-herd factor; `top` ranks tasks
+// the queue latency histogram and the thundering-herd factor; `top` ranks tasks
 // by execution time; `diff` compares two profiles' aggregates.
 // `report --strict` is the CI shape: it fails when events were dropped
 // or a sweep's critical-path stages do not add back up to its wall.
@@ -29,8 +29,8 @@ constexpr const char* kUsage = R"(usage: rdv_profile <command> ...
 commands:
   report FILE [--strict]
       print the full scheduler report: per-sweep critical-path stage
-      attribution, per-thread busy/park/idle shares, queue- and
-      steal-latency histograms, steal ratio, thundering-herd factor.
+      attribution, per-thread busy/park/idle shares, queue-latency
+      histogram, thundering-herd factor.
       --strict exits 1 when events were dropped or any sweep's stage
       sum deviates from its measured wall by more than 5%
   top FILE [-n N]

@@ -56,9 +56,9 @@ options:
                    Perfetto JSON (chrome://tracing, ui.perfetto.dev):
                    experiment spans plus sweep / task / merge / park
                    slices and flow arrows stitching each task's
-                   submit -> steal -> execute -> merge across threads
+                   submit -> execute -> merge across threads
   --profile-out F  record the event ring and write the scheduler
-                   profile (submit/steal/exec/park per task, sweep
+                   profile (submit/exec/park per task, sweep
                    DAGs) as JSON; analyze with rdv_profile
                    report|top|diff
   --check          fail (exit 1) if any experiment emits an empty table

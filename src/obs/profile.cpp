@@ -43,12 +43,9 @@ constexpr auto kTaskFields = [](auto& t, const auto& field) {
   field("sweep", t.sweep);
   field("chunk", t.chunk);
   field("is_chunk", t.is_chunk);
-  field("stolen", t.stolen);
-  field("victim", t.steal_victim);
   field("submit_tid", t.submit_tid);
   field("exec_tid", t.exec_tid);
   field("submit", t.submit_t);
-  field("dequeue", t.dequeue_t);
   field("begin", t.begin_t);
   field("end", t.end_t);
 };
@@ -125,7 +122,7 @@ void parse_records(Cursor& cursor, const char* what,
   });
 }
 
-constexpr std::uint64_t kProfileFormat = 1;
+constexpr std::uint64_t kProfileFormat = 2;
 
 /// Flow ids for the chunk-end -> merge-begin arrows live in a distinct
 /// id space from the submit -> begin arrows (which use the task id).
@@ -237,14 +234,6 @@ std::uint64_t executed_task_count(const Profile& profile) {
   return executed;
 }
 
-std::uint64_t stolen_task_count(const Profile& profile) {
-  std::uint64_t stolen = 0;
-  for (const TaskProfile& t : profile.tasks) {
-    if (t.stolen) ++stolen;
-  }
-  return stolen;
-}
-
 std::uint64_t total_exec_micros(const Profile& profile) {
   const std::vector<std::uint64_t> self = self_micros(profile);
   return std::accumulate(self.begin(), self.begin() + profile.tasks.size(),
@@ -305,14 +294,6 @@ Profile build_profile(const std::vector<TaskEvent>& events) {
       case TaskEventKind::kSubmit:
         task().submit_t = e.t_micros;
         task().submit_tid = e.tid;
-        break;
-      case TaskEventKind::kDequeue:
-        task().dequeue_t = e.t_micros;
-        break;
-      case TaskEventKind::kSteal:
-        task().dequeue_t = e.t_micros;
-        task().stolen = true;
-        task().steal_victim = e.a;
         break;
       case TaskEventKind::kBegin:
         task().begin_t = e.t_micros;
@@ -561,32 +542,13 @@ std::string render_profile_report(const Profile& profile) {
   }
 
   HistogramSnapshot queue_hist;
-  HistogramSnapshot steal_hist;
   for (const TaskProfile& t : profile.tasks) {
-    if (!t.complete()) continue;
-    observe(queue_hist, t.queue_micros());
-    if (t.stolen) {
-      observe(steal_hist, clamped_sub(t.dequeue_t, t.submit_t));
-    }
+    if (t.complete()) observe(queue_hist, t.queue_micros());
   }
   out += "queue latency (submit -> begin, log2 us):\n";
   append_histogram_lines(out, queue_hist);
-  if (steal_hist.count != 0) {
-    out += "steal latency (submit -> steal, log2 us):\n";
-    append_histogram_lines(out, steal_hist);
-  }
 
   const std::uint64_t executed = executed_task_count(profile);
-  const std::uint64_t stolen = stolen_task_count(profile);
-  out += "steals: " + std::to_string(stolen) + "/" +
-         std::to_string(executed) + " tasks";
-  if (executed != 0) {
-    out += " (" +
-           format_pct(static_cast<double>(stolen) /
-                      static_cast<double>(executed)) +
-           "%)";
-  }
-  out += "\n";
   char herd[64];
   std::snprintf(herd, sizeof herd, "%.2f", herd_factor(profile));
   out += "herd: " + std::to_string(profile.parks.size()) + " wakeups / " +
@@ -617,11 +579,7 @@ std::string render_profile_top(const Profile& profile, std::size_t n) {
     }
     out += ": exec " + format_ms(t->exec_micros()) + " ms, queue " +
            format_ms(t->queue_micros()) + " ms, tid " +
-           std::to_string(t->exec_tid);
-    if (t->stolen) {
-      out += ", stolen from worker " + std::to_string(t->steal_victim);
-    }
-    out += "\n";
+           std::to_string(t->exec_tid) + "\n";
   }
   return out;
 }
@@ -645,8 +603,6 @@ std::string render_profile_diff(const Profile& a, const Profile& b) {
        static_cast<double>(b.events), "");
   line("tasks executed", static_cast<double>(executed_task_count(a)),
        static_cast<double>(executed_task_count(b)), "");
-  line("steals", static_cast<double>(stolen_task_count(a)),
-       static_cast<double>(stolen_task_count(b)), "");
   line("wakeups", static_cast<double>(a.parks.size()),
        static_cast<double>(b.parks.size()), "");
   line("herd factor", herd_factor(a), herd_factor(b), "");
@@ -667,8 +623,8 @@ std::string render_task_trace_events(const Profile& profile) {
     if (!out.empty()) out += ',';
     append_chrome_slice(out, name, category, tid, ts, dur, args);
   };
-  // Flow arrows: Chrome draws one arrow chain per (name, id), from the
-  // "s" event through any "t" steps to the "f" event.
+  // Flow arrows: Chrome draws one arrow per (name, id), from the "s"
+  // event to the "f" event.
   const auto flow = [&out](const char* name, char phase, std::uint64_t id,
                            std::uint32_t tid, std::uint64_t ts) {
     if (!out.empty()) out += ',';
@@ -694,12 +650,9 @@ std::string render_task_trace_events(const Profile& profile) {
             "task", t.exec_tid, t.begin_t, t.exec_micros(),
             "\"task\":" + std::to_string(t.id));
     }
-    // Submit ("s") -> optional steal step ("t") -> begin ("f").
+    // Submit ("s") -> begin ("f").
     if (t.submit_t != 0 && t.begin_t != 0) {
       flow("task", 's', t.id, t.submit_tid, t.submit_t);
-      if (t.stolen && t.dequeue_t != 0) {
-        flow("task", 't', t.id, t.exec_tid, t.dequeue_t);
-      }
       flow("task", 'f', t.id, t.exec_tid, t.begin_t);
     }
   }

@@ -13,7 +13,7 @@
 /// events are skipped) into a causal model of a run — per-task
 /// lifecycles stitched across threads, per-sweep task DAGs, critical
 /// paths with per-stage attribution, thread busy/park timelines,
-/// queue/steal latency histograms, and the thundering-herd factor (cv
+/// a queue latency histogram, and the thundering-herd factor (cv
 /// wakeups per useful task) that motivates the per-worker parking
 /// rewrite on the roadmap.
 ///
@@ -34,15 +34,9 @@ struct TaskProfile {
   std::uint64_t sweep = 0;
   std::uint64_t chunk = 0;
   bool is_chunk = false;
-  /// True when the task was popped from another worker's deque.
-  bool stolen = false;
-  /// Victim worker index (valid when stolen).
-  std::uint64_t steal_victim = 0;
   std::uint32_t submit_tid = 0;
   std::uint32_t exec_tid = 0;
   std::uint64_t submit_t = 0;
-  /// Dequeue-or-steal timestamp (whichever popped it).
-  std::uint64_t dequeue_t = 0;
   std::uint64_t begin_t = 0;
   std::uint64_t end_t = 0;
 
@@ -167,7 +161,7 @@ struct CriticalPath {
 [[nodiscard]] CriticalPath critical_path(const Profile& profile,
                                          std::uint64_t sweep);
 
-/// Deterministic JSON sidecar (format 1): name-stable keys, integer
+/// Deterministic JSON sidecar (format 2): name-stable keys, integer
 /// micros, arrays in the Profile's sorted orders.
 [[nodiscard]] std::string render_profile_json(const Profile& profile);
 
@@ -177,8 +171,8 @@ struct CriticalPath {
                                       Profile* out);
 
 /// Human report: sweeps with critical-path attribution, per-thread
-/// utilization, queue/steal latency log2 histograms, steal ratio, and
-/// the thundering-herd factor.
+/// utilization, the queue latency log2 histogram, and the
+/// thundering-herd factor.
 [[nodiscard]] std::string render_profile_report(const Profile& profile);
 
 /// Top `n` tasks by execution time (descending, id ascending on ties).
@@ -193,7 +187,7 @@ struct CriticalPath {
 /// Chrome-trace fragment (comma-joined event objects, no brackets) for
 /// render_chrome_trace's extra_events hook: an "X" slice per sweep,
 /// task execution, merge and park (category "pool"), plus flow events
-/// ("s" at submit, "t" at a steal, "f" at begin; a second flow from
+/// ("s" at submit, "f" at begin; a second flow from
 /// chunk end to its merge) stitching each lifecycle across thread rows.
 /// These slices are the trace's only record of those moments.
 [[nodiscard]] std::string render_task_trace_events(const Profile& profile);

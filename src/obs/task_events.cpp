@@ -134,13 +134,16 @@ std::uint64_t next_sweep_id() noexcept {
 void record_task_event(TaskEventKind kind, std::uint64_t task,
                        std::uint64_t a, std::uint64_t b) {
   if (!task_events_enabled()) return;
+  // Ring first: a thread's first event allocates and zero-fills its
+  // ring, which must not land between the stamp and the event.
+  EventRing& ring = thread_event_ring();
   TaskEvent event;
   event.t_micros = now_micros();
   event.task = task;
   event.a = a;
   event.b = b;
   event.kind = kind;
-  thread_event_ring().record(event);
+  ring.record(event);
 }
 
 void record_event(TaskEvent event) {

@@ -6,13 +6,12 @@
 #include <vector>
 
 /// The one observability event ring: per-thread rings of fixed-size
-/// events — submit / dequeue / steal / begin / end / park / unpark from
-/// the thread pool, sweep / chunk / merge markers from the pipelined
-/// sweep runner, and completed spans from obs::Span (obs/trace.hpp).
-/// Pool events carry STABLE TASK IDS, so a post-run analyzer
-/// (obs/profile.hpp) can stitch one task's lifecycle across threads:
-/// who submitted it, who stole it, when it ran, and which merge
-/// consumed its output.
+/// events — submit / begin / end / park / unpark from the thread pool,
+/// sweep / chunk / merge markers from the pipelined sweep runner, and
+/// completed spans from obs::Span (obs/trace.hpp). Pool events carry
+/// STABLE TASK IDS, so a post-run analyzer (obs/profile.hpp) can stitch
+/// one task's lifecycle across threads: who submitted it, who ran it
+/// and when, and which merge consumed its output.
 ///
 /// Design:
 ///  - OFF by default; when off, every call site costs one relaxed
@@ -39,13 +38,8 @@ namespace rdv::obs {
 enum class TaskEventKind : std::uint8_t {
   /// Pool: task enqueued (tid = submitter). task = id.
   kSubmit = 0,
-  /// Pool: task popped from the executor's own deque or the shared
-  /// queue (tid = executor). task = id.
-  kDequeue,
-  /// Pool: task popped from ANOTHER worker's deque (tid = thief).
-  /// task = id, a = victim worker index within its pool.
-  kSteal,
-  /// Pool: task body starts / finishes executing (tid = executor).
+  /// Pool: task body starts / finishes executing (tid = executor); a
+  /// task starts right after it is popped from the queue.
   kBegin,
   kEnd,
   /// Pool: the thread went to sleep on the wake cv / woke from it.
@@ -72,7 +66,7 @@ struct TaskEvent {
   std::uint64_t t_micros = 0;
   /// Pool task id (next_task_id), 0 when the event has no task.
   std::uint64_t task = 0;
-  /// Kind-specific (see TaskEventKind): victim index, sweep id.
+  /// Kind-specific (see TaskEventKind): sweep id, span duration.
   std::uint64_t a = 0;
   /// Kind-specific: chunk index, chunk count, items produced.
   std::uint64_t b = 0;

@@ -25,8 +25,7 @@
 ///    runtime on EVERY acquisition instead of only on schedules that
 ///    happen to deadlock. The global order follows the layer DAG:
 ///
-///      pool queue < pool sleep < cache shard < store < obs registry
-///                 < obs ring
+///      pool queue < cache shard < obs registry < obs ring
 ///
 ///    i.e. code may call "down" the stack (a pool task locking a cache
 ///    shard, a shard compute appending to the result log, anything
@@ -52,8 +51,7 @@ inline constexpr bool kCheckedBuild = false;
 /// Global acquisition order; a thread may only acquire strictly
 /// ascending ranks. Gaps leave room for future layers (rdv_serve).
 enum class LockRank : std::uint32_t {
-  kPoolQueue = 10,    ///< ThreadPool worker deques + shared queue.
-  kPoolSleep = 20,    ///< ThreadPool epoch/sleep mutex (the park cv).
+  kPoolQueue = 10,    ///< ThreadPool queue, wake epoch and park cv.
   kCacheShard = 30,   ///< ShardedLruStore per-shard mutexes.
   kObsRegistry = 50,  ///< obs metrics Registry name/source maps.
   kObsRing = 60,      ///< obs span/task-event rings + ring directories.
@@ -62,7 +60,6 @@ enum class LockRank : std::uint32_t {
 [[nodiscard]] inline const char* lock_rank_name(LockRank rank) noexcept {
   switch (rank) {
     case LockRank::kPoolQueue: return "pool_queue";
-    case LockRank::kPoolSleep: return "pool_sleep";
     case LockRank::kCacheShard: return "cache_shard";
     case LockRank::kObsRegistry: return "obs_registry";
     case LockRank::kObsRing: return "obs_ring";
@@ -145,8 +142,8 @@ inline void push_rank(LockRank rank, const char* file, int line) noexcept {
       std::fprintf(stderr,
                    "RDV lock-rank violation at %s:%d: acquiring %s(%u) "
                    "while holding %s(%u); ranks must strictly ascend "
-                   "(pool_queue < pool_sleep < cache_shard < store < "
-                   "obs_registry < obs_ring)\n",
+                   "(pool_queue < cache_shard < obs_registry < "
+                   "obs_ring)\n",
                    file, line, lock_rank_name(rank),
                    static_cast<unsigned>(rank), lock_rank_name(top),
                    static_cast<unsigned>(top));

@@ -10,22 +10,17 @@ namespace rdv::support {
 
 namespace {
 
-/// Identifies the pool (and worker slot) the calling thread belongs to,
-/// so submit() can target the worker's own deque and try_pop() knows
-/// where "own" is. Null on external threads and inside assist_until
-/// callers that are not workers.
+/// The pool the calling thread works for; null on external threads. A
+/// thread is a worker of `pool` iff tl_pool == &pool.
 thread_local ThreadPool* tl_pool = nullptr;
-thread_local std::size_t tl_index = 0;
 
 /// Process-wide scheduler series (all pools aggregated — the registry
 /// describes the run, per-pool accessors the instance). Handles are
 /// resolved once; bumps are lock-free stripe adds.
 struct PoolMetrics {
   obs::Counter& submits = obs::counter("pool.submits");
-  obs::Counter& steals = obs::counter("pool.steals");
   obs::Counter& parks = obs::counter("pool.parks");
   obs::Counter& wakeups = obs::counter("pool.wakeups");
-  obs::Gauge& queue_depth = obs::gauge("pool.queue_depth");
 };
 
 PoolMetrics& pool_metrics() {
@@ -44,19 +39,15 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  queues_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard lock(sleep_mutex_);
+    std::lock_guard lock(mutex_);
     stopping_ = true;
     ++epoch_;
   }
@@ -64,130 +55,41 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-std::size_t ThreadPool::self_index() const noexcept {
-  return tl_pool == this ? tl_index : kExternal;
-}
-
 std::uint64_t ThreadPool::submit(std::function<void()> task,
                                  const void* tag) {
   // Allocate the lifecycle id and record kSubmit BEFORE enqueueing:
   // once the task is visible a worker may pop it immediately, and the
-  // submit timestamp must not trail the dequeue timestamp.
+  // submit timestamp must not trail the begin timestamp.
   const std::uint64_t id =
       obs::task_events_enabled() ? obs::next_task_id() : 0;
   if (id != 0) {
     obs::record_task_event(obs::TaskEventKind::kSubmit, id);
   }
-  const std::size_t depth =
-      in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
-  PoolMetrics& metrics = pool_metrics();
-  metrics.submits.add();
-  metrics.queue_depth.set(static_cast<std::int64_t>(depth));
-  const std::size_t self = self_index();
-  if (self != kExternal) {
-    WorkerQueue& q = *queues_[self];
-    std::lock_guard lock(q.mutex);
-    q.tasks.push_back(Task{std::move(task), tag, id});
-  } else {
-    std::lock_guard lock(shared_mutex_);
-    shared_.push_back(Task{std::move(task), tag, id});
-  }
-  bump_epoch();
+  pool_metrics().submits.add();
+  std::lock_guard lock(mutex_);
+  queue_.push_back(Task{std::move(task), tag, id});
+  bump_epoch_locked();
   return id;
 }
 
-void ThreadPool::bump_epoch() {
-  std::lock_guard lock(sleep_mutex_);
+void ThreadPool::bump_epoch_locked() {
   ++epoch_;
   if (sleepers_ != 0) cv_.notify_all();
 }
 
-std::uint64_t ThreadPool::epoch() const {
-  std::lock_guard lock(sleep_mutex_);
-  return epoch_;
-}
-
-bool ThreadPool::try_pop(std::size_t self, Task& task, const void* tag) {
-  // Lifecycle events are recorded AFTER the queue lock is released —
-  // the ring mutex is uncontended, but holding two locks for a
-  // profiling write would still lengthen the critical section.
-  //
-  // Own deque, newest first, any tag: entries here were submitted by
-  // the task this worker is currently running (its descendants), so a
-  // nested sweep's just-submitted chunks are still cache-hot and LIFO
-  // keeps the nesting stack shallow.
-  if (self != kExternal) {
-    bool popped = false;
-    {
-      WorkerQueue& q = *queues_[self];
-      std::lock_guard lock(q.mutex);
-      if (!q.tasks.empty()) {
-        task = std::move(q.tasks.back());
-        q.tasks.pop_back();
-        popped = true;
-      }
-    }
-    if (popped) {
-      if (task.id != 0) {
-        obs::record_task_event(obs::TaskEventKind::kDequeue, task.id);
-      }
-      return true;
-    }
+bool ThreadPool::try_pop(Task& task, const void* tag, std::uint64_t& seen) {
+  std::lock_guard lock(mutex_);
+  const auto it = std::find_if(queue_.begin(), queue_.end(),
+                               [tag](const Task& t) {
+                                 return tag == nullptr || t.tag == tag;
+                               });
+  if (it == queue_.end()) {
+    seen = epoch_;
+    return false;
   }
-  const auto matches = [tag](const Task& t) {
-    return tag == nullptr || t.tag == tag;
-  };
-  {
-    bool popped = false;
-    {
-      std::lock_guard lock(shared_mutex_);
-      for (auto it = shared_.begin(); it != shared_.end(); ++it) {
-        if (matches(*it)) {
-          task = std::move(*it);
-          shared_.erase(it);
-          popped = true;
-          break;
-        }
-      }
-    }
-    if (popped) {
-      if (task.id != 0) {
-        obs::record_task_event(obs::TaskEventKind::kDequeue, task.id);
-      }
-      return true;
-    }
-  }
-  // Steal oldest-first from the other workers, round-robin from the
-  // slot after our own so one victim is not hammered by everyone.
-  const std::size_t n = queues_.size();
-  const std::size_t start = self != kExternal ? self + 1 : 0;
-  for (std::size_t offset = 0; offset < n; ++offset) {
-    const std::size_t victim = (start + offset) % n;
-    if (victim == self) continue;
-    bool popped = false;
-    {
-      WorkerQueue& q = *queues_[victim];
-      std::lock_guard lock(q.mutex);
-      for (auto it = q.tasks.begin(); it != q.tasks.end(); ++it) {
-        if (matches(*it)) {
-          task = std::move(*it);
-          q.tasks.erase(it);
-          popped = true;
-          break;
-        }
-      }
-    }
-    if (popped) {
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      pool_metrics().steals.add();
-      if (task.id != 0) {
-        obs::record_task_event(obs::TaskEventKind::kSteal, task.id,
-                               victim);
-      }
-      return true;
-    }
-  }
-  return false;
+  task = std::move(*it);
+  queue_.erase(it);
+  return true;
 }
 
 void ThreadPool::run_task(Task& task) {
@@ -204,38 +106,38 @@ void ThreadPool::run_task(Task& task) {
     obs::record_task_event(obs::TaskEventKind::kEnd, task.id);
   }
   task.fn = nullptr;  // release captures before announcing completion
-  const std::size_t depth =
-      in_flight_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  pool_metrics().queue_depth.set(static_cast<std::int64_t>(depth));
-  bump_epoch();
+  std::lock_guard lock(mutex_);
+  bump_epoch_locked();
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
+bool ThreadPool::park(std::uint64_t seen, bool worker) {
+  obs::record_task_event(obs::TaskEventKind::kPark);
+  {
+    std::unique_lock lock(mutex_);
+    if (worker && stopping_) return false;  // the queue is drained
+    ++sleepers_;
+    parks_.fetch_add(1, std::memory_order_relaxed);
+    pool_metrics().parks.add();
+    // The destructor bumps the epoch too, so a parked worker wakes.
+    cv_.wait(lock, [&] { return epoch_ != seen; });
+    --sleepers_;
+    wakeups_.fetch_add(1, std::memory_order_relaxed);
+    pool_metrics().wakeups.add();
+  }
+  obs::record_task_event(obs::TaskEventKind::kUnpark);
+  return true;
+}
+
+void ThreadPool::worker_loop() {
   tl_pool = this;
-  tl_index = index;
   for (;;) {
-    // Epoch read BEFORE the scan: a task enqueued after the scan bumps
-    // the epoch past `seen`, so the wait below returns immediately
-    // instead of missing it.
-    const std::uint64_t seen = epoch();
     Task task;
-    if (try_pop(index, task, nullptr)) {
+    std::uint64_t seen = 0;
+    if (try_pop(task, nullptr, seen)) {
       run_task(task);
-      continue;
+    } else if (!park(seen, true)) {
+      return;
     }
-    obs::record_task_event(obs::TaskEventKind::kPark);
-    {
-      std::unique_lock lock(sleep_mutex_);
-      if (stopping_) return;  // every queue drained
-      ++sleepers_;
-      parks_.fetch_add(1, std::memory_order_relaxed);
-      pool_metrics().parks.add();
-      cv_.wait(lock, [&] { return epoch_ != seen || stopping_; });
-      --sleepers_;
-      wakeups_.fetch_add(1, std::memory_order_relaxed);
-      pool_metrics().wakeups.add();
-    }
-    obs::record_task_event(obs::TaskEventKind::kUnpark);
   }
 }
 
@@ -243,37 +145,29 @@ void ThreadPool::assist_until(const std::function<bool()>& done,
                               const void* tag) {
   // Only pool workers assist. A worker that parked would starve the
   // very tasks it waits on (the nested-sweep deadlock); an external
-  // thread parking is safe — the workers make progress without it —
-  // and assisting would be WRONG: it could pick up an unrelated task
-  // that blocks on an event its submitter signals only after this wait
-  // returns (e.g. a test gating a task on a promise). The tag narrows
-  // shared-queue/steal pops to the awaited batch for the same reason.
-  const std::size_t self = self_index();
-  obs::Span span("pool", self != kExternal ? "assist" : "assist.external");
+  // thread that assisted could pick up an unrelated task that blocks on
+  // an event its submitter signals only after this wait returns (e.g. a
+  // test gating a task on a promise). The tag narrows pops likewise.
+  const bool worker = tl_pool == this;
+  obs::Span span("pool", worker ? "assist" : "assist.external");
   for (;;) {
     if (done()) return;
-    const std::uint64_t seen = epoch();
     Task task;
-    if (self != kExternal && try_pop(self, task, tag)) {
-      run_task(task);
-      continue;
+    std::uint64_t seen = 0;
+    if (worker) {
+      if (try_pop(task, tag, seen)) {
+        run_task(task);
+        continue;
+      }
+    } else {
+      std::lock_guard lock(mutex_);
+      seen = epoch_;
     }
     // Nothing runnable here: every task we are waiting on is queued
     // for or executing on some other thread. Sleep until anything is
     // submitted or completes (both bump the epoch), then re-check.
     if (done()) return;
-    obs::record_task_event(obs::TaskEventKind::kPark);
-    {
-      std::unique_lock lock(sleep_mutex_);
-      ++sleepers_;
-      parks_.fetch_add(1, std::memory_order_relaxed);
-      pool_metrics().parks.add();
-      cv_.wait(lock, [&] { return epoch_ != seen; });
-      --sleepers_;
-      wakeups_.fetch_add(1, std::memory_order_relaxed);
-      pool_metrics().wakeups.add();
-    }
-    obs::record_task_event(obs::TaskEventKind::kUnpark);
+    park(seen, false);
   }
 }
 

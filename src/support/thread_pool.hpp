@@ -5,41 +5,33 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "support/check.hpp"
 
-/// Work-stealing thread pool used by the experiment sweeps (STIC
-/// enumeration, feasibility cross-checks); sweep::sweep_map is the one
-/// caller that splits work into chunks for it.
+/// Thread pool used by the experiment sweeps (STIC enumeration,
+/// feasibility cross-checks); sweep::sweep_map is the one caller that
+/// splits work into chunks for it.
 ///
-/// Topology: one deque per worker plus one shared queue for external
-/// submitters. A worker pushes its own submissions onto its own deque
-/// and pops them LIFO (nested-sweep locality); when its deque is empty
-/// it drains the shared queue, then steals FIFO from the other workers,
-/// and only sleeps when nothing anywhere is runnable.
+/// Topology: one FIFO queue, one mutex and one condition variable.
+/// Every submit appends to the queue; idle workers pop its front and
+/// only sleep when it is empty.
 ///
 /// Blocking waits issued FROM POOL WORKERS are WORK-ASSISTING
 /// (`assist_until`): instead of parking, the waiting worker pops and
-/// executes pool tasks — its own deque first, then the shared queue,
-/// then steals — until its predicate holds. A pool task may therefore
-/// submit sub-tasks and block on their completion (`TaskGroup::wait`)
-/// without deadlocking the pool: the blocked worker executes the very
-/// tasks it is waiting for. This is what lets nested sweeps (an
-/// experiment case running sweep_map inside a pool task) fan out
-/// instead of serializing. External threads park instead of helping —
-/// they may not run pool tasks, which can block on events only their
-/// submitter delivers.
+/// executes queued tasks of the batch it waits on until its predicate
+/// holds. A pool task may therefore submit sub-tasks and block on their
+/// completion (`TaskGroup::wait`) without deadlocking the pool: the
+/// blocked worker executes the very tasks it is waiting for. External
+/// threads park instead of helping — they may not run pool tasks,
+/// which can block on events only their submitter delivers.
 ///
 /// Design notes (per C++ Core Guidelines CP.*): tasks are plain
 /// std::function<void()>; the pool owns its threads (RAII, joined in the
-/// destructor); no detached threads. Wakeups go through one epoch
-/// counter + condition variable: every submit and every completion
-/// bumps the epoch, and sleepers re-scan whenever it moves, so a task
-/// enqueued between a scan and the sleep can never be missed.
+/// destructor). Every submit and every completion bumps a wake epoch,
+/// and sleepers re-scan whenever it moves, so a task enqueued between a
+/// scan and the sleep can never be missed.
 namespace rdv::support {
 
 class ThreadPool {
@@ -51,11 +43,10 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a task. Tasks must not throw; exceptions terminate.
-  /// Called from a pool worker, the task lands on that worker's own
-  /// deque; otherwise on the shared queue. `tag` (never dereferenced)
-  /// marks which batch the task belongs to, so an assisting waiter can
-  /// restrict itself to the work it actually waits on.
+  /// Enqueue a task at the back of the queue. Tasks must not throw;
+  /// exceptions terminate. `tag` (never dereferenced) marks which batch
+  /// the task belongs to, so an assisting waiter can restrict itself to
+  /// the work it actually waits on.
   ///
   /// Returns the task's lifecycle id when the task-event profiler
   /// (obs::task_events_enabled) is on — callers may label the task
@@ -65,18 +56,14 @@ class ThreadPool {
                        const void* tag = nullptr);
 
   /// Work-assisting wait: blocks until `done()` returns true. Called
-  /// from a pool worker, the worker pops and executes queued tasks
-  /// instead of parking (this is the deadlock fix: it drains the tasks
-  /// it would otherwise block on) — its own deque first (those are its
-  /// current task's descendants), then, RESTRICTED to tasks whose tag
-  /// matches `tag` (when non-null), the shared queue and steals from
-  /// the other workers. The restriction keeps an assisting worker from
-  /// nesting an unrelated heavyweight task inside the wait — unbounded
-  /// recursion over foreign work, or inheriting a task that blocks on
-  /// an event delivered only after this wait returns. Called from an
-  /// external thread it parks, waking on every submit/completion:
-  /// external threads must not execute pool tasks at all. `done` is
-  /// called with no locks held and must be thread-safe.
+  /// from a pool worker, the worker executes queued tasks whose tag
+  /// matches `tag` (any task when null) instead of parking, so it drains
+  /// the tasks it would otherwise block on. The restriction keeps it
+  /// from nesting unrelated work inside the wait: unbounded recursion,
+  /// or a task that blocks on an event delivered only after this wait
+  /// returns. Called from an external thread it parks, waking on every
+  /// submit/completion. `done` is called with no locks held and must be
+  /// thread-safe.
   void assist_until(const std::function<bool()>& done,
                     const void* tag = nullptr);
 
@@ -84,18 +71,15 @@ class ThreadPool {
     return workers_.size();
   }
 
-  /// Tasks stolen from another worker's deque (monitoring/tests;
-  /// cumulative, scheduling-dependent).
-  [[nodiscard]] std::uint64_t steal_count() const noexcept {
-    return steals_.load(std::memory_order_relaxed);
-  }
+  /// Always 0: the pool has one queue, so no task is stolen. Kept for
+  /// perfbench's `sched.steals`, which reads it.
+  [[nodiscard]] std::uint64_t steal_count() const noexcept { return 0; }
 
   /// Times any thread (worker or external waiter) went to sleep on the
-  /// epoch cv, and times a sleeper woke from it. The before/after
-  /// baseline for the planned per-worker-parking rewrite: the current
-  /// single-cv design wakes EVERY sleeper on every submit/completion,
-  /// so wakeups per useful task is exactly the thundering-herd factor
-  /// this surface is meant to expose. Cumulative, scheduling-dependent.
+  /// epoch cv, and times a sleeper woke from it. The single cv wakes
+  /// EVERY sleeper on every submit/completion, so wakeups per useful
+  /// task is the thundering-herd factor this surface exposes.
+  /// Cumulative, scheduling-dependent.
   [[nodiscard]] std::uint64_t park_count() const noexcept {
     return parks_.load(std::memory_order_relaxed);
   }
@@ -113,48 +97,28 @@ class ThreadPool {
     std::uint64_t id = 0;
   };
 
-  /// One worker's deque. Owner pushes/pops at the back, thieves (other
-  /// workers, assisting waiters) pop at the front. unique_ptr keeps the
-  /// mutex address stable in the vector.
-  struct WorkerQueue {
-    RankedMutex mutex{LockRank::kPoolQueue};
-    std::deque<Task> tasks;
-  };
-
-  static constexpr std::size_t kExternal = static_cast<std::size_t>(-1);
-
-  void worker_loop(std::size_t index);
-  /// Pops one runnable task: own deque (when `self` is a worker index,
-  /// any tag — own-deque entries are the current task's descendants),
-  /// then the shared queue, then steals round-robin from the others.
-  /// When `tag` is non-null, shared-queue and steal pops take only
-  /// tasks carrying that tag.
-  bool try_pop(std::size_t self, Task& task, const void* tag);
-  /// Runs a popped task and publishes its completion (in-flight
-  /// decrement + epoch bump) so waiters re-check their predicates.
+  void worker_loop();
+  /// Pops the oldest task matching `tag` (any when null). On failure
+  /// `seen` gets the epoch read under the scan's lock.
+  bool try_pop(Task& task, const void* tag, std::uint64_t& seen);
+  /// Runs a popped task and publishes its completion (epoch bump) so
+  /// waiters re-check their predicates.
   void run_task(Task& task);
-  /// Bumps the wake epoch and wakes sleepers; called after every
-  /// enqueue and every completion.
-  void bump_epoch();
-  [[nodiscard]] std::uint64_t epoch() const;
-  /// The calling thread's worker index in THIS pool, or kExternal.
-  [[nodiscard]] std::size_t self_index() const noexcept;
+  /// Bumps the wake epoch and wakes sleepers; mutex_ must be held.
+  void bump_epoch_locked();
+  /// Sleeps until the epoch moves past `seen`; a worker returns false
+  /// instead once the pool is stopping.
+  bool park(std::uint64_t seen, bool worker);
 
   std::vector<std::thread> workers_;
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  RankedMutex shared_mutex_{LockRank::kPoolQueue};
-  std::deque<Task> shared_;
-  /// Sleep machinery: epoch_/sleepers_/stopping_ guarded by
-  /// sleep_mutex_; cv_ wakes on every epoch move. The cv is
-  /// condition_variable_any so it waits on the rank-checked mutex
-  /// (RDV_CHECKED builds verify park/wake acquisitions like any other).
-  mutable RankedMutex sleep_mutex_{LockRank::kPoolSleep};
+  /// Guards queue_, epoch_, sleepers_ and stopping_. The cv is
+  /// condition_variable_any so it waits on the rank-checked mutex.
+  RankedMutex mutex_{LockRank::kPoolQueue};
   std::condition_variable_any cv_;
+  std::deque<Task> queue_;
   std::uint64_t epoch_ = 0;
   std::size_t sleepers_ = 0;
   bool stopping_ = false;
-  std::atomic<std::size_t> in_flight_{0};
-  std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> parks_{0};
   std::atomic<std::uint64_t> wakeups_{0};
 };

@@ -190,6 +190,36 @@ TEST(EventRing, SpansAndTaskEventsShareOneRing) {
   EXPECT_EQ(task_events_recorded_count(), 0u);
 }
 
+TEST(EventRing, FirstEventIsStampedAfterItsRingIsAllocated) {
+  clear_task_events();
+  // A large ring takes milliseconds to allocate and fill; the thread's
+  // first event must be stamped after that, not before it.
+  set_task_event_ring_capacity(std::size_t{1} << 19);
+  set_task_events_enabled(true);
+  std::uint64_t t0 = 0;
+  std::uint64_t t1 = 0;
+  std::thread([&] {
+    t0 = now_micros();
+    record_task_event(TaskEventKind::kBegin, 9100);
+    t1 = now_micros();
+  }).join();
+  set_task_events_enabled(false);
+  set_task_event_ring_capacity(81920);
+  std::vector<std::uint64_t> stamps;
+  for (const TaskEvent& e : drain_task_events()) {
+    if (e.kind == TaskEventKind::kBegin && e.task == 9100) {
+      stamps.push_back(e.t_micros);
+    }
+  }
+  clear_task_events();
+  ASSERT_EQ(stamps.size(), 1u);
+  const std::uint64_t stamp = stamps[0];
+  EXPECT_LE(stamp, t1);
+  // In the later half of [t0, t1]: the allocation lies before it.
+  EXPECT_GE(2 * stamp, t0 + t1) << "t0 " << t0 << " stamp " << stamp
+                                << " t1 " << t1;
+}
+
 TEST(Trace, NamesOfAnyLengthRoundTripThroughTheInternTable) {
   clear_task_events();
   set_task_events_enabled(true);
@@ -388,20 +418,18 @@ TEST(TaskEvents, PoolLifecyclesPairSubmitPopBeginEnd) {
   // Ids are distinct and monotone in submission order.
   for (std::size_t i = 1; i < ids.size(); ++i) EXPECT_GT(ids[i], ids[i - 1]);
   for (const std::uint64_t id : ids) {
-    std::size_t submits = 0, pops = 0, begins = 0, ends = 0;
+    std::size_t submits = 0, begins = 0, ends = 0;
     for (const TaskEvent& e : events) {
       if (e.task != id) continue;
       switch (e.kind) {
         case TaskEventKind::kSubmit: ++submits; break;
-        case TaskEventKind::kDequeue:
-        case TaskEventKind::kSteal: ++pops; break;
         case TaskEventKind::kBegin: ++begins; break;
         case TaskEventKind::kEnd: ++ends; break;
         default: break;
       }
     }
     EXPECT_EQ(submits, 1u);
-    EXPECT_EQ(pops, 1u);
+    // A task begins right after it is popped, so begins count pops.
     EXPECT_EQ(begins, 1u);
     EXPECT_EQ(ends, 1u);
   }
@@ -411,10 +439,8 @@ TEST(TaskEvents, PoolLifecyclesPairSubmitPopBeginEnd) {
     if (std::find(ids.begin(), ids.end(), t.id) == ids.end()) continue;
     ++found;
     EXPECT_TRUE(t.complete());
-    EXPECT_NE(t.dequeue_t, 0u);
-    // kSubmit lands before the enqueue, so it never trails the pop or
-    // the begin on the shared clock.
-    EXPECT_LE(t.submit_t, t.dequeue_t);
+    // kSubmit lands before the enqueue, so it never trails the begin
+    // on the shared clock.
     EXPECT_LE(t.submit_t, t.begin_t);
     EXPECT_LE(t.begin_t, t.end_t);
   }
@@ -522,7 +548,6 @@ struct SweepShape {
   std::uint64_t chunks = 0;
   std::uint64_t items = 0;
   std::size_t exec_tids = 0;
-  std::size_t stolen = 0;
 };
 
 SweepShape one_thread_sweep_shape(std::vector<int>& out) {
@@ -552,7 +577,6 @@ SweepShape one_thread_sweep_shape(std::vector<int>& out) {
     if (!t.is_chunk) continue;
     shape.task_norm_ids.push_back(t.id - min_id);
     shape.task_chunks.push_back(t.chunk);
-    if (t.stolen) ++shape.stolen;
     tids.push_back(t.exec_tid);
   }
   std::sort(tids.begin(), tids.end());
@@ -579,11 +603,10 @@ TEST(Profile, OneThreadRunsAreStructurallyDeterministic) {
   EXPECT_EQ(a.merge_chunks, b.merge_chunks);
   EXPECT_EQ(a.chunks, b.chunks);
   EXPECT_EQ(a.items, b.items);
-  // A 1-thread pool executes every chunk on its one worker — no steals,
-  // one executor tid, in both runs.
+  // A 1-thread pool executes every chunk on its one worker — one
+  // executor tid, in both runs.
   EXPECT_EQ(a.exec_tids, 1u);
   EXPECT_EQ(b.exec_tids, 1u);
-  EXPECT_EQ(a.stolen + b.stolen, 0u);
 }
 
 /// Hand-built profile with round-number timestamps, so every stage of
@@ -612,14 +635,12 @@ Profile sample_profile() {
   t0.submit_tid = 0;
   t0.exec_tid = 1;
   t0.submit_t = 1010;
-  t0.dequeue_t = 1015;
   t0.begin_t = 1020;
   t0.end_t = 1500;
   TaskProfile t1 = t0;
   t1.id = 12;
   t1.chunk = 1;
   t1.submit_t = 1012;
-  t1.dequeue_t = 1016;
   t1.begin_t = 1030;
   t1.end_t = 1400;
   profile.tasks = {t0, t1};
@@ -766,10 +787,17 @@ TEST(Profile, JsonParserIsStrict) {
   EXPECT_FALSE(parse_profile_json(good.substr(0, good.size() - 2), &out));
   EXPECT_FALSE(parse_profile_json(good + "x", &out));
   std::string bad_format = good;
-  const std::size_t at = bad_format.find("\"format\":1");
+  const std::size_t at = bad_format.find("\"format\":2");
   ASSERT_NE(at, std::string::npos);
   bad_format.replace(at, 10, "\"format\":9");
   EXPECT_FALSE(parse_profile_json(bad_format, &out));
+  // Format 1 carried per-task steal and dequeue fields.
+  bad_format.replace(at, 10, "\"format\":1");
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(parse_profile_json(bad_format, &out));
+  EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                "unsupported format 1"),
+            std::string::npos);
 }
 
 TEST(Profile, ReportTopDiffAndTraceRendersCarryTheHeadlines) {
@@ -778,7 +806,6 @@ TEST(Profile, ReportTopDiffAndTraceRendersCarryTheHeadlines) {
   EXPECT_NE(report.find("critical path (stage sum"), std::string::npos);
   EXPECT_NE(report.find("queue latency (submit -> begin, log2 us):"),
             std::string::npos);
-  EXPECT_NE(report.find("steals: 0/"), std::string::npos);
   EXPECT_NE(report.find("herd:"), std::string::npos);
 
   // Top is ranked by execution time: n=1 keeps chunk 0 (480us), cuts
