@@ -12,8 +12,8 @@ namespace {
 
 /// Read-through/write-behind shim around one artifact compute: consult
 /// the disk tier first (a validated payload short-circuits the
-/// compute), else compute and persist. Runs inside the sharded store's
-/// compute callback, i.e. outside the shard lock and at most once per
+/// compute), else compute and persist. Runs inside the memory store's
+/// compute callback, i.e. outside its lock and at most once per
 /// in-memory miss. A payload that validated but fails to decode (a
 /// foreign codec under the same salt — should not happen) degrades to
 /// recompute-and-overwrite rather than propagating.
@@ -69,11 +69,10 @@ std::string hex16(std::uint64_t v) {
 
 ArtifactCache::ArtifactCache(const CacheConfig& config)
     : config_(config),
-      view_classes_(config.shards, config.capacity_per_shard, config.enabled),
-      quotients_(config.shards, config.capacity_per_shard, config.enabled),
-      uxs_(config.shards, config.capacity_per_shard, config.enabled),
-      all_pairs_shrink_(config.shards, config.capacity_per_shard,
-                        config.enabled) {}
+      view_classes_(config.enabled),
+      quotients_(config.enabled),
+      uxs_(config.enabled),
+      all_pairs_shrink_(config.enabled) {}
 
 std::shared_ptr<const views::ViewClasses> ArtifactCache::view_classes(
     const graph::Graph& g) {
@@ -156,13 +155,6 @@ CacheStats ArtifactCache::stats() const {
   stats.uxs = uxs_.stats();
   stats.all_pairs_shrink = all_pairs_shrink_.stats();
   return stats;
-}
-
-void ArtifactCache::clear() {
-  view_classes_.clear();
-  quotients_.clear();
-  uxs_.clear();
-  all_pairs_shrink_.clear();
 }
 
 ArtifactCache& global_cache() {

@@ -1,11 +1,10 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 
 #include "cache/fingerprint.hpp"
-#include "cache/sharded_store.hpp"
+#include "cache/memo_store.hpp"
 #include "graph/graph.hpp"
 #include "store/disk_store.hpp"
 #include "uxs/uxs.hpp"
@@ -28,12 +27,6 @@
 namespace rdv::cache {
 
 struct CacheConfig {
-  /// Concurrency stripes per artifact store (>= 1).
-  std::size_t shards = 8;
-  /// LRU capacity per shard per store, in entries (>= 1); long sweeps
-  /// over streams of distinct graphs stay bounded at
-  /// shards * capacity_per_shard entries per artifact kind.
-  std::size_t capacity_per_shard = 64;
   /// When false, nothing is retained and every request recomputes —
   /// the reference configuration for determinism tests.
   bool enabled = true;
@@ -70,7 +63,8 @@ struct CacheStats {
 
 /// Thread-safe memoizing store for the four artifact kinds. Share one
 /// instance across every sweep touching the same graphs (the default
-/// entry points below use a process-global instance).
+/// entry points below use a process-global instance). Computed
+/// artifacts stay resident for the cache's lifetime.
 class ArtifactCache {
  public:
   explicit ArtifactCache(const CacheConfig& config = {});
@@ -106,10 +100,6 @@ class ArtifactCache {
   all_pairs_shrink(const graph::Graph& g, const GraphFingerprint& fp);
 
   [[nodiscard]] CacheStats stats() const;
-  void clear();
-  [[nodiscard]] const CacheConfig& config() const noexcept {
-    return config_;
-  }
   /// The persistent tier, or nullptr when memory-only.
   [[nodiscard]] store::DiskStore* disk() const noexcept {
     return config_.disk.get();
@@ -123,14 +113,13 @@ class ArtifactCache {
   [[nodiscard]] static std::string disk_key(const GraphFingerprint& fp);
 
  private:
-
   CacheConfig config_;
-  ShardedLruStore<GraphFingerprint, views::ViewClasses, FingerprintHash>
+  MemoStore<GraphFingerprint, views::ViewClasses, FingerprintHash>
       view_classes_;
-  ShardedLruStore<GraphFingerprint, views::QuotientGraph, FingerprintHash>
+  MemoStore<GraphFingerprint, views::QuotientGraph, FingerprintHash>
       quotients_;
-  ShardedLruStore<std::uint32_t, uxs::Uxs> uxs_;
-  ShardedLruStore<GraphFingerprint, views::AllPairsShrink, FingerprintHash>
+  MemoStore<std::uint32_t, uxs::Uxs> uxs_;
+  MemoStore<GraphFingerprint, views::AllPairsShrink, FingerprintHash>
       all_pairs_shrink_;
 };
 

@@ -293,7 +293,6 @@ void register_metric_sources() {
           const std::string p = std::string("cache.") + kind;
           snap.counters[p + ".hits"] = s.hits;
           snap.counters[p + ".misses"] = s.misses;
-          snap.counters[p + ".evictions"] = s.evictions;
           snap.gauges[p + ".entries"] = static_cast<std::int64_t>(s.entries);
           snap.gauges[p + ".bytes"] = static_cast<std::int64_t>(s.bytes);
         };

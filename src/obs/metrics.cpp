@@ -83,7 +83,7 @@ void Registry::register_source(std::string name, SnapshotSource source) {
 MetricsSnapshot Registry::snapshot() const {
   MetricsSnapshot out;
   // Sources are copied under the mutex but INVOKED outside it: they
-  // read subsystem stats behind subsystem locks (cache shards, pool
+  // read subsystem stats behind subsystem locks (cache stores, pool
   // sleep mutex), all of which rank BELOW the registry mutex — calling
   // them with the registry locked was the lock-order inversion the
   // RDV_CHECKED rank checker flagged when it first ran.

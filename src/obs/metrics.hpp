@@ -36,7 +36,7 @@
 /// resolve per event on a hot path.
 ///
 /// Subsystems that already keep their own counters (the artifact
-/// cache's per-shard tallies, the disk store's atomics, the process
+/// cache's per-kind tallies, the disk store's atomics, the process
 /// counters in views/uxs) are bridged via register_source: a source
 /// callback contributes series to every snapshot, reading the
 /// subsystem's existing accessors, so those structs stay the single
@@ -176,7 +176,7 @@ struct MetricsSnapshot {
 
 /// Snapshot contributor for subsystems with their own counters. Called
 /// OUTSIDE the registry mutex (the registry mutex ranks above the
-/// subsystem locks a source takes — cache shards, pool sleep — so
+/// subsystem locks a source takes — cache stores, pool sleep — so
 /// holding it across the callback would invert the lock order the
 /// RDV_CHECKED rank checker enforces); concurrent snapshots may invoke
 /// a source concurrently, so sources must only read thread-safe

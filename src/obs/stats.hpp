@@ -2,13 +2,12 @@
 
 #include <cstdint>
 
-/// Shared snapshot vocabulary for the tiered lookup structures
-/// (ISSUE 7 satellite): `cache::StoreStats` (the in-memory sharded LRU)
-/// and `store::DiskStats` (the persistent tier) used to copy-paste the
-/// same hits/misses/bytes fields; both now extend this one struct, and
-/// anything that aggregates tier efficiency (the metrics registry
-/// bridges, `rdv_metrics dump`) speaks TierStats regardless of which
-/// tier produced the numbers.
+/// Shared snapshot vocabulary for the tiered lookup structures:
+/// `cache::StoreStats` (the in-memory compute-once store) and
+/// `store::DiskStats` (the persistent tier) both extend this one
+/// struct, so anything that aggregates tier counters (the metrics
+/// registry bridges, `rdv_metrics dump`) speaks TierStats regardless of
+/// which tier produced the numbers.
 namespace rdv::obs {
 
 /// Hit/miss/byte counters of one lookup tier. `bytes` is the tier's
@@ -18,16 +17,6 @@ struct TierStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t bytes = 0;
-
-  [[nodiscard]] std::uint64_t lookups() const noexcept {
-    return hits + misses;
-  }
-  /// Hit fraction in [0, 1]; 0 when the tier was never consulted.
-  [[nodiscard]] double hit_rate() const noexcept {
-    const std::uint64_t total = lookups();
-    return total == 0 ? 0.0
-                      : static_cast<double>(hits) / static_cast<double>(total);
-  }
 
   TierStats& operator+=(const TierStats& other) noexcept {
     hits += other.hits;

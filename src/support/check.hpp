@@ -28,7 +28,7 @@
 ///      pool queue < cache shard < obs registry < obs ring
 ///
 ///    i.e. code may call "down" the stack (a pool task locking a cache
-///    shard, a shard compute appending to the result log, anything
+///    store, an artifact compute appending to the result log, anything
 ///    recording into an obs ring) but never back "up" while still
 ///    holding the lower layer's lock. obs ranks are HIGHEST because
 ///    obs mutexes are leaves: instrumentation may be called from under
@@ -52,7 +52,7 @@ inline constexpr bool kCheckedBuild = false;
 /// ascending ranks. Gaps leave room for future layers (rdv_serve).
 enum class LockRank : std::uint32_t {
   kPoolQueue = 10,    ///< ThreadPool queue, wake epoch and park cv.
-  kCacheShard = 30,   ///< ShardedLruStore per-shard mutexes.
+  kCacheShard = 30,   ///< cache::MemoStore mutexes, one per artifact kind.
   kObsRegistry = 50,  ///< obs metrics Registry name/source maps.
   kObsRing = 60,      ///< obs span/task-event rings + ring directories.
 };

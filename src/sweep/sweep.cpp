@@ -17,8 +17,7 @@ analysis::SweepSummary feasibility_sweep(const graph::Graph& g,
                                          const SweepConfig& sweep_config) {
   // Resolved once per graph through the sweep's artifact cache:
   // repeated sweeps over the same graph (and concurrent sweeps on other
-  // threads) share one partition refinement and one Shrink table. The
-  // shared_ptrs keep the artifacts alive past eviction.
+  // threads) share one partition refinement and one Shrink table.
   cache::ArtifactCache& cache = detail::effective_cache(sweep_config);
   const cache::GraphFingerprint fp = cache::fingerprint(g);
   const std::shared_ptr<const views::ViewClasses> classes =

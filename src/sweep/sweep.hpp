@@ -136,8 +136,8 @@ std::vector<R> sweep_map(std::size_t n,
   }
   for (std::size_t front = 0; front < chunks; ++front) {
     // Tagged with the group: an assisting worker runs only this
-    // sweep's chunks (plus its own deque's descendants), never an
-    // unrelated task that could block or nest arbitrarily deep.
+    // sweep's chunks, never an unrelated task that could block or nest
+    // arbitrarily deep.
     pool.assist_until(
         [&chunk_done, front] {
           return chunk_done[front].load(std::memory_order_acquire);

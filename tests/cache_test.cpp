@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <latch>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,6 +15,7 @@
 #include "analysis/stics.hpp"
 #include "cache/artifact_cache.hpp"
 #include "cache/fingerprint.hpp"
+#include "cache/memo_store.hpp"
 #include "graph/families/families.hpp"
 #include "graph/serialize.hpp"
 #include "support/table.hpp"
@@ -145,31 +150,65 @@ TEST(ArtifactCache, ConcurrentHammerComputesOncePerGraph) {
             kThreads * kRoundsPerThread * graphs.size());
 }
 
-TEST(ArtifactCache, EvictionUnderCapacityBound) {
-  CacheConfig config;
-  config.shards = 1;  // deterministic eviction order
-  config.capacity_per_shard = 2;
-  ArtifactCache cache(config);
-  const graph::Graph g1 = families::oriented_ring(5);
-  const graph::Graph g2 = families::path_graph(5);
-  const graph::Graph g3 = families::complete(5);
+TEST(MemoStore, ThrowingComputeReachesCallerAndWaiterAndCachesNothing) {
+  MemoStore<int, int> store;
+  const auto size_of = [](int) { return std::uint64_t{4}; };
+  std::latch computing(1);
+  std::latch release(1);
+  std::atomic<int> waiter_computes{0};
+  std::atomic<bool> caller_threw{false};
+  std::atomic<bool> waiter_threw{false};
 
-  const auto v1 = cache.view_classes(g1);
-  (void)cache.view_classes(g2);
-  (void)cache.view_classes(g3);  // evicts the LRU entry (g1)
-  CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.view_classes.evictions, 1u);
-  EXPECT_EQ(stats.view_classes.entries, 2u);
+  std::thread caller([&] {
+    try {
+      (void)store.get_or_compute(
+          7,
+          [&]() -> int {
+            computing.count_down();
+            release.wait();
+            throw std::runtime_error("compute failed");
+          },
+          size_of);
+    } catch (const std::runtime_error&) {
+      caller_threw = true;
+    }
+  });
+  computing.wait();
+  std::thread waiter([&] {
+    try {
+      (void)store.get_or_compute(
+          7, [&] { return ++waiter_computes; }, size_of);
+    } catch (const std::runtime_error&) {
+      waiter_threw = true;
+    }
+  });
+  // The waiter counts its hit under the lock before it waits on the
+  // in-flight future; only then does the compute fail.
+  while (store.stats().hits == 0) std::this_thread::yield();
+  EXPECT_EQ(store.stats().entries, 0u);
+  release.count_down();
+  caller.join();
+  waiter.join();
 
-  // The evicted value stays alive through the caller's shared_ptr and a
-  // re-request recomputes an identical artifact.
-  const auto v1_again = cache.view_classes(g1);
-  EXPECT_NE(v1.get(), v1_again.get());
-  EXPECT_EQ(v1->class_of, v1_again->class_of);
-  stats = cache.stats();
-  EXPECT_EQ(stats.view_classes.misses, 4u);
-  EXPECT_EQ(stats.view_classes.hits, 0u);
-  EXPECT_LE(stats.view_classes.entries, 2u);
+  EXPECT_TRUE(caller_threw);
+  EXPECT_TRUE(waiter_threw);
+  EXPECT_EQ(waiter_computes, 0);
+  StoreStats stats = store.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+
+  // Nothing was cached: the next request computes again and succeeds.
+  const auto value = store.get_or_compute(7, [] { return 42; }, size_of);
+  EXPECT_EQ(*value, 42);
+  EXPECT_EQ(store.get_or_compute(7, [] { return 0; }, size_of).get(),
+            value.get());
+  stats = store.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.bytes, 4u);
 }
 
 TEST(ArtifactCache, AllPairsShrinkComputedOncePerGraphAndMatchesOracle) {
@@ -215,26 +254,6 @@ TEST(ArtifactCache, DiskKeysNeverTruncateOrCollideOnWideKeys) {
   EXPECT_NE(ArtifactCache::disk_key(other_fp), fp_key);
 }
 
-TEST(ArtifactCache, LruKeepsRecentlyUsedEntries) {
-  CacheConfig config;
-  config.shards = 1;
-  config.capacity_per_shard = 2;
-  ArtifactCache cache(config);
-  const graph::Graph g1 = families::oriented_ring(5);
-  const graph::Graph g2 = families::path_graph(5);
-  const graph::Graph g3 = families::complete(5);
-
-  (void)cache.view_classes(g1);
-  (void)cache.view_classes(g2);
-  (void)cache.view_classes(g1);  // refresh g1: g2 becomes the victim
-  (void)cache.view_classes(g3);
-  (void)cache.view_classes(g1);  // still resident -> hit
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.view_classes.hits, 2u);
-  EXPECT_EQ(stats.view_classes.misses, 3u);
-  EXPECT_EQ(stats.view_classes.evictions, 1u);
-}
-
 TEST(ArtifactCache, DisabledCacheRecomputesButAgrees) {
   CacheConfig config;
   config.enabled = false;
@@ -249,19 +268,6 @@ TEST(ArtifactCache, DisabledCacheRecomputesButAgrees) {
   EXPECT_EQ(stats.view_classes.hits, 0u);
   EXPECT_EQ(stats.view_classes.entries, 0u);
   EXPECT_EQ(stats.view_classes.bytes, 0u);
-}
-
-TEST(ArtifactCache, ClearDropsEntriesKeepsCounters) {
-  ArtifactCache cache;
-  const graph::Graph g = families::oriented_ring(6);
-  (void)cache.view_classes(g);
-  cache.clear();
-  CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.view_classes.entries, 0u);
-  EXPECT_EQ(stats.view_classes.bytes, 0u);
-  EXPECT_EQ(stats.view_classes.misses, 1u);
-  (void)cache.view_classes(g);
-  EXPECT_EQ(cache.stats().view_classes.misses, 2u);
 }
 
 TEST(CachedEntryPoints, NullCacheUsesGlobal) {
@@ -318,13 +324,10 @@ TEST(SweepDeterminism, ByteIdenticalWithCacheOnOffAndAcrossThreads) {
 
   CacheConfig off;
   off.enabled = false;
-  CacheConfig tiny;  // force evictions mid-sweep
-  tiny.shards = 1;
-  tiny.capacity_per_shard = 1;
 
   std::vector<std::string> outputs;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const CacheConfig& config : {CacheConfig{}, off, tiny}) {
+    for (const CacheConfig& config : {CacheConfig{}, off}) {
       ArtifactCache cache(config);
       support::ThreadPool pool(threads);
       outputs.push_back(render(cache, pool));

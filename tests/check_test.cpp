@@ -94,7 +94,7 @@ TEST(LockRank, ReacquisitionAfterReleaseIsLegal) {
     std::lock_guard lock(shard);
   }
   // Same rank on DIFFERENT mutexes is fine sequentially too (the cache
-  // stats loop locks every shard one after another).
+  // stats snapshot locks each kind's store one after another).
   RankedMutex other(LockRank::kCacheShard);
   {
     std::lock_guard lock(other);
@@ -144,7 +144,7 @@ TEST(LockRankDeathTest, InvertedAcquisitionOrderAborts) {
 
 TEST(LockRankDeathTest, SameRankNestingAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // Two locks of one rank class may never nest (two cache shards held
+  // Two locks of one rank class may never nest (two cache stores held
   // together would deadlock against the opposite interleaving).
   EXPECT_DEATH(
       {

@@ -391,8 +391,6 @@ TEST(DiskStore, SaveLoadRoundTripWithStats) {
   EXPECT_EQ(stats.corrupt, 0u);
   EXPECT_GT(stats.bytes_written, payload.size());  // header overhead
   EXPECT_GT(stats.bytes, 0u);  // bytes served (the shared TierStats axis)
-  EXPECT_EQ(stats.lookups(), 2u);
-  EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
   // Kinds are separate namespaces (and separate subdirectories).
   EXPECT_FALSE(store.load(Kind::kShrinkAllPairs, "n6").has_value());
   EXPECT_TRUE(

@@ -100,9 +100,7 @@ TEST(CorpusUxs, CachedIsStable) {
   // repeated requests share one artifact.
   const auto a = cache::cached_uxs(6);
   const auto b = cache::cached_uxs(6);
-  if (cache::global_cache().config().enabled) {
-    EXPECT_EQ(a.get(), b.get());
-  }
+  EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(a->provenance(), corpus_verified_uxs(6).provenance());
 }
 
