@@ -38,8 +38,7 @@
 // alone and merges the paths; "gen ns/move" is the engine's own
 // sim.generate_ns over the moves it generated (sim.moves), and "merge
 // ns/round" its sim.merge_ns over the rounds the cell's runs merged.
-// Informational: no gate, only the sim_ns_per_move_* and
-// sim_resumes_per_move_* trend fields.
+// Informational: no gate.
 //
 // M8 — store layer cost per artifact: encode, save (header and payload
 // to a temp file, fsync, rename), load (exact-size read, header and
@@ -49,17 +48,15 @@
 // the bytes of the decoded arrays (n*n*4 for the Shrink table, whose
 // payload stores narrowed cells): compare milliseconds across format
 // changes, since MB/s of a smaller payload reads as a slowdown. Each
-// round trip is checked byte for byte. Informational: no gate, only the
-// JSON "store" rows.
+// round trip is checked byte for byte. Informational: no gate.
 //
 // `micro_sweep --smoke` runs every section at tiny sizes with one
 // repetition and a single M6 triple with no overhead gate (the dropped-
 // event and critical-path checks still apply): a fast check that every
 // section still builds, runs and cross-checks, not a measurement.
 //
-// Emits one BENCH_sweep.json datapoint (into REPRO_CSV_DIR when set,
-// else the working directory) covering all comparisons for trend
-// tracking.
+// Every section prints its table to stdout and, when REPRO_CSV_DIR is
+// set, also writes it as <dir>/<id>.csv.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -67,7 +64,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -89,7 +85,6 @@
 #include "sim/engine.hpp"
 #include "store/codec.hpp"
 #include "store/disk_store.hpp"
-#include "support/bench_json.hpp"
 #include "support/env.hpp"
 #include "support/saturating.hpp"
 #include "support/table.hpp"
@@ -129,7 +124,6 @@ void emit_table(const std::string& id, const std::string& heading,
 /// One M7 topology: the STICs simulated on it and the size n the
 /// algorithms are told.
 struct SimArena {
-  const char* key;
   const rdv::graph::ITopology* topo;
   std::uint32_t n;
   std::vector<rdv::analysis::Stic> stics;
@@ -223,18 +217,10 @@ int main(int argc, char** argv) {
   // past the core count: oversubscription must degrade gracefully, not
   // collapse), plus a nested variant — an outer sweep whose kernel
   // runs an inner sweep on the SAME pool, the t2 shape that the
-  // work-assisting wait unlocked. One JSON datapoint per thread count,
-  // carrying the scheduler counters (parks, wakeups) the pool
-  // accumulated across both sweeps — the park/wakeup ratio is how a
-  // trend reader spots thundering-herd regressions at high counts.
-  struct ScalePoint {
-    std::size_t threads;
-    double flat_ms;
-    double nested_ms;
-    std::uint64_t parks;
-    std::uint64_t wakeups;
-  };
-  std::vector<ScalePoint> scaling;
+  // work-assisting wait unlocked. One row per thread count, carrying
+  // the scheduler counters (parks, wakeups) the pool accumulated across
+  // both sweeps — the park/wakeup ratio is how a trend reader spots
+  // thundering-herd regressions at high counts.
   rdv::support::Table scale_table({"threads", "flat best ms",
                                    "flat STICs/s", "nested best ms",
                                    "parks", "wakeups"});
@@ -273,8 +259,6 @@ int main(int argc, char** argv) {
       (void)rdv::sweep::sweep_map<std::uint64_t>(outer_cases, outer_case,
                                                  outer_config);
     });
-    scaling.push_back(ScalePoint{threads, flat_ms, nested_ms,
-                                 pool.park_count(), pool.wakeup_count()});
     scale_table.add_row({std::to_string(threads),
                          rdv::support::format_double(flat_ms, 3),
                          rate(flat_ms, stics.size()),
@@ -451,6 +435,12 @@ int main(int argc, char** argv) {
   // counters for one call: whether it took the pair-orbit path, BFS
   // distance rows run (0 when level 0 closes every pair) and closure
   // layers that pulled, so a before/after names the layer that moved.
+  rdv::obs::Counter& shrink_transitive_tables =
+      rdv::obs::counter("views.shrink_transitive_tables");
+  rdv::obs::Counter& shrink_distance_rows =
+      rdv::obs::counter("views.shrink_distance_rows");
+  rdv::obs::Counter& shrink_pull_layers =
+      rdv::obs::counter("views.shrink_pull_layers");
   rdv::support::Table shrink_families({"graph", "n", "best ms", "ns/pair",
                                        "orbit path", "distance rows",
                                        "pull layers"});
@@ -466,15 +456,13 @@ int main(int argc, char** argv) {
     std::uint64_t rows = 0;
     std::uint64_t pulls = 0;
     const double ms = best_of_ms(best_of, [&] {
-      const std::uint64_t orbit_before =
-          rdv::views::shrink_transitive_table_count();
-      const std::uint64_t rows_before =
-          rdv::views::shrink_distance_row_count();
-      const std::uint64_t pulls_before = rdv::views::shrink_pull_layer_count();
+      const std::uint64_t orbit_before = shrink_transitive_tables.value();
+      const std::uint64_t rows_before = shrink_distance_rows.value();
+      const std::uint64_t pulls_before = shrink_pull_layers.value();
       (void)rdv::views::shrink_all_pairs(g);
-      orbit = rdv::views::shrink_transitive_table_count() - orbit_before;
-      rows = rdv::views::shrink_distance_row_count() - rows_before;
-      pulls = rdv::views::shrink_pull_layer_count() - pulls_before;
+      orbit = shrink_transitive_tables.value() - orbit_before;
+      rows = shrink_distance_rows.value() - rows_before;
+      pulls = shrink_pull_layers.value() - pulls_before;
     });
     const std::uint64_t n = g.size();
     shrink_families.add_row(
@@ -499,20 +487,9 @@ int main(int argc, char** argv) {
   // "path" rows are the naive engine's worst case — refinement peels
   // one distance-to-end layer per round, Theta(n) rounds, the O(n^2 m)
   // bound realized — where the worklist's O(m log n) shows up as the
-  // acceptance-bar speedup (refine_speedup_1024 below is the path row).
+  // acceptance-bar speedup (the path row at n = 1024).
   // The naive side is timed once (it is the engine being retired); the
   // worklist side gets the usual best-of repeats.
-  struct RefinePoint {
-    const char* family;
-    std::uint32_t n;
-    std::uint64_t edges;
-    std::uint32_t classes;
-    double naive_ms;
-    double worklist_ms;
-    double speedup;
-  };
-  std::vector<RefinePoint> refine_points;
-  double refine_speedup_1024 = 0;
   rdv::support::Table refine_cmp({"family", "n", "edges", "classes",
                                   "naive ms", "worklist ms", "speedup"});
   for (const char* family : {"random", "path"}) {
@@ -541,10 +518,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       const double speedup = worklist_ms > 0 ? naive_ms / worklist_ms : 0;
-      if (is_path && rn == 1024) refine_speedup_1024 = speedup;
-      refine_points.push_back(RefinePoint{family, rn, rg.edge_count(),
-                                          worklist.class_count, naive_ms,
-                                          worklist_ms, speedup});
       refine_cmp.add_row({family, std::to_string(rn),
                           std::to_string(rg.edge_count()),
                           std::to_string(worklist.class_count),
@@ -684,12 +657,12 @@ int main(int argc, char** argv) {
   const auto sim_tree = families::symmetric_double_tree(1, 1);
   const families::QhatImplicitTopology sim_qhat(2);
   std::vector<SimArena> arenas;
-  arenas.push_back({"ring", &sim_ring, sim_ring.size(),
+  arenas.push_back({&sim_ring, sim_ring.size(),
                     rdv::analysis::enumerate_stics(sim_ring, 1)});
-  arenas.push_back({"tree", &sim_tree, sim_tree.size(),
+  arenas.push_back({&sim_tree, sim_tree.size(),
                     rdv::analysis::enumerate_stics(sim_tree, 1)});
   {
-    SimArena qhat{"qhat", &sim_qhat,
+    SimArena qhat{&sim_qhat,
                   static_cast<std::uint32_t>(families::qhat_size(2)), {}};
     for (const rdv::graph::Node v :
          families::qhat_z_set(sim_qhat, sim_qhat.root(), 1)) {
@@ -699,10 +672,6 @@ int main(int argc, char** argv) {
     }
     arenas.push_back(std::move(qhat));
   }
-  // (algorithm_topology, ns/move) and (algorithm_topology,
-  // resumes/move) for the JSON trend fields.
-  std::vector<std::pair<std::string, double>> sim_ns_per_move;
-  std::vector<std::pair<std::string, double>> sim_resumes_per_move;
   rdv::obs::Counter& sim_resumes = rdv::obs::counter("sim.resumes");
   // Resumes per move over `repeats` repetitions of a cell's moves.
   const auto resumes_per_move = [&](std::uint64_t before,
@@ -782,8 +751,6 @@ int main(int argc, char** argv) {
       const double ns_per_move =
           moves > 0 ? ms * 1e6 / static_cast<double>(moves) : 0;
       const double resumes = resumes_per_move(resumes_before, moves);
-      sim_ns_per_move.emplace_back(algorithm + "_" + arena.key, ns_per_move);
-      sim_resumes_per_move.emplace_back(algorithm + "_" + arena.key, resumes);
       std::vector<std::string> row{algorithm, arena.topo->name(),
                                    std::to_string(arena.stics.size()),
                                    std::to_string(moves), std::to_string(rounds),
@@ -831,8 +798,6 @@ int main(int argc, char** argv) {
     const double ns_per_move =
         moves > 0 ? ms * 1e6 / static_cast<double>(moves) : 0;
     const double resumes = resumes_per_move(resumes_before, moves);
-    sim_ns_per_move.emplace_back("z_qhat24", ns_per_move);
-    sim_resumes_per_move.emplace_back("z_qhat24", resumes);
     std::vector<std::string> row{"dedicated_z(6)", name, std::to_string(runs),
                                  std::to_string(moves), std::to_string(rounds),
                                  rdv::support::format_double(ms, 3),
@@ -949,87 +914,5 @@ int main(int argc, char** argv) {
           "; ms per step, MB/s of payload)",
       store_table);
 
-  // Through support/env like every other binary (the invariant
-  // linter's first catch was a naked getenv here).
-  const std::string dir = rdv::support::repro_csv_dir();
-  const std::string json_path =
-      (dir.empty() ? std::string() : dir + "/") + "BENCH_sweep.json";
-  std::ostringstream json;
-  json << "{\"bench\":\"micro_sweep\",\"graph\":\"" << g.name()
-       << "\",\"items\":" << stics.size()
-       << ",\"chunk_size\":" << pool_config.chunk_size
-       << ",\"seq_ms\":" << seq_ms << ",\"pool_ms\":" << pool_ms
-       << ",\"pool_threads\":" << pool_threads << ",\"speedup\":"
-       << (pool_ms > 0 ? seq_ms / pool_ms : 0)
-       << ",\"cache_items\":" << cases.size()
-       << ",\"cache_graphs\":" << cache_graphs.size()
-       << ",\"uncached_ms\":" << uncached_ms
-       << ",\"cached_ms\":" << cached_ms << ",\"cache_speedup\":"
-       << (cached_ms > 0 ? uncached_ms / cached_ms : 0)
-       << ",\"cache_hits\":" << cache_stats.total_hits()
-       << ",\"cache_misses\":" << cache_stats.total_misses()
-       << ",\"cache_bytes\":" << cache_stats.total_bytes()
-       << ",\"shrink_n\":" << sn
-       << ",\"shrink_pairs\":" << shrink_pairs
-       << ",\"per_pair_ms\":" << per_pair_ms
-       << ",\"batched_ms\":" << batched_ms
-       << ",\"batched_speedup\":" << batched_speedup
-       << ",\"refine_speedup_1024\":" << refine_speedup_1024
-       << ",\"profile_off_ms\":" << profile_off_ms
-       << ",\"profile_on_ms\":" << profile_on_ms
-       << ",\"profile_overhead_pct\":" << profile_overhead_pct
-       << ",\"profile_band_pct\":" << profile_band_pct
-       << ",\"profile_events\":" << profile.events
-       << ",\"profile_dropped\":" << profile.dropped;
-  for (const auto& [key, ns] : sim_ns_per_move) {
-    json << ",\"sim_ns_per_move_" << key << "\":" << ns;
-  }
-  for (const auto& [key, resumes] : sim_resumes_per_move) {
-    json << ",\"sim_resumes_per_move_" << key << "\":" << resumes;
-  }
-  json << ",\"refine\":[";
-  for (std::size_t i = 0; i < refine_points.size(); ++i) {
-    if (i != 0) json << ",";
-    json << "{\"family\":\"" << refine_points[i].family
-         << "\",\"n\":" << refine_points[i].n
-         << ",\"edges\":" << refine_points[i].edges
-         << ",\"classes\":" << refine_points[i].classes
-         << ",\"naive_ms\":" << refine_points[i].naive_ms
-         << ",\"worklist_ms\":" << refine_points[i].worklist_ms
-         << ",\"speedup\":" << refine_points[i].speedup << "}";
-  }
-  json << "],\"store\":[";
-  for (std::size_t i = 0; i < store_points.size(); ++i) {
-    const StorePoint& p = store_points[i];
-    if (i != 0) json << ",";
-    json << "{\"artifact\":\"" << p.artifact << "\",\"n\":" << family_n
-         << ",\"bytes\":" << p.bytes
-         << ",\"table_bytes\":" << p.table_bytes
-         << ",\"encode_ms\":" << p.encode_ms
-         << ",\"save_ms\":" << p.save_ms << ",\"load_ms\":" << p.load_ms
-         << ",\"decode_ms\":" << p.decode_ms
-         << ",\"encode_mb_s\":" << mb_per_s(p.bytes, p.encode_ms)
-         << ",\"save_mb_s\":" << mb_per_s(p.bytes, p.save_ms)
-         << ",\"load_mb_s\":" << mb_per_s(p.bytes, p.load_ms)
-         << ",\"decode_mb_s\":" << mb_per_s(p.bytes, p.decode_ms) << "}";
-  }
-  json << "],\"scaling\":[";
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    if (i != 0) json << ",";
-    json << "{\"threads\":" << scaling[i].threads
-         << ",\"flat_ms\":" << scaling[i].flat_ms
-         << ",\"nested_ms\":" << scaling[i].nested_ms
-         << ",\"parks\":" << scaling[i].parks
-         << ",\"wakeups\":" << scaling[i].wakeups << "}";
-  }
-  json << "]}";
-  // JSON-lines update: other benches' datapoints (rdv_bench's
-  // per-experiment timings) sharing this file are preserved.
-  if (!rdv::support::update_bench_json(json_path, "micro_sweep",
-                                       json.str())) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", json_path.c_str());
   return 0;
 }

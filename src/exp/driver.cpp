@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,13 +14,8 @@
 #include "obs/profile.hpp"
 #include "obs/task_events.hpp"
 #include "store/result_log.hpp"
-#include "support/bench_json.hpp"
 #include "support/env.hpp"
 #include "support/thread_pool.hpp"
-#include "uxs/corpus.hpp"
-#include "views/refinement.hpp"
-#include "views/refinement_worklist.hpp"
-#include "views/shrink.hpp"
 
 namespace rdv::exp {
 namespace {
@@ -40,7 +34,7 @@ options:
   --full           full scale (default comes from REPRO_FULL)
   --census         census scale (full + big random-graph STIC censuses;
                    default comes from REPRO_CENSUS)
-  --threads N      run on a dedicated pool of N threads
+  --threads N      run on a dedicated pool of N threads (1..1024)
   --csv-dir DIR    write <dir>/<id>.csv   (default: REPRO_CSV_DIR)
   --json-dir DIR   write <dir>/<id>.json  (default: REPRO_JSON_DIR)
   --json           also print each table as JSON to stdout
@@ -66,10 +60,8 @@ options:
 
 Value-taking options accept both `--opt VALUE` and `--opt=VALUE`.
 
-After a run, per-experiment wall-clock timings are folded into
-BENCH_sweep.json in the CSV dir (or the working directory) and store /
-UXS-verification statistics are printed to stderr. Metrics and traces
-are sidecar-only: stdout bytes are identical with and without them.
+Metrics and traces are sidecar-only: stdout bytes are identical with
+and without them.
 )";
 
 struct Args {
@@ -91,11 +83,17 @@ struct Args {
   std::vector<std::string> selectors;
 };
 
-bool parse_size(std::string_view text, std::size_t& out) {
+/// Largest --threads count: a pool reserves its workers up front.
+constexpr std::size_t kMaxThreads = 1024;
+
+/// A thread count in 1..kMaxThreads. strtoull alone would accept a
+/// sign ("-1" wraps to 2^64-1), so the text must start with a digit.
+bool parse_threads(std::string_view text, std::size_t& out) {
   const std::string copy(text);
+  if (copy.empty() || copy[0] < '0' || copy[0] > '9') return false;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(copy.c_str(), &end, 10);
-  if (end == copy.c_str() || *end != '\0' || v == 0) return false;
+  if (*end != '\0' || v == 0 || v > kMaxThreads) return false;
   out = static_cast<std::size_t>(v);
   return true;
 }
@@ -158,8 +156,9 @@ int parse_args(int argc, const char* const* argv, Args& args) {
       args.check = true;
     } else if (arg == "--threads") {
       std::string_view v;
-      if (!value(v) || !parse_size(v, args.threads)) {
-        std::fputs("rdv_bench: --threads needs a positive count\n", stderr);
+      if (!value(v) || !parse_threads(v, args.threads)) {
+        std::fputs("rdv_bench: --threads needs a count in 1..1024\n",
+                   stderr);
         return 2;
       }
     } else if (arg == "--csv-dir" || arg == "--json-dir" ||
@@ -242,42 +241,6 @@ void print_list(const std::vector<const Experiment*>& selected) {
               table.to_markdown().c_str());
 }
 
-/// One BENCH_sweep.json datapoint per executed experiment — the
-/// per-scenario trend-tracking companion to micro_sweep's substrate
-/// datapoint (the "bench" field tells the two apart).
-struct Timing {
-  std::string id;
-  std::uint64_t wall_micros = 0;
-  std::size_t cases = 0;
-  std::size_t rows = 0;
-};
-
-void write_bench_json(const std::string& csv_dir, Scale scale,
-                      std::size_t threads,
-                      const std::vector<Timing>& timings) {
-  const std::string path =
-      (csv_dir.empty() ? std::string() : csv_dir + "/") + "BENCH_sweep.json";
-  std::ostringstream json;
-  json << "{\"bench\":\"rdv_bench\",\"scale\":\"" << scale_name(scale)
-       << "\",\"threads\":" << threads << ",\"experiments\":[";
-  for (std::size_t i = 0; i < timings.size(); ++i) {
-    const Timing& t = timings[i];
-    if (i != 0) json << ",";
-    json << "{\"id\":\"" << t.id << "\",\"wall_ms\":"
-         << static_cast<double>(t.wall_micros) / 1000.0
-         << ",\"cases\":" << t.cases << ",\"rows\":" << t.rows << "}";
-  }
-  json << "]}";
-  // JSON-lines update: replaces only the rdv_bench line, preserving
-  // e.g. micro_sweep's substrate datapoint in a shared CSV dir.
-  if (!support::update_bench_json(path, "rdv_bench", json.str())) {
-    std::fprintf(stderr, "rdv_bench: warning: cannot write %s\n",
-                 path.c_str());
-    return;
-  }
-  std::fprintf(stderr, "rdv_bench: timings folded into %s\n", path.c_str());
-}
-
 /// Bridges subsystem-owned statistics into metrics snapshots. The
 /// subsystems keep their counters (per-instance, directly testable);
 /// the registry reads them through these sources at snapshot time, so
@@ -333,94 +296,6 @@ void register_metric_sources() {
         snap.counters["obs.events_recorded"] =
             obs::task_events_recorded_count();
       });
-  obs::Registry::instance().register_source(
-      "exp.process", [](obs::MetricsSnapshot& snap) {
-        // The CI invariant assertions read these: zero pair-BFS on the
-        // batched census path, zero verifications on a warm store.
-        snap.counters["uxs.corpus_verifications"] =
-            uxs::corpus_verification_count();
-        snap.counters["views.shrink_pair_bfs"] =
-            views::shrink_pair_bfs_count();
-        snap.counters["views.shrink_all_pairs_computes"] =
-            views::shrink_all_pairs_compute_count();
-        // Why a census got cheaper: distance rows are skipped wherever
-        // level 0 already closed a source's row, and a table filled on
-        // the pair-orbit path runs neither rows nor pull layers.
-        snap.counters["views.shrink_distance_rows"] =
-            views::shrink_distance_row_count();
-        snap.counters["views.shrink_pull_layers"] =
-            views::shrink_pull_layer_count();
-        snap.counters["views.shrink_transitive_tables"] =
-            views::shrink_transitive_table_count();
-        // Worklist refinement effort (ISSUE 8). refine_naive counts
-        // oracle runs — CI asserts it stays zero on the census path
-        // (production refinement never falls back to O(n^2 m)).
-        snap.counters["views.refine_worklist_computes"] =
-            views::refine_worklist_compute_count();
-        snap.counters["views.refine_splits"] = views::refine_split_count();
-        snap.counters["views.refine_worklist_pops"] =
-            views::refine_worklist_pop_count();
-        snap.counters["views.refine_naive"] = views::refine_naive_count();
-      });
-}
-
-/// Store / UXS statistics on stderr (never stdout: warm and cold runs
-/// must stay byte-identical there). The warm-run CI job greps
-/// uxs_corpus_verifications=0 on the second invocation.
-void print_run_stats() {
-  std::fprintf(stderr, "rdv_bench: uxs_corpus_verifications=%llu\n",
-               static_cast<unsigned long long>(
-                   uxs::corpus_verification_count()));
-  // The census acceptance greps these: the batched path must leave
-  // shrink_pair_bfs at zero, and a warm store leaves the compute count
-  // at zero too.
-  std::fprintf(stderr,
-               "rdv_bench: shrink_pair_bfs=%llu shrink_all_pairs_computes="
-               "%llu shrink_distance_rows=%llu shrink_pull_layers=%llu "
-               "shrink_transitive_tables=%llu\n",
-               static_cast<unsigned long long>(views::shrink_pair_bfs_count()),
-               static_cast<unsigned long long>(
-                   views::shrink_all_pairs_compute_count()),
-               static_cast<unsigned long long>(
-                   views::shrink_distance_row_count()),
-               static_cast<unsigned long long>(
-                   views::shrink_pull_layer_count()),
-               static_cast<unsigned long long>(
-                   views::shrink_transitive_table_count()));
-  // Worklist refinement effort; refine_naive must read 0 on the census
-  // (the naive engine survives only as a test oracle), and a warm store
-  // leaves refine_worklist_computes at zero.
-  std::fprintf(stderr,
-               "rdv_bench: refine_worklist_computes=%llu refine_splits=%llu "
-               "refine_worklist_pops=%llu refine_naive=%llu\n",
-               static_cast<unsigned long long>(
-                   views::refine_worklist_compute_count()),
-               static_cast<unsigned long long>(views::refine_split_count()),
-               static_cast<unsigned long long>(
-                   views::refine_worklist_pop_count()),
-               static_cast<unsigned long long>(views::refine_naive_count()));
-  const store::DiskStore* disk = cache::global_cache().disk();
-  if (disk == nullptr) return;
-  std::fprintf(stderr, "rdv_bench: store dir=%s salt=%s\n",
-               disk->config().root.c_str(),
-               disk->config().build_salt.c_str());
-  for (std::size_t k = 0; k < store::kKindCount; ++k) {
-    const auto kind = static_cast<store::Kind>(k);
-    const store::DiskStats s = disk->stats(kind);
-    std::fprintf(stderr,
-                 "rdv_bench: store[%s] hits=%llu misses=%llu corrupt=%llu "
-                 "version_mismatch=%llu writes=%llu write_failures=%llu "
-                 "bytes_read=%llu bytes_written=%llu\n",
-                 store::kind_name(kind),
-                 static_cast<unsigned long long>(s.hits),
-                 static_cast<unsigned long long>(s.misses),
-                 static_cast<unsigned long long>(s.corrupt),
-                 static_cast<unsigned long long>(s.version_mismatch),
-                 static_cast<unsigned long long>(s.writes),
-                 static_cast<unsigned long long>(s.write_failures),
-                 static_cast<unsigned long long>(s.bytes),
-                 static_cast<unsigned long long>(s.bytes_written));
-  }
 }
 
 /// Round-trips the just-written binary log and compares it against the
@@ -532,7 +407,6 @@ int run_main(int argc, const char* const* argv) {
   }
 
   int failures = 0;
-  std::vector<Timing> timings;
   std::vector<store::ResultRecord> logged;
   for (std::size_t i = 0; i < selected.size(); ++i) {
     const Experiment& e = *selected[i];
@@ -546,9 +420,6 @@ int run_main(int argc, const char* const* argv) {
           .observe(output.wall_micros);
       const std::vector<std::string> written =
           emit(e, output, emit_options);
-      timings.push_back(Timing{e.id, output.wall_micros,
-                               output.items_total,
-                               output.table.row_count()});
       if (log != nullptr) {
         // The censuses' per-case detail records (already in case
         // order) precede the experiment's own summary record.
@@ -603,12 +474,6 @@ int run_main(int argc, const char* const* argv) {
       !verify_result_log(args.result_log, logged)) {
     ++failures;
   }
-  write_bench_json(emit_options.csv_dir, ctx.scale,
-                   args.threads != 0
-                       ? args.threads
-                       : support::default_pool().thread_count(),
-                   timings);
-  print_run_stats();
   // Sidecar emission last: a full run's worth of series, written after
   // every primary byte (stdout, CSV/JSON tables, result log) is out.
   if (!args.metrics_out.empty()) {

@@ -122,9 +122,10 @@ struct ExpOutput {
   /// rows they produced).
   std::size_t items_total = 0;
   /// Wall-clock of the whole run_experiment call (case generation +
-  /// sweep + merge). Scheduling-dependent: reported via BENCH_sweep.json
-  /// and the binary result log, never printed into the tables (those
-  /// stay byte-identical across thread counts and warm/cold stores).
+  /// sweep + merge). Scheduling-dependent: reported as the metrics
+  /// snapshot's exp.<id>.wall_micros and in the binary result log,
+  /// never printed into the tables (those stay byte-identical across
+  /// thread counts and warm/cold stores).
   std::uint64_t wall_micros = 0;
 };
 

@@ -95,27 +95,36 @@ struct Cursor {
     ++pos;
     return out;
   }
+  /// A run of decimal digits as a uint64; fails on overflow.
+  [[nodiscard]] std::uint64_t parse_digits(const char* expected) {
+    if (pos >= text.size() ||
+        std::isdigit(static_cast<unsigned char>(text[pos])) == 0) {
+      fail(expected);
+    }
+    std::uint64_t value = 0;
+    while (pos < text.size() &&
+           std::isdigit(static_cast<unsigned char>(text[pos])) != 0) {
+      const auto digit = static_cast<std::uint64_t>(text[pos] - '0');
+      if (value > (UINT64_MAX - digit) / 10) fail("integer out of range");
+      value = value * 10 + digit;
+      ++pos;
+    }
+    return value;
+  }
   [[nodiscard]] std::int64_t parse_int() {
     skip_ws();
     const bool negative = pos < text.size() && text[pos] == '-';
     if (negative) ++pos;
-    if (pos >= text.size() ||
-        std::isdigit(static_cast<unsigned char>(text[pos])) == 0) {
-      fail("expected integer");
-    }
-    std::uint64_t magnitude = 0;
-    while (pos < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[pos])) != 0) {
-      magnitude = magnitude * 10 + static_cast<std::uint64_t>(text[pos] - '0');
-      ++pos;
-    }
-    return negative ? -static_cast<std::int64_t>(magnitude)
-                    : static_cast<std::int64_t>(magnitude);
+    const std::uint64_t magnitude = parse_digits("expected integer");
+    constexpr auto kMax = static_cast<std::uint64_t>(INT64_MAX);
+    if (magnitude > kMax + (negative ? 1 : 0)) fail("integer out of range");
+    // Negated in uint64 (modular) and converted: no signed overflow
+    // at INT64_MIN.
+    return static_cast<std::int64_t>(negative ? 0 - magnitude : magnitude);
   }
   [[nodiscard]] std::uint64_t parse_uint() {
-    const std::int64_t v = parse_int();
-    if (v < 0) fail("expected non-negative integer");
-    return static_cast<std::uint64_t>(v);
+    skip_ws();
+    return parse_digits("expected non-negative integer");
   }
   [[nodiscard]] bool parse_bool() {
     skip_ws();

@@ -35,14 +35,15 @@
 /// member), bump forever. Name lookup takes the registry mutex — never
 /// resolve per event on a hot path.
 ///
-/// Subsystems that already keep their own counters (the artifact
-/// cache's per-kind tallies, the disk store's atomics, the process
-/// counters in views/uxs) are bridged via register_source: a source
-/// callback contributes series to every snapshot, reading the
-/// subsystem's existing accessors, so those structs stay the single
-/// source of truth — no double bookkeeping — while the snapshot still
-/// carries one unified namespace (cache.*, store.*, pool.*, sweep.*,
-/// exp.*).
+/// Every process-wide count is a Counter here (sim.*, sweep.*, pool.*,
+/// views.*, uxs.*); a series CI asserts at 0 is registered when its
+/// subsystem loads, so it appears in every snapshot. Per-instance
+/// stats (the artifact cache's per-kind tallies, the disk store's
+/// atomics) are bridged via register_source: a source callback
+/// contributes series to every snapshot, reading the instance's
+/// existing accessors, so those structs stay the single source of
+/// truth — no double bookkeeping — while the snapshot still carries
+/// one unified namespace (cache.*, store.*, pool.*, sweep.*, exp.*).
 ///
 /// Observability is SIDECAR-ONLY by contract: nothing in this layer
 /// writes to stdout, and recording metrics must never change a

@@ -1,10 +1,10 @@
 #include "uxs/corpus.hpp"
 
-#include <atomic>
 #include <stdexcept>
 
 #include "graph/families/families.hpp"
 #include "graph/families/qhat.hpp"
+#include "obs/metrics.hpp"
 #include "uxs/verifier.hpp"
 
 namespace rdv::uxs {
@@ -76,16 +76,18 @@ std::vector<Graph> standard_corpus(std::uint32_t n,
 }
 
 namespace {
-std::atomic<std::uint64_t> g_corpus_verifications{0};
+// Registered at load: CI asserts it reads 0 on a warm-store run.
+obs::Counter& corpus_verifications =
+    obs::counter("uxs.corpus_verifications");
 }  // namespace
 
 std::uint64_t corpus_verification_count() {
-  return g_corpus_verifications.load(std::memory_order_relaxed);
+  return corpus_verifications.value();
 }
 
 Uxs corpus_verified_uxs(std::uint32_t n, std::uint64_t seed,
                         std::size_t max_length) {
-  g_corpus_verifications.fetch_add(1, std::memory_order_relaxed);
+  corpus_verifications.add();
   const std::vector<Graph> corpus = standard_corpus(n);
   std::size_t length = std::max<std::size_t>(8, 2 * n);
   while (length <= max_length) {

@@ -34,10 +34,10 @@ namespace rdv::uxs {
                                       std::uint64_t seed = kDefaultSeed,
                                       std::size_t max_length = 1u << 22);
 
-/// Process-wide count of corpus_verified_uxs invocations (i.e. full
-/// corpus verifications actually performed, cache/store hits excluded).
-/// `rdv_bench` reports it so the warm-store CI job can assert a second
-/// invocation performs ZERO verifications.
+/// The uxs.corpus_verifications registry counter: corpus_verified_uxs
+/// invocations (full corpus verifications actually performed, cache
+/// and store hits excluded), read by the perfbench harness. The
+/// warm-store CI job asserts a second invocation performs ZERO.
 [[nodiscard]] std::uint64_t corpus_verification_count();
 
 /// Smallest doubling-length fixed-seed stream covering one specific

@@ -48,12 +48,10 @@ struct ViewClasses {
 /// The original synchronous O(n^2 * m) refinement, retained verbatim as
 /// the test oracle: every round rebuilds every node's full signature.
 /// class_of/class_count are byte-identical to compute_view_classes.
+/// Counts its runs as views.refine_naive: CI asserts it stays ZERO on
+/// census runs, since nothing on a production path may fall back to the
+/// O(n^2 m) engine.
 [[nodiscard]] ViewClasses compute_view_classes_naive(const graph::Graph& g);
-
-/// Naive-oracle invocations (cumulative process counter) — CI asserts
-/// this stays ZERO on census runs: nothing on a production path may
-/// fall back to the O(n^2 m) engine.
-[[nodiscard]] std::uint64_t refine_naive_count();
 
 /// Convenience: are u and v symmetric in g?
 [[nodiscard]] bool symmetric(const graph::Graph& g, graph::Node u,

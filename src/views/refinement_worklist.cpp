@@ -1,7 +1,6 @@
 #include "views/refinement_worklist.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -16,20 +15,16 @@ using graph::Port;
 
 namespace {
 
-std::atomic<std::uint64_t> worklist_computes{0};
-std::atomic<std::uint64_t> splits{0};
-std::atomic<std::uint64_t> pops{0};
+// Registered at load, so every snapshot carries them, zero included.
+obs::Counter& worklist_computes =
+    obs::counter("views.refine_worklist_computes");
+obs::Counter& splits = obs::counter("views.refine_splits");
+obs::Counter& pops = obs::counter("views.refine_worklist_pops");
 
 }  // namespace
 
 std::uint64_t refine_worklist_compute_count() {
-  return worklist_computes.load(std::memory_order_relaxed);
-}
-std::uint64_t refine_split_count() {
-  return splits.load(std::memory_order_relaxed);
-}
-std::uint64_t refine_worklist_pop_count() {
-  return pops.load(std::memory_order_relaxed);
+  return worklist_computes.value();
 }
 
 ViewClasses WorklistRefiner::refine(const Graph& g) {
@@ -37,7 +32,7 @@ ViewClasses WorklistRefiner::refine(const Graph& g) {
   ViewClasses out;
   out.class_of.assign(n, 0);
   if (n == 0) return out;
-  worklist_computes.fetch_add(1, std::memory_order_relaxed);
+  worklist_computes.add();
   const Port maxdeg = g.max_degree();
 
   // Seed: the full degree/port-signature partition. The final stable
@@ -180,8 +175,8 @@ ViewClasses WorklistRefiner::refine(const Graph& g) {
       }
     }
   }
-  pops.fetch_add(local_pops, std::memory_order_relaxed);
-  splits.fetch_add(local_splits, std::memory_order_relaxed);
+  pops.add(local_pops);
+  splits.add(local_splits);
 
   // Canonical relabel: dense ids by first occurrence in node order —
   // the same rule the naive engine's per-round signature maps apply, so

@@ -81,12 +81,9 @@ class WorklistRefiner {
 /// (the production engine behind compute_view_classes).
 [[nodiscard]] ViewClasses compute_view_classes_worklist(const graph::Graph& g);
 
-/// Process counters (cumulative, monotone), shrink.cpp style: the
-/// driver bridges them into metrics snapshots as views.refine_* and the
-/// CI warm-store invariant asserts refine_worklist_computes == 0 when
-/// every partition is served from the store.
+/// The views.refine_worklist_computes registry counter (refinements
+/// run), read by the perfbench harness. Refinement also counts
+/// views.refine_splits and views.refine_worklist_pops.
 [[nodiscard]] std::uint64_t refine_worklist_compute_count();
-[[nodiscard]] std::uint64_t refine_split_count();
-[[nodiscard]] std::uint64_t refine_worklist_pop_count();
 
 }  // namespace rdv::views

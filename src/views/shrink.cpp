@@ -1,13 +1,13 @@
 #include "views/shrink.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <queue>
 #include <span>
 
 #include "graph/automorphism.hpp"
+#include "obs/metrics.hpp"
 
 namespace rdv::views {
 
@@ -17,11 +17,13 @@ using graph::Port;
 
 namespace {
 
-std::atomic<std::uint64_t> pair_bfs_runs{0};
-std::atomic<std::uint64_t> all_pairs_runs{0};
-std::atomic<std::uint64_t> distance_rows{0};
-std::atomic<std::uint64_t> pull_layers{0};
-std::atomic<std::uint64_t> transitive_tables{0};
+// Registered at load, so every snapshot carries them, zero included.
+obs::Counter& pair_bfs_runs = obs::counter("views.shrink_pair_bfs");
+obs::Counter& all_pairs_runs = obs::counter("views.shrink_all_pairs_computes");
+obs::Counter& distance_rows = obs::counter("views.shrink_distance_rows");
+obs::Counter& pull_layers = obs::counter("views.shrink_pull_layers");
+obs::Counter& transitive_tables =
+    obs::counter("views.shrink_transitive_tables");
 
 /// Sentinel "no parent yet" marker for the flat parent table.
 constexpr std::uint64_t kNoPair = static_cast<std::uint64_t>(-1);
@@ -29,7 +31,7 @@ constexpr std::uint64_t kNoPair = static_cast<std::uint64_t>(-1);
 }  // namespace
 
 ShrinkResult shrink_with_witness(const Graph& g, Node u, Node v) {
-  pair_bfs_runs.fetch_add(1, std::memory_order_relaxed);
+  pair_bfs_runs.add();
   const std::uint64_t n = g.size();
   const auto pair_id = [n](Node a, Node b) -> std::uint64_t {
     return static_cast<std::uint64_t>(a) * n + b;
@@ -479,7 +481,7 @@ class PairSweep {
 }  // namespace
 
 AllPairsShrink shrink_all_pairs(const Graph& g) {
-  all_pairs_runs.fetch_add(1, std::memory_order_relaxed);
+  all_pairs_runs.add();
   const std::uint32_t n = g.size();
   AllPairsShrink out;
   out.n = n;
@@ -487,34 +489,20 @@ AllPairsShrink shrink_all_pairs(const Graph& g) {
   if (n == 0) return out;
   PairSweep sweep(g, out.values);
   if (shrink_pair_orbits(g, sweep.tables(), out.values)) {
-    transitive_tables.fetch_add(1, std::memory_order_relaxed);
+    transitive_tables.add();
     out.pairs_explored = static_cast<std::uint64_t>(n) * (n + 1) / 2;
     return out;
   }
   out.pairs_explored = sweep.run();
-  distance_rows.fetch_add(sweep.distance_rows(), std::memory_order_relaxed);
-  pull_layers.fetch_add(sweep.pull_layers(), std::memory_order_relaxed);
+  distance_rows.add(sweep.distance_rows());
+  pull_layers.add(sweep.pull_layers());
   return out;
 }
 
-std::uint64_t shrink_pair_bfs_count() noexcept {
-  return pair_bfs_runs.load(std::memory_order_relaxed);
-}
+std::uint64_t shrink_pair_bfs_count() noexcept { return pair_bfs_runs.value(); }
 
 std::uint64_t shrink_all_pairs_compute_count() noexcept {
-  return all_pairs_runs.load(std::memory_order_relaxed);
-}
-
-std::uint64_t shrink_distance_row_count() noexcept {
-  return distance_rows.load(std::memory_order_relaxed);
-}
-
-std::uint64_t shrink_pull_layer_count() noexcept {
-  return pull_layers.load(std::memory_order_relaxed);
-}
-
-std::uint64_t shrink_transitive_table_count() noexcept {
-  return transitive_tables.load(std::memory_order_relaxed);
+  return all_pairs_runs.value();
 }
 
 }  // namespace rdv::views

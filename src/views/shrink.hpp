@@ -109,16 +109,14 @@ struct AllPairsShrink {
 /// and the oracle both paths are verified against.
 [[nodiscard]] AllPairsShrink shrink_all_pairs(const graph::Graph& g);
 
-/// Process-wide counters (monotone, thread-safe) so tests and CI can
-/// assert the census path never falls back to per-pair product BFS and
-/// that warm store runs recompute nothing.
+/// The views.shrink_pair_bfs and views.shrink_all_pairs_computes
+/// registry counters (shrink_with_witness and shrink_all_pairs calls),
+/// read by the perfbench harness. shrink_all_pairs also counts its
+/// effort as views.shrink_distance_rows (BFS distance rows run),
+/// views.shrink_pull_layers (closure layers that pulled instead of
+/// pushing; both level sweep only) and views.shrink_transitive_tables
+/// (tables filled on the pair-orbit path).
 [[nodiscard]] std::uint64_t shrink_pair_bfs_count() noexcept;
 [[nodiscard]] std::uint64_t shrink_all_pairs_compute_count() noexcept;
-/// shrink_all_pairs effort: BFS distance rows run, closure layers that
-/// pulled instead of pushing (both level sweep only), and tables filled
-/// on the pair-orbit path.
-[[nodiscard]] std::uint64_t shrink_distance_row_count() noexcept;
-[[nodiscard]] std::uint64_t shrink_pull_layer_count() noexcept;
-[[nodiscard]] std::uint64_t shrink_transitive_table_count() noexcept;
 
 }  // namespace rdv::views

@@ -13,9 +13,9 @@
 
 #include "cache/artifact_cache.hpp"
 #include "exp/scenarios/scenarios.hpp"
+#include "obs/metrics.hpp"
 #include "store/result_log.hpp"
 #include "support/thread_pool.hpp"
-#include "views/shrink.hpp"
 
 namespace rdv::exp {
 namespace {
@@ -263,28 +263,32 @@ TEST(ExpCensusStreaming, CensusPathNeverRunsPerPairBfs) {
   ctx.scale = Scale::kSmoke;
   ctx.sweep.pool = &pool;
   ctx.sweep.cache = &cache;
-  const std::uint64_t pair_before = views::shrink_pair_bfs_count();
-  const std::uint64_t batch_before = views::shrink_all_pairs_compute_count();
+  const obs::Counter& pair_bfs = obs::counter("views.shrink_pair_bfs");
+  const obs::Counter& batches =
+      obs::counter("views.shrink_all_pairs_computes");
+  const std::uint64_t pair_before = pair_bfs.value();
+  const std::uint64_t batch_before = batches.value();
   const ExpOutput output = run_experiment(*e, ctx);
   EXPECT_GE(output.table.row_count(), 1u);
-  EXPECT_EQ(views::shrink_pair_bfs_count(), pair_before);
-  EXPECT_GT(views::shrink_all_pairs_compute_count(), batch_before);
+  EXPECT_EQ(pair_bfs.value(), pair_before);
+  EXPECT_GT(batches.value(), batch_before);
 }
 
 // Also pins the one Shrink source: no experiment may fall back to the
 // per-pair product BFS; every Shrink comes from the all-pairs table.
 TEST(ExpSmoke, EveryExperimentProducesRowsAtSmokeScale) {
   support::ThreadPool pool(2);
+  const obs::Counter& pair_bfs = obs::counter("views.shrink_pair_bfs");
   for (const Experiment& e : builtin_registry().all()) {
     SCOPED_TRACE(e.id);
     ExpContext ctx;
     ctx.scale = Scale::kSmoke;
     ctx.sweep.pool = &pool;
-    const std::uint64_t pair_before = views::shrink_pair_bfs_count();
+    const std::uint64_t pair_before = pair_bfs.value();
     const ExpOutput output = run_experiment(e, ctx);
     EXPECT_GE(output.table.row_count(), 1u);
     EXPECT_EQ(output.table.column_count(), e.headers.size());
-    EXPECT_EQ(views::shrink_pair_bfs_count(), pair_before);
+    EXPECT_EQ(pair_bfs.value(), pair_before);
   }
 }
 

@@ -867,6 +867,40 @@ TEST(MetricsJson, ParserIsStrict) {
   EXPECT_THROW((void)parse_metrics_json(good + "x"), std::runtime_error);
 }
 
+// The full uint64 counter and int64 gauge ranges render and parse back
+// exactly, INT64_MIN included (no negation of the signed minimum).
+TEST(MetricsJson, IntegersRoundTripAcrossTheirFullRange) {
+  MetricsSnapshot snap;
+  snap.counters["above_int64"] = std::uint64_t{1} << 63;
+  snap.counters["max"] = UINT64_MAX;
+  snap.gauges["max"] = INT64_MAX;
+  snap.gauges["min"] = INT64_MIN;
+  const std::string json = render_metrics_json(snap);
+  const MetricsSnapshot parsed = parse_metrics_json(json);
+  EXPECT_EQ(parsed.counters, snap.counters);
+  EXPECT_EQ(parsed.gauges, snap.gauges);
+  EXPECT_EQ(render_metrics_json(parsed), json);
+}
+
+// A value past its type's range is an error, not a wrapped number.
+TEST(MetricsJson, OutOfRangeIntegersAreRejected) {
+  const auto with = [](const std::string& counter, const std::string& gauge) {
+    return R"({"format":1,"counters":{"a":)" + counter +
+           R"(},"gauges":{"g":)" + gauge + R"(},"histograms":{}})";
+  };
+  EXPECT_NO_THROW((void)parse_metrics_json(with("0", "0")));
+  EXPECT_THROW((void)parse_metrics_json(with("18446744073709551616", "0")),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_metrics_json(with("18446744073709551617", "0")),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_metrics_json(with("-1", "0")),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_metrics_json(with("0", "9223372036854775808")),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_metrics_json(with("0", "-9223372036854775809")),
+               std::runtime_error);
+}
+
 TEST(Diff, PassesWithinBandFailsBeyond) {
   MetricsSnapshot base = sample_snapshot();
   MetricsSnapshot current = sample_snapshot();
@@ -1228,6 +1262,45 @@ TEST(EndToEnd, TraceOnlyRunCarriesFlowsAndOneSlicePerMoment) {
 
   ::unlink(trace_path.c_str());
   clear_task_events();
+}
+
+// A sign or an out-of-range count is a usage error (exit 2), caught
+// before any pool is built: "-1" once wrapped to 2^64 - 1 workers.
+TEST(EndToEnd, ThreadCountsOutsideOneTo1024AreUsageErrors) {
+  for (const char* threads : {"-1", "0"}) {
+    SCOPED_TRACE(threads);
+    int rc = -1;
+    const std::string out = run_capturing_stdout(
+        {"rdv_bench", "t1_shrink_families", "--smoke", "--threads", threads},
+        rc);
+    EXPECT_EQ(rc, 2);
+    EXPECT_TRUE(out.empty());
+  }
+}
+
+// The counters CI asserts ==0 are registered when their subsystem
+// loads, not at their first bump, so a run that never bumps them still
+// carries them at 0. t6 simulates on Q-hat alone: after a reset it
+// computes no view classes, Shrink table or corpus UXS.
+TEST(EndToEnd, CiAssertedCountersAppearInTheSnapshotAtZero) {
+  const std::string metrics_path = "/tmp/rdv_obs_test_zero_metrics.json";
+  const std::string metrics_flag = "--metrics-out=" + metrics_path;
+  Registry::instance().reset_for_tests();
+  int rc = -1;
+  (void)run_capturing_stdout(
+      {"rdv_bench", "t6_lower_bound_qhat", "--smoke", metrics_flag.c_str()},
+      rc);
+  EXPECT_EQ(rc, 0);
+  const MetricsSnapshot snap = parse_metrics_json(read_file(metrics_path));
+  for (const char* name :
+       {"views.refine_naive", "views.shrink_pair_bfs",
+        "views.shrink_distance_rows", "views.shrink_all_pairs_computes",
+        "views.refine_worklist_computes", "uxs.corpus_verifications"}) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(snap.counters.count(name), 1u);
+    EXPECT_EQ(snap.counters.at(name), 0u);
+  }
+  ::unlink(metrics_path.c_str());
 }
 
 }  // namespace

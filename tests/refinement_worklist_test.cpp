@@ -12,6 +12,7 @@
 
 #include "cache/artifact_cache.hpp"
 #include "graph/families/families.hpp"
+#include "obs/metrics.hpp"
 #include "store/codec.hpp"
 #include "support/thread_pool.hpp"
 #include "sweep/sweep.hpp"
@@ -203,15 +204,19 @@ TEST(WorklistRefinement, SeededRandomFuzzSweepToN512) {
 }
 
 TEST(WorklistRefinement, ProcessCountersAdvance) {
-  const std::uint64_t computes0 = refine_worklist_compute_count();
-  const std::uint64_t pops0 = refine_worklist_pop_count();
-  const std::uint64_t naive0 = refine_naive_count();
+  const obs::Counter& computes =
+      obs::counter("views.refine_worklist_computes");
+  const obs::Counter& pops = obs::counter("views.refine_worklist_pops");
+  const obs::Counter& naive = obs::counter("views.refine_naive");
+  const std::uint64_t computes0 = computes.value();
+  const std::uint64_t pops0 = pops.value();
+  const std::uint64_t naive0 = naive.value();
   (void)compute_view_classes_worklist(families::scrambled_ring(9, 2));
-  EXPECT_EQ(refine_worklist_compute_count(), computes0 + 1);
-  EXPECT_GT(refine_worklist_pop_count(), pops0);
-  EXPECT_EQ(refine_naive_count(), naive0);  // production path, no oracle
+  EXPECT_EQ(computes.value(), computes0 + 1);
+  EXPECT_GT(pops.value(), pops0);
+  EXPECT_EQ(naive.value(), naive0);  // production path, no oracle
   (void)compute_view_classes_naive(families::scrambled_ring(9, 2));
-  EXPECT_EQ(refine_naive_count(), naive0 + 1);
+  EXPECT_EQ(naive.value(), naive0 + 1);
 }
 
 TEST(WorklistRefinement, ViewDistanceAgreesWithPartition) {

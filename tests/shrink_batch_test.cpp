@@ -22,6 +22,7 @@
 #include "graph/families/families.hpp"
 #include "graph/families/implicit.hpp"
 #include "graph/graph.hpp"
+#include "obs/metrics.hpp"
 #include "store/codec.hpp"
 #include "store/disk_store.hpp"
 #include "views/refinement.hpp"
@@ -159,14 +160,17 @@ void expect_matches_oracle(const Graph& g, const AllPairsShrink& all) {
 /// shrink_all_pairs plus the path it took: true when it filled the table
 /// on the pair-orbit path, which runs no distance row and no pull layer.
 bool took_orbit_path(const Graph& g, AllPairsShrink& out) {
-  const std::uint64_t orbits_before = shrink_transitive_table_count();
-  const std::uint64_t rows_before = shrink_distance_row_count();
-  const std::uint64_t pulls_before = shrink_pull_layer_count();
+  const obs::Counter& orbits = obs::counter("views.shrink_transitive_tables");
+  const obs::Counter& rows = obs::counter("views.shrink_distance_rows");
+  const obs::Counter& pulls = obs::counter("views.shrink_pull_layers");
+  const std::uint64_t orbits_before = orbits.value();
+  const std::uint64_t rows_before = rows.value();
+  const std::uint64_t pulls_before = pulls.value();
   out = shrink_all_pairs(g);
-  const bool orbit = shrink_transitive_table_count() != orbits_before;
+  const bool orbit = orbits.value() != orbits_before;
   if (orbit) {
-    EXPECT_EQ(shrink_distance_row_count(), rows_before) << g.name();
-    EXPECT_EQ(shrink_pull_layer_count(), pulls_before) << g.name();
+    EXPECT_EQ(rows.value(), rows_before) << g.name();
+    EXPECT_EQ(pulls.value(), pulls_before) << g.name();
   }
   return orbit;
 }
@@ -251,15 +255,20 @@ TEST(ShrinkAllPairs, SeededCorpusMatchesOracleOnEveryPath) {
   int diagonal_only = 0;
   int mixed = 0;
   std::uint64_t pull_layers = 0;
+  const obs::Counter& orbit_tables =
+      obs::counter("views.shrink_transitive_tables");
+  const obs::Counter& distance_rows =
+      obs::counter("views.shrink_distance_rows");
+  const obs::Counter& pulls = obs::counter("views.shrink_pull_layers");
   for (const Graph& g : seeded_corpus()) {
     SCOPED_TRACE(g.name());
-    const std::uint64_t orbits_before = shrink_transitive_table_count();
-    const std::uint64_t rows_before = shrink_distance_row_count();
-    const std::uint64_t pulls_before = shrink_pull_layer_count();
+    const std::uint64_t orbits_before = orbit_tables.value();
+    const std::uint64_t rows_before = distance_rows.value();
+    const std::uint64_t pulls_before = pulls.value();
     const AllPairsShrink all = shrink_all_pairs(g);
-    const bool orbit = shrink_transitive_table_count() != orbits_before;
-    const std::uint64_t rows = shrink_distance_row_count() - rows_before;
-    pull_layers += shrink_pull_layer_count() - pulls_before;
+    const bool orbit = orbit_tables.value() != orbits_before;
+    const std::uint64_t rows = distance_rows.value() - rows_before;
+    pull_layers += pulls.value() - pulls_before;
     std::uint64_t finite_upper = 0;
     bool zero_off_diagonal = false;
     // The oracle runs on the upper triangle; the lower one must mirror
@@ -478,14 +487,16 @@ TEST(ShrinkAllPairs, WarmStoreRerunRecomputesNothing) {
   disk_config.root = root;
 
   // Cold run: one batched compute, persisted write-behind.
-  const std::uint64_t before = shrink_all_pairs_compute_count();
+  const obs::Counter& computes =
+      obs::counter("views.shrink_all_pairs_computes");
+  const std::uint64_t before = computes.value();
   std::vector<std::uint32_t> cold_values;
   {
     cache::CacheConfig config;
     config.disk = std::make_shared<store::DiskStore>(disk_config);
     cache::ArtifactCache cache(config);
     cold_values = cache::cached_all_pairs_shrink(g, &cache)->values;
-    EXPECT_EQ(shrink_all_pairs_compute_count(), before + 1);
+    EXPECT_EQ(computes.value(), before + 1);
     EXPECT_EQ(cache.stats().all_pairs_shrink.misses, 1u);
   }
 
@@ -497,7 +508,7 @@ TEST(ShrinkAllPairs, WarmStoreRerunRecomputesNothing) {
     cache::ArtifactCache cache(config);
     const auto warm = cache::cached_all_pairs_shrink(g, &cache);
     EXPECT_EQ(warm->values, cold_values);
-    EXPECT_EQ(shrink_all_pairs_compute_count(), before + 1);
+    EXPECT_EQ(computes.value(), before + 1);
     EXPECT_EQ(config.disk->stats(store::Kind::kShrinkAllPairs).hits, 1u);
   }
   std::filesystem::remove_all(root);
@@ -505,13 +516,16 @@ TEST(ShrinkAllPairs, WarmStoreRerunRecomputesNothing) {
 
 TEST(ShrinkAllPairs, PairBfsCounterOnlyCountsPerPairCalls) {
   const Graph g = families::oriented_ring(6);
-  const std::uint64_t pair_before = shrink_pair_bfs_count();
-  const std::uint64_t batch_before = shrink_all_pairs_compute_count();
+  const obs::Counter& pair_bfs = obs::counter("views.shrink_pair_bfs");
+  const obs::Counter& batches =
+      obs::counter("views.shrink_all_pairs_computes");
+  const std::uint64_t pair_before = pair_bfs.value();
+  const std::uint64_t batch_before = batches.value();
   (void)shrink_all_pairs(g);
-  EXPECT_EQ(shrink_pair_bfs_count(), pair_before);
-  EXPECT_EQ(shrink_all_pairs_compute_count(), batch_before + 1);
+  EXPECT_EQ(pair_bfs.value(), pair_before);
+  EXPECT_EQ(batches.value(), batch_before + 1);
   (void)shrink(g, 0, 3);
-  EXPECT_EQ(shrink_pair_bfs_count(), pair_before + 1);
+  EXPECT_EQ(pair_bfs.value(), pair_before + 1);
 }
 
 void fnv1a(std::uint64_t& h, std::string_view bytes) {

@@ -15,6 +15,7 @@
 #include "cache/artifact_cache.hpp"
 #include "cache/fingerprint.hpp"
 #include "graph/families/families.hpp"
+#include "obs/metrics.hpp"
 #include "store/codec.hpp"
 #include "store/disk_store.hpp"
 #include "store/log_tools.hpp"
@@ -740,8 +741,9 @@ TEST(CacheStoreIntegration, WarmCacheSkipsEveryRecomputeIncludingUxs) {
   EXPECT_EQ(disk->stats(Kind::kQuotients).writes, 1u);
   EXPECT_EQ(disk->stats(Kind::kUxs).writes, 1u);
   EXPECT_EQ(disk->stats(Kind::kShrinkAllPairs).writes, 1u);
-  const std::uint64_t verifications_after_cold =
-      uxs::corpus_verification_count();
+  const obs::Counter& verifications =
+      obs::counter("uxs.corpus_verifications");
+  const std::uint64_t verifications_after_cold = verifications.value();
 
   // Warm pass through a FRESH memory cache (a second process, in
   // effect): every kind is served from disk, values are identical, and
@@ -758,7 +760,7 @@ TEST(CacheStoreIntegration, WarmCacheSkipsEveryRecomputeIncludingUxs) {
   EXPECT_EQ(y_warm->provenance(), y->provenance());
   EXPECT_EQ(warm.all_pairs_shrink(g)->values, shr->values);
 
-  EXPECT_EQ(uxs::corpus_verification_count(), verifications_after_cold);
+  EXPECT_EQ(verifications.value(), verifications_after_cold);
   EXPECT_EQ(disk->stats(Kind::kViewClasses).hits, 1u);
   EXPECT_EQ(disk->stats(Kind::kQuotients).hits, 1u);
   EXPECT_EQ(disk->stats(Kind::kUxs).hits, 1u);

@@ -1,16 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "support/bench_json.hpp"
 #include "support/env.hpp"
 #include "support/map_cells.hpp"
 #include "support/saturating.hpp"
@@ -375,26 +372,6 @@ TEST(Env, StoreAndCensusKnobs) {
   EXPECT_EQ(rdv_store_salt(), "");
   EXPECT_FALSE(rdv_store_readonly());
   EXPECT_FALSE(repro_census());
-}
-
-TEST(BenchJson, UpdateReplacesOwnLineAndPreservesOthers) {
-  const std::string path = ::testing::TempDir() + "bench_json_test.json";
-  std::remove(path.c_str());
-  ASSERT_TRUE(update_bench_json(path, "micro_sweep",
-                                "{\"bench\":\"micro_sweep\",\"v\":1}"));
-  ASSERT_TRUE(update_bench_json(path, "rdv_bench",
-                                "{\"bench\":\"rdv_bench\",\"v\":2}"));
-  // Re-emitting one bench replaces only its own line.
-  ASSERT_TRUE(update_bench_json(path, "micro_sweep",
-                                "{\"bench\":\"micro_sweep\",\"v\":3}"));
-  std::ifstream in(path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "{\"bench\":\"rdv_bench\",\"v\":2}");
-  EXPECT_EQ(lines[1], "{\"bench\":\"micro_sweep\",\"v\":3}");
-  std::remove(path.c_str());
 }
 
 TEST(Table, FormatHelpers) {

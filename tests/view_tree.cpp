@@ -1,4 +1,4 @@
-#include "views/view_tree.hpp"
+#include "view_tree.hpp"
 
 #include <sstream>
 

@@ -7,9 +7,9 @@
 
 /// Explicit truncated views V(v, G) (Section 2 / Yamashita–Kameda).
 ///
-/// The refinement oracle (refinement.hpp) is the production symmetry
-/// test; explicit views exist to cross-validate it in tests and to power
-/// the diagnostics in examples (printing *why* two nodes are symmetric).
+/// Test support: the refinement oracle (views/refinement.hpp) is the
+/// production symmetry test, and views_test cross-validates it against
+/// these explicit views.
 namespace rdv::views {
 
 /// Canonical serialization of the view from v truncated at `depth`

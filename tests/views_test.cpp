@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "graph/families/families.hpp"
+#include "view_tree.hpp"
 #include "views/quotient.hpp"
 #include "views/refinement.hpp"
-#include "views/view_tree.hpp"
 
 namespace rdv::views {
 namespace {
