@@ -29,9 +29,10 @@
 //
 // M7 — simulator cost per agent move: SymmRV, AsymmRV and UniversalRV
 // on an oriented ring, the symmetric double tree and lazily interned
-// Q-hat, best-of-3 wall per cell over a fixed STIC set, plus T6's
-// dedicated Z runs for k = 6 on a fresh Q-hat(24) per repetition (the
-// cost of interning the theorem-regime graph). Each cell also reports
+// Q-hat over a fixed STIC set, plus T6's dedicated Z runs for k = 6 on
+// a fresh Q-hat(24) per repetition (the cost of interning the
+// theorem-regime graph); each cell's wall is the median of 9
+// repetitions, taken in turns with the other cells. Each cell also reports
 // coroutine resumes per move (the sim.resumes counter over its moves):
 // walk segments run without resuming the agent, so this names the
 // cause when ns/move changes. The engine generates each agent's path
@@ -63,8 +64,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -651,8 +654,11 @@ int main(int argc, char** argv) {
   // ---- M7: simulator ns per agent move -------------------------------
   // Each cell runs one program over its arena's STICs (delays 0..1)
   // under the round cap the algorithm's tests use, clamped to 2^18 so
-  // AsymmRV's long Q-hat budget stays a sample; ns/move is the
-  // best-of-3 wall of the whole cell over its (deterministic) moves.
+  // AsymmRV's long Q-hat budget stays a sample; ns/move is the median
+  // wall of the whole cell over its (deterministic) moves. The cells
+  // take turns, one repetition each per pass, so a slow spell of the
+  // host spreads over every row instead of landing on one.
+  const int sim_repeats = smoke ? 1 : 9;
   const auto sim_ring = families::oriented_ring(4);
   const auto sim_tree = families::symmetric_double_tree(1, 1);
   const families::QhatImplicitTopology sim_qhat(2);
@@ -672,35 +678,30 @@ int main(int argc, char** argv) {
     }
     arenas.push_back(std::move(qhat));
   }
-  rdv::obs::Counter& sim_resumes = rdv::obs::counter("sim.resumes");
-  // Resumes per move over `repeats` repetitions of a cell's moves.
-  const auto resumes_per_move = [&](std::uint64_t before,
-                                    std::uint64_t moves) {
-    return moves > 0 ? static_cast<double>(sim_resumes.value() - before) /
-                           repeats / static_cast<double>(moves)
-                     : 0.0;
+  // One table row: `run` simulates the cell once and returns its
+  // topology's name, moves and rounds; the rest sums the engine's
+  // counters over every repetition.
+  struct SimCell {
+    std::string program;
+    std::size_t runs = 0;
+    std::function<std::tuple<std::string, std::uint64_t, std::uint64_t>()>
+        run;
+    std::string topology;
+    std::uint64_t moves = 0;
+    std::uint64_t rounds = 0;
+    std::vector<double> ms;
+    std::uint64_t resumes = 0;
+    std::uint64_t generated = 0;
+    std::uint64_t generate_ns = 0;
+    std::uint64_t merge_ns = 0;
   };
-  rdv::support::Table sim_table({"program", "topology", "runs", "moves",
-                                 "rounds", "best ms", "ns/move",
-                                 "resumes/move", "gen ns/move",
-                                 "merge ns/round"});
-  rdv::obs::Counter& sim_moves = rdv::obs::counter("sim.moves");
-  rdv::obs::Counter& sim_generate_ns = rdv::obs::counter("sim.generate_ns");
-  rdv::obs::Counter& sim_merge_ns = rdv::obs::counter("sim.merge_ns");
-  // The generation and merge columns of a cell whose `repeats`
-  // repetitions merged `rounds` rounds each, from the engine's counters
-  // as they stood before the cell.
-  const auto split = [&](std::uint64_t moves_before,
-                         std::uint64_t generate_before,
-                         std::uint64_t merge_before, std::uint64_t rounds) {
-    const double moves = static_cast<double>(sim_moves.value() - moves_before);
-    const double merged = static_cast<double>(rounds) * repeats;
-    const double gen =
-        moves > 0 ? (sim_generate_ns.value() - generate_before) / moves : 0;
-    const double merge =
-        merged > 0 ? (sim_merge_ns.value() - merge_before) / merged : 0;
-    return std::vector<std::string>{rdv::support::format_double(gen, 1),
-                                    rdv::support::format_double(merge, 3)};
+  std::vector<SimCell> sim_cells;
+  const auto add_cell = [&](std::string program, std::size_t runs,
+                            decltype(SimCell::run) run) {
+    SimCell& cell = sim_cells.emplace_back();
+    cell.program = std::move(program);
+    cell.runs = runs;
+    cell.run = std::move(run);
   };
   rdv::core::UniversalOptions sim_universal;
   sim_universal.max_phases = 40;
@@ -730,38 +731,21 @@ int main(int argc, char** argv) {
         jobs.back().second.max_rounds =
             std::min<std::uint64_t>(config.max_rounds, 1u << 18);
       }
-      std::uint64_t moves = 0;
-      std::uint64_t rounds = 0;
-      const std::uint64_t resumes_before = sim_resumes.value();
-      const std::uint64_t moves_before = sim_moves.value();
-      const std::uint64_t generate_before = sim_generate_ns.value();
-      const std::uint64_t merge_before = sim_merge_ns.value();
-      const double ms = best_of_ms(repeats, [&] {
-        moves = 0;
-        rounds = 0;
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-          const Stic& s = arena.stics[i];
-          const rdv::sim::RunResult r =
-              rdv::sim::run_anonymous(*arena.topo, jobs[i].first, s.u, s.v,
-                                      s.delay, jobs[i].second);
-          moves += r.moves[0] + r.moves[1];
-          rounds += r.rounds_simulated;
-        }
-      });
-      const double ns_per_move =
-          moves > 0 ? ms * 1e6 / static_cast<double>(moves) : 0;
-      const double resumes = resumes_per_move(resumes_before, moves);
-      std::vector<std::string> row{algorithm, arena.topo->name(),
-                                   std::to_string(arena.stics.size()),
-                                   std::to_string(moves), std::to_string(rounds),
-                                   rdv::support::format_double(ms, 3),
-                                   rdv::support::format_double(ns_per_move, 1),
-                                   rdv::support::format_double(resumes, 3)};
-      for (std::string& cell :
-           split(moves_before, generate_before, merge_before, rounds)) {
-        row.push_back(std::move(cell));
-      }
-      sim_table.add_row(row);
+      add_cell(
+          algorithm, arena.stics.size(),
+          [&arena, jobs = std::move(jobs)] {
+            std::uint64_t moves = 0;
+            std::uint64_t rounds = 0;
+            for (std::size_t i = 0; i < jobs.size(); ++i) {
+              const Stic& s = arena.stics[i];
+              const rdv::sim::RunResult r =
+                  rdv::sim::run_anonymous(*arena.topo, jobs[i].first, s.u,
+                                          s.v, s.delay, jobs[i].second);
+              moves += r.moves[0] + r.moves[1];
+              rounds += r.rounds_simulated;
+            }
+            return std::tuple{arena.topo->name(), moves, rounds};
+          });
     }
   }
   {
@@ -770,46 +754,74 @@ int main(int argc, char** argv) {
     // are all inside the timed region (the qhat_implicit(2) arena above
     // is fully materialized after its first run).
     constexpr std::uint32_t kZ = 6;
-    const auto program = rdv::analysis::dedicated_z_program(kZ);
     rdv::sim::RunConfig config;
     config.max_rounds = 64ull * kZ * (std::uint64_t{2} << kZ);
-    std::string name;
-    std::size_t runs = 0;
-    std::uint64_t moves = 0;
-    std::uint64_t rounds = 0;
-    const std::uint64_t resumes_before = sim_resumes.value();
-    const std::uint64_t moves_before = sim_moves.value();
-    const std::uint64_t generate_before = sim_generate_ns.value();
-    const std::uint64_t merge_before = sim_merge_ns.value();
-    const double ms = best_of_ms(repeats, [&] {
-      const families::QhatImplicitTopology topo(4 * kZ);
-      const auto z = families::qhat_z_set(topo, topo.root(), kZ);
-      name = topo.name();
-      runs = z.size();
-      moves = 0;
-      rounds = 0;
-      for (const rdv::graph::Node v : z) {
-        const rdv::sim::RunResult r = rdv::sim::run_anonymous(
-            topo, program, topo.root(), v, 2 * kZ, config);
-        moves += r.moves[0] + r.moves[1];
-        rounds += r.rounds_simulated;
-      }
-    });
-    const double ns_per_move =
-        moves > 0 ? ms * 1e6 / static_cast<double>(moves) : 0;
-    const double resumes = resumes_per_move(resumes_before, moves);
-    std::vector<std::string> row{"dedicated_z(6)", name, std::to_string(runs),
-                                 std::to_string(moves), std::to_string(rounds),
-                                 rdv::support::format_double(ms, 3),
-                                 rdv::support::format_double(ns_per_move, 1),
-                                 rdv::support::format_double(resumes, 3)};
-    for (std::string& cell :
-         split(moves_before, generate_before, merge_before, rounds)) {
-      row.push_back(std::move(cell));
-    }
-    sim_table.add_row(row);
+    add_cell(
+        "dedicated_z(6)", std::size_t{1} << kZ,
+        [program = rdv::analysis::dedicated_z_program(kZ), config] {
+          const families::QhatImplicitTopology topo(4 * kZ);
+          std::uint64_t moves = 0;
+          std::uint64_t rounds = 0;
+          for (const rdv::graph::Node v :
+               families::qhat_z_set(topo, topo.root(), kZ)) {
+            const rdv::sim::RunResult r = rdv::sim::run_anonymous(
+                topo, program, topo.root(), v, 2 * kZ, config);
+            moves += r.moves[0] + r.moves[1];
+            rounds += r.rounds_simulated;
+          }
+          return std::tuple{topo.name(), moves, rounds};
+        });
   }
-  emit_table("micro_sweep_sim", "M7: simulator cost per agent move",
+  rdv::obs::Counter& sim_resumes = rdv::obs::counter("sim.resumes");
+  rdv::obs::Counter& sim_moves = rdv::obs::counter("sim.moves");
+  rdv::obs::Counter& sim_generate_ns = rdv::obs::counter("sim.generate_ns");
+  rdv::obs::Counter& sim_merge_ns = rdv::obs::counter("sim.merge_ns");
+  for (int rep = 0; rep < sim_repeats; ++rep) {
+    for (SimCell& cell : sim_cells) {
+      const std::uint64_t resumes_before = sim_resumes.value();
+      const std::uint64_t moves_before = sim_moves.value();
+      const std::uint64_t generate_before = sim_generate_ns.value();
+      const std::uint64_t merge_before = sim_merge_ns.value();
+      cell.ms.push_back(best_of_ms(1, [&] {
+        std::tie(cell.topology, cell.moves, cell.rounds) = cell.run();
+      }));
+      cell.resumes += sim_resumes.value() - resumes_before;
+      cell.generated += sim_moves.value() - moves_before;
+      cell.generate_ns += sim_generate_ns.value() - generate_before;
+      cell.merge_ns += sim_merge_ns.value() - merge_before;
+    }
+  }
+  rdv::support::Table sim_table({"program", "topology", "runs", "moves",
+                                 "rounds", "median ms", "ns/move",
+                                 "resumes/move", "gen ns/move",
+                                 "merge ns/round"});
+  // ns/move and resumes/move are per move a cell's runs report;
+  // gen ns/move is per move the engine generated (sim.moves) and merge
+  // ns/round per round its runs merged, summed over the repetitions.
+  const auto per = [](double total, double count) {
+    return count > 0 ? total / count : 0.0;
+  };
+  for (const SimCell& cell : sim_cells) {
+    const double ms = median(cell.ms);
+    const auto moves = static_cast<double>(cell.moves);
+    const double rounds = static_cast<double>(cell.rounds) * sim_repeats;
+    sim_table.add_row(
+        {cell.program, cell.topology, std::to_string(cell.runs),
+         std::to_string(cell.moves), std::to_string(cell.rounds),
+         rdv::support::format_double(ms, 3),
+         rdv::support::format_double(per(ms * 1e6, moves), 1),
+         rdv::support::format_double(
+             per(static_cast<double>(cell.resumes), moves * sim_repeats), 3),
+         rdv::support::format_double(
+             per(static_cast<double>(cell.generate_ns),
+                 static_cast<double>(cell.generated)),
+             1),
+         rdv::support::format_double(
+             per(static_cast<double>(cell.merge_ns), rounds), 3)});
+  }
+  emit_table("micro_sweep_sim",
+             "M7: simulator cost per agent move (median of " +
+                 std::to_string(sim_repeats) + " interleaved repetitions)",
              sim_table);
 
   // ---- M8: store layer per artifact ---------------------------------

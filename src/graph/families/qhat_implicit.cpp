@@ -1,8 +1,12 @@
 #include "graph/families/qhat_implicit.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
+
+#include "obs/metrics.hpp"
 
 namespace rdv::graph::families {
 namespace {
@@ -10,6 +14,9 @@ namespace {
 constexpr std::array<Step, 4> kUnresolved{Step{kNoNode, 0}, Step{kNoNode, 0},
                                           Step{kNoNode, 0}, Step{kNoNode, 0}};
 constexpr std::uint64_t kLengthUnit = std::uint64_t{1} << 56;
+
+// Registered at load, so every snapshot carries it, zero included.
+obs::Counter& index_builds = obs::counter("graph.qhat_index_builds");
 
 }  // namespace
 
@@ -78,9 +85,8 @@ QhatImplicitTopology::QhatImplicitTopology(std::uint32_t h) : h_(h) {
       }
     }
   }
-  // Materialize the root.
-  slots_.assign(16, kNoNode);
-  (void)intern(PackedPath{});
+  // Materialize the root; the hash index waits for its first lookup.
+  (void)append(PackedPath{});
 }
 
 Port QhatImplicitTopology::degree(Node v) const {
@@ -115,16 +121,26 @@ Node QhatImplicitTopology::node_at(std::span<const Dir> path) const {
   return intern(pack(path));
 }
 
+Node QhatImplicitTopology::append(const PackedPath& path) const {
+  const auto id = static_cast<Node>(paths_.size());
+  paths_.push_back(path);
+  adj_.push_back(kUnresolved);
+  return id;
+}
+
 Node QhatImplicitTopology::intern(const PackedPath& path) const {
+  if (slots_.empty()) {
+    // First lookup: index every node so far, leaving room for this one.
+    index_builds.add();
+    rehash(std::max<std::size_t>(16, std::bit_ceil(2 * paths_.size() + 2)));
+  }
   const std::size_t mask = slots_.size() - 1;
   std::size_t i = path.hash() & mask;
   for (; slots_[i] != kNoNode; i = (i + 1) & mask) {
     if (paths_[slots_[i]] == path) return slots_[i];
   }
-  const auto id = static_cast<Node>(paths_.size());
+  const Node id = append(path);
   slots_[i] = id;
-  paths_.push_back(path);
-  adj_.push_back(kUnresolved);
   if (2 * paths_.size() > slots_.size()) rehash(2 * slots_.size());
   return id;
 }
@@ -198,8 +214,12 @@ Step QhatImplicitTopology::resolve(Node v, Port p) const {
     // Tree edge toward the parent (the root has none).
     far = Step{intern(path.popped()), to_port(path.at(length - 1))};
   } else if (length < h_) {
-    // Tree edge toward a child.
-    far = Step{intern(path.pushed(port)), to_port(opposite(port))};
+    // Tree edge toward a child. Without an index every node so far came
+    // down a tree edge whose memo holds it, so an unresolved child edge
+    // leads to a new node.
+    const PackedPath child = path.pushed(port);
+    far = Step{slots_.empty() ? append(child) : intern(child),
+               to_port(opposite(port))};
   } else {
     // Leaf-to-leaf edge: resolve through the shared Section-4 wiring rule.
     std::array<Dir, kMaxHeight> dirs{};

@@ -26,9 +26,17 @@ namespace rdv::graph::families {
 /// resolved edge is memoized in both directions (port-labeled edges are
 /// symmetric), so a step already taken, or taken backwards, is one load;
 /// resolving a new edge allocates nothing beyond amortized table growth.
-/// A materialized node costs about 64 bytes: its packed path (16), its
-/// four memo entries (32) and 8-16 bytes of hash index at load <= 1/2,
-/// before vector growth slack.
+///
+/// The hash index from path to node is built only when a lookup can
+/// meet an existing node. While every node so far was interned by the
+/// tree edge down from its parent, that edge's memo holds the node in
+/// both directions, so an unresolved child edge always leads to a new
+/// node, which takes the next id without a lookup. The first leaf link,
+/// memo-missing parent step or `node_at` builds the index from every
+/// node so far, in id order; from then on every intern looks up first.
+/// A materialized node costs 48 bytes, its packed path (16) and its
+/// four memo entries (32), before vector growth slack; once the index
+/// exists it adds 8-16 bytes at load <= 1/2.
 ///
 /// Interning and the memo are caches behind `const`: even `const` calls
 /// (`step`, `node_at`) mutate them, so an instance must not be shared
@@ -111,6 +119,12 @@ class QhatImplicitTopology final : public ITopology {
   /// Memo miss: resolves the edge by the tree / leaf-link rule, interns
   /// its far end and records both directions of the edge.
   [[nodiscard]] Step resolve(Node v, Port p) const;
+  /// Gives `path`, which must not be materialized yet, the next id. It
+  /// does not touch the index, so only an index-free topology may call
+  /// it from outside `intern`.
+  [[nodiscard]] Node append(const PackedPath& path) const;
+  /// The node of `path`, materialized if new; builds the index first if
+  /// there is none.
   [[nodiscard]] Node intern(const PackedPath& path) const;
   void rehash(std::size_t slot_count) const;
   /// leaf_unrank into the first h entries of `out`.
@@ -128,8 +142,8 @@ class QhatImplicitTopology final : public ITopology {
   // mutable (the topology is logically immutable — both are caches).
   // paths_[v] is node v's path; slots_ is an open-addressing (linear
   // probing) index of node ids by path, kNoNode when empty, its size a
-  // power of two; adj_[v][p] is the memoized step(v, p), kNoNode `to`
-  // until resolved.
+  // power of two, and is itself empty until the first lookup; adj_[v][p]
+  // is the memoized step(v, p), kNoNode `to` until resolved.
   mutable std::vector<PackedPath> paths_;
   mutable std::vector<Node> slots_;
   mutable std::vector<std::array<Step, 4>> adj_;

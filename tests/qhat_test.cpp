@@ -1,14 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+#include <set>
 #include <utility>
 
 #include "graph/families/qhat.hpp"
 #include "graph/families/qhat_implicit.hpp"
+#include "obs/metrics.hpp"
 #include "support/splitmix.hpp"
 #include "views/refinement.hpp"
 
 namespace rdv::graph::families {
 namespace {
+
+/// Index builds by every QhatImplicitTopology so far.
+std::uint64_t index_builds() {
+  return obs::counter("graph.qhat_index_builds").value();
+}
 
 TEST(QhatSize, Formula) {
   EXPECT_EQ(qhat_size(1), 1u + 2 * (3 - 1));
@@ -170,6 +179,46 @@ TEST_P(QhatAgreementTest, MemoMatchesExplicitInShuffledOrder) {
   EXPECT_EQ(topo.materialized(), q.graph.size());
 }
 
+TEST_P(QhatAgreementTest, StepOnlyWalkMatchesExplicit) {
+  // BFS from the root of a fresh topology through `step` alone: every
+  // node is interned down a tree edge, index-free, before the first
+  // leaf is dequeued; its leaf links then build the index, and must
+  // find the existing leaves in it.
+  const std::uint32_t h = GetParam();
+  const QhatGraph q = qhat_explicit(h);
+  std::map<std::vector<Dir>, Node> explicit_of;
+  for (Node v = 0; v < q.graph.size(); ++v) explicit_of[q.node_paths[v]] = v;
+  const std::uint64_t builds_before = index_builds();
+  const QhatImplicitTopology topo(h);
+  std::vector<bool> seen{true};
+  std::deque<Node> queue{topo.root()};
+  while (!queue.empty()) {
+    const Node u = queue.front();
+    queue.pop_front();
+    const std::vector<Dir> path = topo.path_of(u);
+    if (path.size() < h) {
+      EXPECT_EQ(index_builds(), builds_before) << "h=" << h << " node " << u;
+    } else {
+      EXPECT_EQ(topo.materialized(), q.graph.size()) << "h=" << h;
+    }
+    const Node e = explicit_of.at(path);
+    for (Port p = 0; p < 4; ++p) {
+      const Step se = q.graph.step(e, p);
+      const Step si = topo.step(u, p);
+      ASSERT_EQ(topo.path_of(si.to), q.node_paths[se.to])
+          << "h=" << h << " node " << u << " port " << p;
+      ASSERT_EQ(si.entry_port, se.entry_port);
+      if (si.to >= seen.size()) seen.resize(si.to + 1, false);
+      if (!seen[si.to]) {
+        seen[si.to] = true;
+        queue.push_back(si.to);
+      }
+    }
+  }
+  EXPECT_EQ(topo.materialized(), q.graph.size());
+  EXPECT_EQ(index_builds() - builds_before, 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Heights, QhatAgreementTest,
                          ::testing::Values(2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
@@ -217,6 +266,63 @@ TEST(QhatImplicit, SeededWalkAtTheoremScaleRoundTrips) {
     ASSERT_EQ(s.entry_port, ports[i]) << "step " << i;
     u = s.to;
   }
+}
+
+TEST(QhatImplicit, IndexBuiltMidWalkFindsEarlierNodes) {
+  // Step down to every node above the leaves and to one leaf, without
+  // an index; cross that leaf's links, which builds it; step up from
+  // the far leaves into parents interned earlier from their own parents
+  // (a memo miss the index must answer), step down into fresh leaves
+  // through it, and finish with node_at.
+  constexpr std::uint32_t h = 5;
+  const std::uint64_t builds_before = index_builds();
+  const QhatImplicitTopology topo(h);
+  std::vector<Node> interior{topo.root()};
+  for (std::size_t i = 0; i < interior.size(); ++i) {
+    const Node u = interior[i];
+    const std::vector<Dir> path = topo.path_of(u);
+    if (path.size() + 1 == h) continue;
+    for (Port p = 0; p < 4; ++p) {
+      if (!path.empty() && static_cast<Dir>(p) == opposite(path.back())) {
+        continue;
+      }
+      interior.push_back(topo.step(u, p).to);
+    }
+  }
+  ASSERT_EQ(topo.materialized(), qhat_size(h - 1));
+  const Node parent = interior.back();
+  const Node leaf = topo.step(parent, to_port(topo.path_of(parent).back())).to;
+  ASSERT_EQ(topo.path_of(leaf).size(), h);
+  const std::size_t before_links = topo.materialized();
+  EXPECT_EQ(index_builds(), builds_before);
+
+  const Dir tree_port = opposite(topo.path_of(leaf).back());
+  for (Port p = 0; p < 4; ++p) {
+    if (static_cast<Dir>(p) == tree_port) continue;
+    const Step link = topo.step(leaf, p);
+    EXPECT_EQ(index_builds(), builds_before + 1);
+    const std::vector<Dir> far_path = topo.path_of(link.to);
+    ASSERT_EQ(far_path.size(), h);
+    const Step up = topo.step(link.to, to_port(opposite(far_path.back())));
+    EXPECT_LT(up.to, before_links) << "port " << p;
+    EXPECT_EQ(topo.path_of(up.to),
+              std::vector<Dir>(far_path.begin(), far_path.end() - 1));
+    EXPECT_EQ(topo.step(up.to, up.entry_port).to, link.to);
+  }
+  // A leaf below every node one level up, through the index: each is
+  // new unless it is one of the far leaves above.
+  for (const Node u : interior) {
+    const std::vector<Dir> path = topo.path_of(u);
+    if (path.size() + 1 == h) (void)topo.step(u, to_port(path.back()));
+  }
+  std::set<std::vector<Dir>> paths;
+  for (Node v = 0; v < topo.materialized(); ++v) {
+    ASSERT_EQ(topo.node_at(topo.path_of(v)), v);
+    paths.insert(topo.path_of(v));
+  }
+  EXPECT_EQ(topo.materialized(), paths.size());
+  EXPECT_GT(topo.materialized(), before_links + 3);
+  EXPECT_EQ(index_builds(), builds_before + 1);
 }
 
 TEST(QhatImplicit, LazyMaterialization) {
